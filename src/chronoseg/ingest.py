@@ -173,6 +173,8 @@ def parse_subject_file(
             activity = int(float(raw))
             if float(raw) != activity:
                 raise ValueError(f"non-integer activity {raw!r}")
+        except OverflowError:  # inf, -inf, or a count beyond float range such as 1e400
+            raise DataError(f"malformed row at line {lineno}: non-finite activity {raw!r}")
         except (ValueError, IndexError) as exc:
             raise DataError(f"malformed row at line {lineno}: {exc}")
         if activity < 0:

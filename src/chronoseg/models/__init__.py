@@ -73,7 +73,7 @@ def default_model_specs(seed: int = 0) -> dict[str, ModelSpec]:
         "xgboost": ModelSpec("gbdt", {"preset": "xgb"}, seed),
         "random_forest": ModelSpec("random_forest", {}, seed),
         "logistic_regression": ModelSpec("logistic_regression", {}, seed),
-        "svm": ModelSpec("linear_svm", {}, seed),
+        "linear_svm": ModelSpec("linear_svm", {}, seed),
         "knn": ModelSpec("knn", {}, seed),
         "decision_tree": ModelSpec("decision_tree", {}, seed),
     }
@@ -182,7 +182,8 @@ def _core_to_dict(core) -> dict:
     if isinstance(core, CartTree):
         return {"kind": "cart", "n_features": core.n_features, "root": core.root.to_dict()}
     if isinstance(core, LogisticModel):
-        return {"kind": "logistic", "weights": core.weights.tolist(), "intercept": core.intercept}
+        return {"kind": "logistic", "weights": core.weights.tolist(), "intercept": core.intercept,
+                "n_iter": core.n_iter, "grad_norm": core.grad_norm}
     if isinstance(core, LinearSvm):
         return {"kind": "svm", "weights": core.weights.tolist(), "intercept": core.intercept}
     if isinstance(core, KnnModel):
@@ -208,7 +209,8 @@ def _core_from_dict(d: dict):
     if kind == "cart":
         return CartTree(root=TreeNode.from_dict(d["root"]), n_features=d["n_features"])
     if kind == "logistic":
-        return LogisticModel(weights=np.asarray(d["weights"]), intercept=d["intercept"])
+        return LogisticModel(weights=np.asarray(d["weights"]), intercept=d["intercept"], n_iter=d["n_iter"],
+                             grad_norm=d["grad_norm"])
     if kind == "svm":
         return LinearSvm(weights=np.asarray(d["weights"]), intercept=d["intercept"])
     if kind == "knn":

@@ -2,9 +2,18 @@
 
 One engine, two growth strategies: "lgbm" grows leaf-wise up to num_leaves,
 "xgb" grows level-wise up to max_depth. Features are pre-binned (at most 255
-bins per feature); split search scans cumulative gradient/hessian histograms
-for all features at once. Leaf values are Newton steps -G/(H+lambda) with the
-learning rate folded in.
+bins per feature) once per fit; the flat histogram codes and the root's split
+candidates, which do not depend on the gradients, are built once per fit too.
+A leaf at max_depth, or any leaf once the num_leaves budget is spent, is never
+searched. For every other leaf with enough rows, the candidate splits (bins
+that leave min_child_samples rows on each side and that some row occupies)
+come from the sorted bin codes of its rows; one weighted bincount fills a
+stacked (2, p, width) gradient/hessian histogram, one cumulative sum runs over
+it and the gain is computed only at the candidates, in row-major order so ties
+break on lowest feature, then lowest bin (Ke et al., LightGBM, NeurIPS 2017,
+section 3). Leaf values are Newton steps -G/(H+lambda) with the learning rate
+folded in; each round adds them to the training scores through the final leaf
+partition and takes one sigmoid for both the loss and the next gradients.
 """
 
 from __future__ import annotations
@@ -97,45 +106,54 @@ def fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
     return Binner(boundaries=boundaries)
 
 
-def _node_histograms(codes_off: np.ndarray, idx: np.ndarray, g: np.ndarray, h: np.ndarray, p: int, width: int):
-    # codes_off has per-feature offsets baked in so one bincount covers all features
-    flat = codes_off[idx].ravel()
-    size = p * width
-    hist_g = np.bincount(flat, weights=np.repeat(g[idx], p), minlength=size).reshape(p, width)
-    hist_h = np.bincount(flat, weights=np.repeat(h[idx], p), minlength=size).reshape(p, width)
-    hist_c = np.bincount(flat, minlength=size).reshape(p, width)
-    return hist_g, hist_h, hist_c
+def _split_positions(
+    codes_t: np.ndarray, min_child: int, last_bin: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, positions) of the splits of one node worth evaluating.
 
-
-def _best_split(hist_g, hist_h, hist_c, n_bins, reg_lambda, min_child):
-    """Best (gain, feature, bin) over cumulative histograms, or None.
-
-    Ties break on lowest feature index then lowest bin (np.argmax order).
+    codes_t holds the node's bin codes feature-major, (p, m). A row goes left
+    when its bin is <= the split bin, so bin b of feature f leaves min_child
+    rows on each side exactly when the min_child-th smallest code of f is
+    <= b and b is below the min_child-th largest; b must also be at most
+    last_bin[f] (n_bins - 2). Of those bins only the ones some row occupies
+    are kept: an empty bin adds nothing to the cumulative sums, so its gain
+    ties with the occupied bin before it, which argmax meets first. positions
+    are flat indices feature * width + bin, feature-major with bins
+    ascending (the row-major order of a dense (p, width) gain array), and
+    counts[f] is how many of them belong to feature f. min_child must be >= 1.
     """
-    G = hist_g.sum(axis=1, keepdims=True)
-    H = hist_h.sum(axis=1, keepdims=True)
-    C = hist_c.sum(axis=1, keepdims=True)
-    GL = np.cumsum(hist_g, axis=1)
-    HL = np.cumsum(hist_h, axis=1)
-    CL = np.cumsum(hist_c, axis=1)
+    p, m = codes_t.shape
+    if m < 2 * min_child:
+        return np.zeros(p, dtype=np.int64), np.empty(0, dtype=np.int64)
+    window = np.sort(codes_t, axis=1)[:, min_child - 1 : m - min_child + 1]
+    hi = np.minimum(window[:, -1] - 1, last_bin)
+    keep = window <= hi[:, None]
+    keep[:, 1:] &= window[:, 1:] != window[:, :-1]
+    return keep.sum(axis=1), (window + (np.arange(p) * width)[:, None])[keep]
+
+
+def _best_split(hist: np.ndarray, counts: np.ndarray, positions: np.ndarray, reg_lambda: float):
+    """Best (gain, feature, bin) among the flat split positions, or None.
+
+    hist stacks the (p, width) gradient and hessian histograms; counts and
+    positions come from _split_positions.
+    """
+    if positions.size == 0:
+        return None
+    G, H = hist.sum(axis=2)
+    parent = np.repeat((G**2) / (H + reg_lambda), counts)
+    G = np.repeat(G, counts)
+    H = np.repeat(H, counts)
+    GL, HL = np.cumsum(hist, axis=2).reshape(2, -1)[:, positions]
     GR = G - GL
     HR = H - HL
-    CR = C - CL
-
-    parent = (G**2) / (H + reg_lambda)
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
-
-    p, width = hist_g.shape
-    valid = (CL >= min_child) & (CR >= min_child)
-    valid &= np.arange(width)[None, :] < (n_bins - 1)[:, None]
-    gains = np.where(valid, gains, -np.inf)
-
-    flat_best = int(np.argmax(gains))
-    feature, bin_ = divmod(flat_best, width)
-    gain = float(gains[feature, bin_])
+    k = int(np.argmax(gains))
+    gain = float(gains[k])
     if not np.isfinite(gain) or gain <= 1e-12:
         return None
+    feature, bin_ = divmod(int(positions[k]), hist.shape[2])
     return gain, feature, bin_
 
 
@@ -148,32 +166,70 @@ class _Leaf:
 
 
 class _TreeGrower:
-    def __init__(self, codes, codes_off, g, h, n_bins, params):
-        self.codes = codes
-        self.codes_off = codes_off
-        self.g = g
-        self.h = h
-        self.n_bins = n_bins
-        self.p, self.width = int(n_bins.size), int(n_bins.max())
-        self.params = params
+    """Grows one tree per boosting round over bin codes fixed for the fit."""
 
-    def _make_leaf(self, idx: np.ndarray, depth: int) -> _Leaf:
+    def __init__(self, codes: np.ndarray, n_bins: np.ndarray, preset: str, params: dict):
+        n, p = codes.shape
+        width = int(n_bins.max())
+        self.codes = codes
+        self.rows = np.arange(n)
+        self.preset = preset
+        self.params = params
+        self.width = width
+        self.last_bin = n_bins - 2
+        # flat[k, i, f]: cell of row i, feature f in block k (gradient, hessian)
+        # of the flattened (2, p, width) histogram
+        flat = codes + np.arange(p) * width
+        self.flat = np.stack([flat, flat + p * width])
+        # feature-major for the per-node sorts; NumPy sorts int32 several
+        # times faster than int64 or uint8
+        self.codes_t = np.ascontiguousarray(codes.T, dtype=np.int32)
+        self.root_positions = self._positions(self.rows)
+
+    def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[BoostNode, list[_Leaf]]:
+        """The round's tree and its final leaves, which partition the rows."""
+        self.g, self.h = g, h
+        self.leaves: list[_Leaf] = []
+        if self.preset == "lgbm":
+            root = self._grow_leafwise(self.params["num_leaves"])
+        else:
+            root = self._grow_levelwise(self.params["max_depth"])
+        return root, [leaf for leaf in self.leaves if leaf.node.is_leaf]
+
+    def _positions(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _split_positions(self.codes_t[:, idx], self.params["min_child_samples"], self.last_bin, self.width)
+
+    def _search(self, idx: np.ndarray):
+        if idx.size < 2 * self.params["min_child_samples"]:
+            return None
+        if idx.size == self.rows.size:  # the root
+            flat, (counts, positions) = self.flat, self.root_positions
+        else:
+            flat, (counts, positions) = self.flat[:, idx], self._positions(idx)
+        if positions.size == 0:
+            return None
+        weights = np.empty(flat.shape)
+        weights[0] = self.g[idx, None]
+        weights[1] = self.h[idx, None]
+        _, _, p = flat.shape
+        hist = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * p * self.width)
+        return _best_split(hist.reshape(2, p, self.width), counts, positions, self.params["reg_lambda"])
+
+    def _make_leaf(self, idx: np.ndarray, depth: int, can_split: bool) -> _Leaf:
         pr = self.params
         g_sum = float(self.g[idx].sum())
         h_sum = float(self.h[idx].sum())
         node = BoostNode(value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
-        split = None
-        if idx.size >= 2 * pr["min_child_samples"]:
-            hist = _node_histograms(self.codes_off, idx, self.g, self.h, self.p, self.width)
-            split = _best_split(*hist, self.n_bins, pr["reg_lambda"], pr["min_child_samples"])
-        return _Leaf(node=node, idx=idx, depth=depth, split=split)
+        leaf = _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
+        self.leaves.append(leaf)
+        return leaf
 
-    def _apply_split(self, leaf: _Leaf) -> tuple[_Leaf, _Leaf]:
+    def _apply_split(self, leaf: _Leaf, can_split: bool) -> tuple[_Leaf, _Leaf]:
         gain, feature, bin_ = leaf.split
         node = leaf.node
         go_left = self.codes[leaf.idx, feature] <= bin_
-        left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1)
-        right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1)
+        left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1, can_split)
+        right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1, can_split)
         node.value = 0.0
         node.feature = feature
         node.bin = bin_
@@ -182,8 +238,8 @@ class _TreeGrower:
         node.right = right.node
         return left, right
 
-    def grow_leafwise(self, num_leaves: int) -> BoostNode:
-        root = self._make_leaf(np.arange(self.g.size), 0)
+    def _grow_leafwise(self, num_leaves: int) -> BoostNode:
+        root = self._make_leaf(self.rows, 0, num_leaves > 1)
         heap: list[tuple[float, int, _Leaf]] = []
         counter = 0  # heap tie-break: earlier-created leaf first
         if root.split:
@@ -191,22 +247,22 @@ class _TreeGrower:
         leaves = 1
         while heap and leaves < num_leaves:
             _, _, leaf = heapq.heappop(heap)
-            left, right = self._apply_split(leaf)
             leaves += 1
+            left, right = self._apply_split(leaf, leaves < num_leaves)
             for child in (left, right):
                 if child.split:
                     counter += 1
                     heapq.heappush(heap, (-child.split[0], counter, child))
         return root.node
 
-    def grow_levelwise(self, max_depth: int) -> BoostNode:
-        root = self._make_leaf(np.arange(self.g.size), 0)
+    def _grow_levelwise(self, max_depth: int) -> BoostNode:
+        root = self._make_leaf(self.rows, 0, max_depth > 0)
         level = [root]
         while level:
             next_level = []
             for leaf in level:
-                if leaf.split and leaf.depth < max_depth:
-                    next_level.extend(self._apply_split(leaf))
+                if leaf.split:
+                    next_level.extend(self._apply_split(leaf, leaf.depth + 1 < max_depth))
             level = next_level
         return root.node
 
@@ -279,28 +335,22 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) 
     n, p = X.shape
 
     binner = fit_binner(X, max_bins=params["max_bins"])
-    codes = binner.transform(X)
-    n_bins = binner.n_bins
-    codes_off = codes + np.arange(p) * int(n_bins.max())
+    grower = _TreeGrower(binner.transform(X), binner.n_bins, preset, params)
 
     prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
     base = float(np.log(prior / (1 - prior)))
     raw = np.full(n, base, dtype=np.float64)
+    prob = sigmoid(raw)
 
     trees: list[BoostNode] = []
-    losses = [log_loss(y, sigmoid(raw))]
+    losses = [log_loss(y, prob)]
     for _ in range(params["n_rounds"]):
-        prob = sigmoid(raw)
-        g = prob - y
-        h = prob * (1 - prob)
-        grower = _TreeGrower(codes, codes_off, g, h, n_bins, params)
-        if preset == "lgbm":
-            tree = grower.grow_leafwise(params["num_leaves"])
-        else:
-            tree = grower.grow_levelwise(params["max_depth"])
+        tree, leaves = grower.grow(prob - y, prob * (1 - prob))
         trees.append(tree)
-        raw += _predict_tree(tree, codes)
-        losses.append(log_loss(y, sigmoid(raw)))
+        for leaf in leaves:
+            raw[leaf.idx] += leaf.node.value
+        prob = sigmoid(raw)
+        losses.append(log_loss(y, prob))
 
     return GradientBoosting(
         preset=preset, base_score=base, binner=binner, trees=trees, n_features=p, train_losses=losses

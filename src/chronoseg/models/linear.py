@@ -3,7 +3,10 @@
 Logistic regression minimizes mean log-loss plus an L2 penalty on the weights
 (intercept unpenalized) with Nesterov-accelerated gradient descent; the step
 size comes from the spectral norm of the design matrix, so no line search is
-needed. The SVM is a linear hinge-loss machine trained by seeded subgradient
+needed. Each step evaluates the gradient alone, never the loss: once at the
+look-ahead point for the update and once at the new iterate for the stopping
+test. The fitted model records the iteration count and the final gradient
+norm. The SVM is a linear hinge-loss machine trained by seeded subgradient
 descent with averaged iterates; its probability output is a sigmoid of the
 margin.
 """
@@ -18,6 +21,13 @@ from ..errors import DataError
 from .gbdt import sigmoid
 
 
+def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
+    """Gradient d(obj)/d[w, b] of logistic_objective, without the loss."""
+    n = X.shape[0]
+    residual = sigmoid(X @ w + b) - y
+    return X.T @ residual / n + (l2 / n) * w, float(np.mean(residual))
+
+
 def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
     """Mean log-loss + (l2 / 2n)||w||^2 and its gradient d(obj)/d[w, b]."""
     n = X.shape[0]
@@ -25,9 +35,7 @@ def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2
     signed = np.where(y == 1, margin, -margin)
     # log(1 + exp(-signed)) computed stably
     loss = float(np.mean(np.logaddexp(0.0, -signed))) + 0.5 * l2 / n * float(w @ w)
-    p = sigmoid(margin)
-    grad_w = X.T @ (p - y) / n + (l2 / n) * w
-    grad_b = float(np.mean(p - y))
+    grad_w, grad_b = logistic_gradient(w, b, X, y, l2)
     return loss, grad_w, grad_b
 
 
@@ -35,6 +43,8 @@ def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2
 class LogisticModel:
     weights: np.ndarray
     intercept: float
+    n_iter: int  # gradient steps taken
+    grad_norm: float  # gradient norm at the returned weights; > tol when max_iter ran out
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
@@ -64,20 +74,22 @@ def train_logistic(
     b = 0.0
     w_prev, b_prev = w, b
     t_prev = 1.0
-    for _ in range(max_iter):
+    n_iter, grad_norm = 0, float("inf")
+    for n_iter in range(1, max_iter + 1):
         t = (1 + np.sqrt(1 + 4 * t_prev**2)) / 2
         beta = (t_prev - 1) / t
         w_look = w + beta * (w - w_prev)
         b_look = b + beta * (b - b_prev)
-        _, gw, gb = logistic_objective(w_look, b_look, X, y, l2)
+        gw, gb = logistic_gradient(w_look, b_look, X, y, l2)
         w_prev, b_prev = w, b
         w = w_look - step * gw
         b = b_look - step * gb
         t_prev = t
-        _, gw_cur, gb_cur = logistic_objective(w, b, X, y, l2)
-        if np.sqrt(float(gw_cur @ gw_cur) + gb_cur**2) <= tol:
+        gw, gb = logistic_gradient(w, b, X, y, l2)
+        grad_norm = float(np.sqrt(float(gw @ gw) + gb**2))
+        if grad_norm <= tol:
             break
-    return LogisticModel(weights=w, intercept=b)
+    return LogisticModel(weights=w, intercept=b, n_iter=n_iter, grad_norm=grad_norm)
 
 
 @dataclass

@@ -1,7 +1,12 @@
 """CART binary classification tree with Gini impurity.
 
 Splits maximize the total Gini decrease n*imp(parent) - nL*imp(L) - nR*imp(R).
-Ties break deterministically on lowest feature index, then lowest threshold.
+A node's split search covers all candidate features in one pass: a stable
+argsort of every candidate column, one cumulative count of positives down the
+sorted rows, and the gain at every row boundary where the value changes (other
+rows are masked to -inf). The first maximum of each column gives its lowest
+best threshold and the first maximum across columns its lowest feature, so
+ties break deterministically on lowest feature index, then lowest threshold.
 The same builder backs the standalone decision_tree family and the random
 forest (which adds bootstrap and per-split feature subsampling).
 """
@@ -59,8 +64,8 @@ def _gini_total(n: int, n_pos: int) -> float:
     return n * 2.0 * p * (1.0 - p)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Best (gain, feature, threshold) over the candidate features, or None.
+def _best_split(X: np.ndarray, y: np.ndarray):
+    """Best (gain, column, threshold) over the columns of X, or None.
 
     Candidate thresholds are midpoints between consecutive distinct values;
     rows with value <= threshold go left.
@@ -68,31 +73,24 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray):
     n = y.size
     n_pos = int(y.sum())
     parent = _gini_total(n, n_pos)
-    best = None  # (gain, feature, threshold)
-    for f in features:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        boundaries = np.flatnonzero(xs[:-1] < xs[1:])  # split after index i
-        if boundaries.size == 0:
-            continue
-        pos_prefix = np.cumsum(ys)
-        nl = boundaries + 1
-        pl = pos_prefix[boundaries]
-        nr = n - nl
-        pr = n_pos - pl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            imp_l = np.where(nl > 0, 2.0 * pl * (nl - pl) / nl, 0.0)
-            imp_r = np.where(nr > 0, 2.0 * pr * (nr - pr) / nr, 0.0)
-        gains = parent - imp_l - imp_r
-        i = int(np.argmax(gains))  # first max -> lowest threshold among ties
-        gain = float(gains[i])
-        if best is None or gain > best[0]:
-            b = boundaries[i]
-            threshold = float((xs[b] + xs[b + 1]) / 2.0)
-            best = (gain, int(f), threshold)
-    return best
+    cols = np.arange(X.shape[1])
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = X[order, cols]
+    boundary = xs[:-1] < xs[1:]  # row i: split after sorted row i
+    if not boundary.any():
+        return None
+    pl = np.cumsum(y[order[:-1]], axis=0)
+    nl = np.arange(1, n)[:, None]
+    nr = n - nl
+    pr = n_pos - pl
+    gains = parent - 2.0 * pl * (nl - pl) / nl - 2.0 * pr * (nr - pr) / nr
+    gains[~boundary] = -np.inf
+    rows = np.argmax(gains, axis=0)  # first max -> lowest threshold among ties
+    best = gains[rows, cols]
+    col = int(np.argmax(best))  # first max -> lowest feature among ties
+    row = rows[col]
+    threshold = float((xs[row, col] + xs[row + 1, col]) / 2.0)
+    return float(best[col]), col, threshold
 
 
 @dataclass
@@ -158,11 +156,13 @@ def build_cart(
             features = np.sort(rng.choice(p, size=max_features, replace=False))
         else:
             features = all_features
-        found = _best_split(X[idx], sub_y, features)
+        candidates = X[idx[:, None], features]
+        found = _best_split(candidates, sub_y)
         if found is None or found[0] <= 1e-12:
             continue
-        gain, feature, threshold = found
-        go_left = X[idx, feature] <= threshold
+        gain, col, threshold = found
+        feature = int(features[col])
+        go_left = candidates[:, col] <= threshold
         left_idx = idx[go_left]
         right_idx = idx[~go_left]
         node.feature = feature

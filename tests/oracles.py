@@ -1,8 +1,15 @@
-"""Naive pure-Python reference implementations used to cross-check the
-package's vectorized code. Deliberately written without numpy and without
-looking at the implementation under test."""
+"""Reference implementations used to cross-check the package's vectorized code.
+
+The feature, AUC and F1 references are naive pure Python, deliberately
+written without numpy and without looking at the implementation under test.
+The split-search references are the earlier per-feature CART loop and the
+earlier dense GBDT histogram search, kept as they were so that the vectorized
+kernels can be required to return the very same splits.
+"""
 
 import math
+
+import numpy as np
 
 
 def _median_sorted(sorted_vals):
@@ -116,3 +123,80 @@ def naive_f1(scores, labels, threshold=0.5):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
+
+
+def loop_cart_split(X, y, features):
+    """Best (gain, feature, threshold) over the candidate features, or None.
+
+    One stable argsort per feature; ties break on the lowest feature index,
+    then the lowest threshold.
+    """
+    n = y.size
+    n_pos = int(y.sum())
+    parent = n * 2.0 * (n_pos / n) * (1.0 - n_pos / n) if n else 0.0
+    best = None  # (gain, feature, threshold)
+    for f in features:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ys = y[order]
+        boundaries = np.flatnonzero(xs[:-1] < xs[1:])  # split after index i
+        if boundaries.size == 0:
+            continue
+        pos_prefix = np.cumsum(ys)
+        nl = boundaries + 1
+        pl = pos_prefix[boundaries]
+        nr = n - nl
+        pr = n_pos - pl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            imp_l = np.where(nl > 0, 2.0 * pl * (nl - pl) / nl, 0.0)
+            imp_r = np.where(nr > 0, 2.0 * pr * (nr - pr) / nr, 0.0)
+        gains = parent - imp_l - imp_r
+        i = int(np.argmax(gains))  # first max -> lowest threshold among ties
+        gain = float(gains[i])
+        if best is None or gain > best[0]:
+            b = boundaries[i]
+            threshold = float((xs[b] + xs[b + 1]) / 2.0)
+            best = (gain, int(f), threshold)
+    return best
+
+
+def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):
+    """Best (gain, feature, bin) of the rows idx, or None.
+
+    Builds full gradient, hessian and count histograms with three bincounts,
+    then scores every (feature, bin) cell; ties break on the lowest feature
+    index then the lowest bin (np.argmax order).
+    """
+    p = codes.shape[1]
+    width = int(n_bins.max())
+    flat = (codes + np.arange(p) * width)[idx].ravel()
+    size = p * width
+    hist_g = np.bincount(flat, weights=np.repeat(g[idx], p), minlength=size).reshape(p, width)
+    hist_h = np.bincount(flat, weights=np.repeat(h[idx], p), minlength=size).reshape(p, width)
+    hist_c = np.bincount(flat, minlength=size).reshape(p, width)
+
+    G = hist_g.sum(axis=1, keepdims=True)
+    H = hist_h.sum(axis=1, keepdims=True)
+    C = hist_c.sum(axis=1, keepdims=True)
+    GL = np.cumsum(hist_g, axis=1)
+    HL = np.cumsum(hist_h, axis=1)
+    CL = np.cumsum(hist_c, axis=1)
+    GR = G - GL
+    HR = H - HL
+    CR = C - CL
+
+    parent = (G**2) / (H + reg_lambda)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
+
+    valid = (CL >= min_child) & (CR >= min_child)
+    valid &= np.arange(width)[None, :] < (n_bins - 1)[:, None]
+    gains = np.where(valid, gains, -np.inf)
+
+    flat_best = int(np.argmax(gains))
+    feature, bin_ = divmod(flat_best, width)
+    gain = float(gains[feature, bin_])
+    if not np.isfinite(gain) or gain <= 1e-12:
+        return None
+    return gain, feature, bin_

@@ -111,6 +111,18 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--schemes", "parts2"]) == 2
 
 
+    def test_every_reported_model_name_is_accepted(self, corpus_file, tmp_path):
+        base = ["evaluate", "--corpus", str(corpus_file), "--schemes", "full_day", "--k", "3"]
+        assert main(base + ["--out-dir", str(tmp_path / "all")]) == 0
+        lines = (tmp_path / "all" / "report.csv").read_text().splitlines()[1:]
+        names = [line.split(",")[1] for line in lines]
+        assert len(names) == 7
+        for name in names:
+            out = tmp_path / name
+            assert main(base + ["--models", name, "--out-dir", str(out)]) == 0, name
+            assert (out / "report.csv").read_text().splitlines()[1].split(",")[1] == name
+
+
 class TestImportanceCommand:
     def test_importance_output(self, corpus_file, tmp_path):
         out = tmp_path / "imp.csv"
@@ -136,6 +148,15 @@ class TestImportanceCommand:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+
+class TestDataErrors:
+    def test_overflowing_activity_exits_3(self, tmp_path, capsys):
+        (tmp_path / "control").mkdir()
+        (tmp_path / "control" / "c1.csv").write_text("timestamp,activity\n2004-05-07 12:00:00,1e400\n")
+        code = main(["featurize", "--corpus", str(tmp_path), "--schemes", "parts2", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "line 2: non-finite activity" in capsys.readouterr().err
 
 
 class TestUsageErrors:

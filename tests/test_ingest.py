@@ -56,6 +56,12 @@ class TestParseSubjectFile:
         with pytest.raises(DataError, match="line 3"):
             parse_subject_file(io.StringIO(body))
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "1e400"])
+    def test_non_finite_activity_names_line(self, raw):
+        body = f"timestamp,date,activity\n2004-05-07 12:00:00,2004-05-07,143\n2004-05-07 12:01:00,2004-05-07,{raw}\n"
+        with pytest.raises(DataError, match=f"line 3: non-finite activity '{raw}'"):
+            parse_subject_file(io.StringIO(body))
+
     def test_malformed_row_names_line(self):
         body = "timestamp,date,activity\nnot-a-time,2004-05-07,1\n"
         with pytest.raises(DataError, match="line 2"):

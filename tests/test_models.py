@@ -15,6 +15,7 @@ from chronoseg.models import (
 from chronoseg.models.gbdt import train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
+from chronoseg.synth import gen_corpus
 
 
 class TestScaler:
@@ -59,7 +60,7 @@ class TestModelSpec:
             "xgboost",
             "random_forest",
             "logistic_regression",
-            "svm",
+            "linear_svm",
             "knn",
             "decision_tree",
         ]
@@ -159,6 +160,29 @@ class TestLogisticRegression:
         model = train_logistic(Xs, y.astype(float))
         _, gw, gb = logistic_objective(model.weights, model.intercept, Xs, y.astype(float), 1.0)
         assert np.sqrt(gw @ gw + gb**2) <= 1e-5
+
+
+    def test_records_non_convergence_on_parts2_features(self):
+        from chronoseg.features import featurize_corpus
+        from chronoseg.segmentation import builtin_scheme
+
+        # the default cohort is separable, so the penalized optimum is far out
+        # and 1000 steps leave the gradient norm above tol
+        table = featurize_corpus(gen_corpus(10, 10, 14, seed=0), builtin_scheme("parts2"))
+        Xs = fit_scaler(table.X).transform(table.X)
+        model = train_logistic(Xs, table.labels.astype(float), tol=1e-6, max_iter=1000)
+        assert model.n_iter == 1000
+        assert model.grad_norm > 1e-6
+        _, gw, gb = logistic_objective(model.weights, model.intercept, Xs, table.labels.astype(float), 1.0)
+        assert model.grad_norm == pytest.approx(np.sqrt(gw @ gw + gb**2), rel=1e-12)
+
+    def test_records_convergence_on_small_problem(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] + rng.normal(size=60) > 0).astype(float)
+        model = train_logistic(X, y, tol=1e-6, max_iter=1000)
+        assert model.n_iter < 1000
+        assert model.grad_norm <= 1e-6
 
 
 class TestGbdt:
