@@ -4,6 +4,30 @@ Raw recordings are delimited text files with one row per minute. Subjects are
 split into calendar days (midnight to midnight on the file's naive clock) and
 only days with all 1440 minutes present are retained. Missing minutes are
 never imputed; incomplete days are discarded and counted.
+
+Parsing is columnar. The ``csv`` module splits a file into rows, which are
+converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
+
+- Timestamps of the two zero-padded forms ``YYYY-MM-DD HH:MM`` and
+  ``YYYY-MM-DD HH:MM:SS`` take the bulk path: digits and separators are
+  checked at fixed positions, month, hour, minute and second against their
+  ranges, the day against the month's length from NumPy ``datetime64``
+  arithmetic, and the stamp becomes minutes since 1970-01-01 on the file's
+  naive clock. Seconds are truncated.
+  Every other form (no zero padding, surrounding spaces, a ``T`` separator,
+  an impossible date such as 2021-02-30) falls back to
+  :func:`_parse_timestamp` one row at a time, which accepts what
+  ``datetime.strptime`` accepts for those two formats; a row it cannot read
+  is a DataError naming its line.
+- Counts are parsed as float64 with Python's ``float``. A count must be a
+  finite, non-negative whole number below 2**63: ``143.0`` and ``1e3`` are
+  read as 143 and 1000, while ``1.5``, ``nan``, ``inf``, ``-3`` and ``1e300``
+  are DataErrors naming their line.
+
+Days are cut from the minute and count arrays with ``minutes // 1440``.
+Chunking bounds the Python row objects alive at once (about 300 bytes a
+row), so peak memory stays near that of the parsed arrays however long a
+recording or an interchange file is.
 """
 
 from __future__ import annotations
@@ -12,9 +36,10 @@ import csv
 import io
 import logging
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -24,42 +49,71 @@ logger = logging.getLogger(__name__)
 
 MINUTES_PER_DAY = 1440
 
+# Rows converted per bulk step by both readers. Larger chunks are no faster
+# and raise peak RSS; 1024 rows of Python row objects are about 0.3 MB.
+READ_CHUNK_ROWS = 1024
+
 DEFAULT_COLUMNS = {"timestamp": "timestamp", "activity": "activity"}
 
 TIMESTAMP_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M")
 
+EPOCH = datetime(1970, 1, 1)
+MINUTE = timedelta(minutes=1)
+MAX_COUNT = 2.0**63
 
-@dataclass(frozen=True)
-class ActivitySample:
-    """One per-minute activity measurement."""
-
-    timestamp: datetime
-    activity: int
-
-    def __post_init__(self):
-        if self.activity < 0:
-            raise DataError(f"negative activity {self.activity} at {self.timestamp}")
-        if self.timestamp.second != 0 or self.timestamp.microsecond != 0:
-            raise DataError(f"timestamp {self.timestamp} not normalized to minute resolution")
+# the zero-padded stamp: digits where the template has 0, the separators elsewhere
+_STAMP_TEMPLATE = np.array([ord(c) for c in "0000-00-00 00:00:00"])
+_STAMP_DIGITS = np.flatnonzero(_STAMP_TEMPLATE[:16] == ord("0"))
+_STAMP_SEPARATORS = np.flatnonzero(_STAMP_TEMPLATE[:16] != ord("0"))
 
 
-@dataclass(frozen=True)
+def _clock(minute: int) -> datetime:
+    return EPOCH + int(minute) * MINUTE
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledSeries:
-    """A subject's full recording with its binary class label (1=patient)."""
+    """A subject's full recording with its binary class label (1=patient).
+
+    ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
+    clock, strictly increasing; ``activity`` holds each minute's count.
+    """
 
     subject_id: str
     label: int
-    samples: tuple[ActivitySample, ...]
+    minutes: np.ndarray
+    activity: np.ndarray
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label}")
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.timestamp <= prev.timestamp:
-                raise DataError(
-                    f"samples not strictly increasing for {self.subject_id}: "
-                    f"{prev.timestamp} followed by {cur.timestamp}"
-                )
+        minutes = np.asarray(self.minutes, dtype=np.int64)
+        activity = np.asarray(self.activity, dtype=np.int64)
+        if minutes.ndim != 1 or minutes.shape != activity.shape:
+            raise DataError(f"series {self.subject_id} has {minutes.shape} minutes but {activity.shape} counts")
+        negative = np.flatnonzero(activity < 0)
+        if negative.size:
+            i = negative[0]
+            raise DataError(f"negative activity {activity[i]} at {_clock(minutes[i])}")
+        step = np.flatnonzero(np.diff(minutes) <= 0)
+        if step.size:
+            i = step[0]
+            raise DataError(
+                f"samples not strictly increasing for {self.subject_id}: "
+                f"{_clock(minutes[i])} followed by {_clock(minutes[i + 1])}"
+            )
+        for name, values in (("minutes", minutes), ("activity", activity)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledSeries):
+            return NotImplemented
+        return (
+            (self.subject_id, self.label) == (other.subject_id, other.label)
+            and np.array_equal(self.minutes, other.minutes)
+            and np.array_equal(self.activity, other.activity)
+        )
 
 
 @dataclass(frozen=True)
@@ -111,9 +165,6 @@ class Corpus:
             subjects[d.subject_id] = (label, count + 1)
         return cls(days=days, subjects=subjects)
 
-    def days_of(self, subject_id: str) -> list[DaySeries]:
-        return [d for d in self.days if d.subject_id == subject_id]
-
 
 def _parse_timestamp(text: str) -> datetime:
     for fmt in TIMESTAMP_FORMATS:
@@ -123,6 +174,111 @@ def _parse_timestamp(text: str) -> datetime:
             continue
         return ts.replace(second=0, microsecond=0)
     raise ValueError(f"unparseable timestamp {text!r}")
+
+
+def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Minutes since the epoch of each zero-padded ``YYYY-MM-DD HH:MM[:SS]``
+    stamp, and a mask of the stamps that have that form and a valid date and
+    time. Values where the mask is False are meaningless."""
+    length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+    # longer stamps are cut to 19 characters here and rejected by their length
+    code = np.array(stamps, dtype="<U19").view(np.uint32).reshape(len(stamps), 19)
+    is_digit = (code >= ord("0")) & (code <= ord("9"))
+    with_seconds = (length == 19) & (code[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18]
+    ok = (
+        ((length == 16) | with_seconds)
+        & is_digit[:, _STAMP_DIGITS].all(axis=1)
+        & (code[:, _STAMP_SEPARATORS] == _STAMP_TEMPLATE[_STAMP_SEPARATORS]).all(axis=1)
+    )
+
+    def two(i):  # the two-digit number at position i; garbage where ok is False
+        return (code[:, i].astype(np.int64) - ord("0")) * 10 + code[:, i + 1].astype(np.int64) - ord("0")
+
+    year = two(0) * 100 + two(2)
+    month, day, hour, minute, second = two(5), two(8), two(11), two(14), two(17)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23) & (minute <= 59)
+    ok &= (length == 16) | (second <= 59)
+    month_start = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    first_day = month_start.astype("datetime64[D]").astype(np.int64)
+    ok &= day <= (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    return (first_day + day - 1) * MINUTES_PER_DAY + hour * 60 + minute, ok
+
+
+def _convert(cells: list[str], convert: Callable, failed):
+    """``convert`` applied to every cell, with ``failed`` where it raises ValueError."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        pass
+    out = []
+    for cell in cells:
+        try:
+            out.append(convert(cell))
+        except ValueError:
+            out.append(failed)
+    return out
+
+
+def _column(rows: list[list[str]], index: int) -> list[str]:
+    try:
+        return [row[index] for row in rows]
+    except IndexError:  # short or blank rows; the per-row parse reports them
+        return [row[index] if index < len(row) else "" for row in rows]
+
+
+def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int, label_idx: int | None):
+    """One row the bulk conversion did not accept, parsed on its own.
+
+    Returns None for a blank row, else (minute, activity, label or None);
+    raises DataError naming the line for a malformed row.
+    """
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    try:
+        ts = _parse_timestamp(row[ts_idx])
+        raw = row[act_idx].strip()
+        # activity counts occasionally appear as "143.0"; accept integral floats
+        activity = int(float(raw))
+        if float(raw) != activity:
+            raise ValueError(f"non-integer activity {raw!r}")
+    except OverflowError:  # inf, -inf, or a count beyond float range such as 1e400
+        raise DataError(f"malformed row at line {lineno}: non-finite activity {raw!r}")
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed row at line {lineno}: {exc}")
+    if activity < 0:
+        raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
+    if activity >= MAX_COUNT:
+        raise DataError(f"malformed row at line {lineno}: activity {raw!r} out of range")
+    label = None
+    if label_idx is not None:
+        try:
+            label = int(row[label_idx])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"malformed row at line {lineno}: {exc}")
+    return (ts - EPOCH) // MINUTE, activity, label
+
+
+def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int, label_idx: int | None):
+    """(minutes, activity) of the non-blank rows of one chunk whose first row
+    is on line ``lineno``, and the label of the last of them (None without a
+    label column or such a row). Columns are converted in bulk; only the rows
+    the bulk conversion rejects are parsed one by one."""
+    minutes, ok = _canonical_minutes(_column(rows, ts_idx))
+    counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
+    ok &= (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))
+    activity = np.where(ok, counts, 0).astype(np.int64)
+    labels = [None] * len(rows)
+    if label_idx is not None:
+        labels = _convert(_column(rows, label_idx), int, None)
+        ok &= np.array([v is not None for v in labels], dtype=bool)
+
+    for i in np.flatnonzero(~ok).tolist():
+        parsed = _parse_row(rows[i], lineno + i, ts_idx, act_idx, label_idx)
+        if parsed is not None:
+            minutes[i], activity[i], labels[i] = parsed
+            ok[i] = True
+    kept = np.flatnonzero(ok)
+    return minutes[kept], activity[kept], labels[kept[-1]] if kept.size else None
 
 
 def parse_subject_file(
@@ -136,7 +292,9 @@ def parse_subject_file(
     ``column_map`` maps logical names ("timestamp", "activity", optionally
     "label") to header names in the file. When no "label" column is mapped
     the ``label`` argument is used (labels normally come from metadata, not
-    file content).
+    file content); otherwise the label of the last row wins. Blank rows are
+    skipped; a malformed row is a DataError naming its line. Rows are read
+    :data:`READ_CHUNK_ROWS` at a time.
     """
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
@@ -148,93 +306,69 @@ def parse_subject_file(
         stream = io.TextIOWrapper(stream, encoding="utf-8")
 
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty file: no header row")
-    header = [h.strip() for h in header]
-
-    try:
-        ts_idx = header.index(columns["timestamp"])
-        act_idx = header.index(columns["activity"])
-    except ValueError as exc:
-        raise ConfigError(f"mapped column missing from header {header}: {exc}")
-    label_idx = header.index(columns["label"]) if "label" in columns and columns["label"] in header else None
-
-    samples: list[ActivitySample] = []
+    minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     file_label = None
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    try:
         try:
-            ts = _parse_timestamp(row[ts_idx])
-            raw = row[act_idx].strip()
-            # activity counts occasionally appear as "143.0"; accept integral floats
-            activity = int(float(raw))
-            if float(raw) != activity:
-                raise ValueError(f"non-integer activity {raw!r}")
-        except OverflowError:  # inf, -inf, or a count beyond float range such as 1e400
-            raise DataError(f"malformed row at line {lineno}: non-finite activity {raw!r}")
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"malformed row at line {lineno}: {exc}")
-        if activity < 0:
-            raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
-        if label_idx is not None:
-            try:
-                file_label = int(row[label_idx])
-            except ValueError as exc:
-                raise DataError(f"malformed row at line {lineno}: {exc}")
-        samples.append(ActivitySample(timestamp=ts, activity=activity))
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty file: no header row")
+        header = [h.strip() for h in header]
+        try:
+            ts_idx = header.index(columns["timestamp"])
+            act_idx = header.index(columns["activity"])
+        except ValueError as exc:
+            raise ConfigError(f"mapped column missing from header {header}: {exc}")
+        label_idx = header.index(columns["label"]) if "label" in columns and columns["label"] in header else None
 
-    for i, (prev, cur) in enumerate(zip(samples, samples[1:])):
-        if cur.timestamp <= prev.timestamp:
-            raise DataError(
-                f"non-monotonic timestamps: {prev.timestamp} followed by "
-                f"{cur.timestamp} (samples {i} and {i + 1})"
-            )
+        lineno = 2
+        while rows := list(islice(reader, READ_CHUNK_ROWS)):
+            chunk_minutes, chunk_activity, chunk_label = _parse_rows(rows, lineno, ts_idx, act_idx, label_idx)
+            minutes.append(chunk_minutes)
+            activity.append(chunk_activity)
+            file_label = chunk_label if chunk_minutes.size else file_label
+            lineno += len(rows)
+    except csv.Error as exc:
+        raise DataError(f"malformed row at line {reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"recording is not UTF-8 text: {exc}")
+    minutes, activity = np.concatenate(minutes), np.concatenate(activity)
+
+    step = np.flatnonzero(np.diff(minutes) <= 0)
+    if step.size:
+        i = int(step[0])
+        raise DataError(
+            f"non-monotonic timestamps: {_clock(minutes[i])} followed by "
+            f"{_clock(minutes[i + 1])} (samples {i} and {i + 1})"
+        )
 
     return LabeledSeries(
         subject_id=subject_id,
         label=file_label if file_label is not None else label,
-        samples=tuple(samples),
+        minutes=minutes,
+        activity=activity,
     )
 
 
-def split_into_days(series: LabeledSeries) -> list[tuple[date, dict[int, int]]]:
-    """Group samples by calendar date; each group maps minute-of-day -> value.
+def filter_complete_days(series: LabeledSeries) -> tuple[list[DaySeries], int]:
+    """Keep only days with all 1440 minutes present; return (kept, n_discarded).
 
-    Minutes with no sample are simply absent from the group (never zero
-    filled). A duplicate minute within one date is a hard error.
+    Minutes are strictly increasing, so a day with 1440 samples holds every
+    minute of that day, in order.
     """
-    groups: dict[date, dict[int, int]] = {}
-    for s in series.samples:
-        d = s.timestamp.date()
-        minute = s.timestamp.hour * 60 + s.timestamp.minute
-        day = groups.setdefault(d, {})
-        if minute in day:
-            raise DataError(f"duplicate minute {minute} for {series.subject_id} on {d}")
-        day[minute] = s.activity
-    return sorted(groups.items())
-
-
-def filter_complete_days(
-    series: LabeledSeries,
-    groups: list[tuple[date, dict[int, int]]] | None = None,
-) -> tuple[list[DaySeries], int]:
-    """Keep only days with all 1440 minutes present; return (kept, n_discarded)."""
-    if groups is None:
-        groups = split_into_days(series)
-    kept: list[DaySeries] = []
-    discarded = 0
-    for d, minutes in groups:
-        if len(minutes) == MINUTES_PER_DAY:
-            values = np.empty(MINUTES_PER_DAY, dtype=np.int64)
-            for minute, v in minutes.items():
-                values[minute] = v
-            kept.append(DaySeries(subject_id=series.subject_id, label=series.label, date=d, values=values))
-        else:
-            discarded += 1
-    return kept, discarded
+    day = series.minutes // MINUTES_PER_DAY
+    days, first, count = np.unique(day, return_index=True, return_counts=True)
+    complete = count == MINUTES_PER_DAY
+    kept = [
+        DaySeries(
+            subject_id=series.subject_id,
+            label=series.label,
+            date=EPOCH.date() + timedelta(days=d),
+            values=series.activity[start:start + MINUTES_PER_DAY],
+        )
+        for d, start in zip(days[complete].tolist(), first[complete].tolist())
+    ]
+    return kept, int(np.count_nonzero(~complete))
 
 
 def _read_metadata(path: Path) -> dict[str, int]:
@@ -317,27 +451,83 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                 writer.writerow([day.subject_id, day.label, day.date.isoformat(), minute, int(day.values[minute])])
 
 
+INTERCHANGE_COLUMNS = ["subject_id", "label", "date", "minute", "activity"]
+
+
+def _store_row(buffers: dict, row: list[str], lineno: int) -> None:
+    """Store one interchange row; a short row reads as missing values."""
+    subject_id, label, day, minute, activity = (row + [None] * 5)[:5]
+    try:
+        key = (subject_id, int(label), date.fromisoformat(day))
+        minute = int(minute)
+        activity = int(activity)
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"malformed row at line {lineno}: {exc}")
+    buf = buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))
+    if not 0 <= minute < MINUTES_PER_DAY:
+        raise DataError(f"minute {minute} out of range at line {lineno}")
+    if buf[minute] >= 0:
+        raise DataError(f"duplicate minute {minute} for {key[0]} on {key[2]}")
+    try:
+        buf[minute] = activity
+    except OverflowError:
+        raise DataError(f"malformed row at line {lineno}: activity {activity} out of range")
+
+
+def _store_bulk(buffers: dict, rows: list[list[str]]) -> bool:
+    """Store a chunk of rows in bulk; False, with nothing stored, when any row
+    needs the per-row checks to report it."""
+    if set(map(len, rows)) != {5}:
+        return False
+    subject_ids, labels, days, minutes, counts = zip(*rows)
+    try:
+        minute = np.fromiter(map(int, minutes), dtype=np.int64, count=len(rows))
+        activity = np.fromiter(map(int, counts), dtype=np.int64, count=len(rows))
+        runs = [
+            ((subject_id, int(label), date.fromisoformat(day)), sum(1 for _ in run))
+            for (subject_id, label, day), run in groupby(zip(subject_ids, labels, days))
+        ]
+    except (ValueError, OverflowError):
+        return False
+    if len({key for key, _ in runs}) != len(runs) or minute.min() < 0 or minute.max() >= MINUTES_PER_DAY:
+        return False
+    bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
+    for (key, _), a, b in zip(runs, bounds, bounds[1:]):
+        taken = np.bincount(minute[a:b], minlength=MINUTES_PER_DAY)
+        if taken.max() > 1 or (key in buffers and (buffers[key][minute[a:b]] >= 0).any()):
+            return False
+    for (key, _), a, b in zip(runs, bounds, bounds[1:]):
+        buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))[minute[a:b]] = activity[a:b]
+    return True
+
+
 def load_interchange(path: str | Path) -> Corpus:
-    """Load a corpus previously written by save_corpus."""
+    """Load a corpus previously written by save_corpus.
+
+    Rows are read :data:`READ_CHUNK_ROWS` at a time. A chunk whose rows are
+    all well formed is stored with one array write per subject-day; any other
+    chunk is stored row by row, which reports the first bad row by its line.
+    """
     buffers: dict[tuple[str, int, date], np.ndarray] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["subject_id", "label", "date", "minute", "activity"]
-        if reader.fieldnames != expected:
-            raise DataError(f"interchange file {path} has columns {reader.fieldnames}, expected {expected}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                key = (row["subject_id"], int(row["label"]), date.fromisoformat(row["date"]))
-                minute = int(row["minute"])
-                activity = int(row["activity"])
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"malformed row at line {lineno}: {exc}")
-            buf = buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))
-            if not 0 <= minute < MINUTES_PER_DAY:
-                raise DataError(f"minute {minute} out of range at line {lineno}")
-            if buf[minute] >= 0:
-                raise DataError(f"duplicate minute {minute} for {key[0]} on {key[2]}")
-            buf[minute] = activity
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != INTERCHANGE_COLUMNS:
+                raise DataError(
+                    f"interchange file {path} has columns {header}, expected {INTERCHANGE_COLUMNS}"
+                )
+            lineno = 2  # line numbers count non-blank rows
+            while chunk := list(islice(reader, READ_CHUNK_ROWS)):
+                rows = [row for row in chunk if row]
+                if not _store_bulk(buffers, rows):
+                    for offset, row in enumerate(rows):
+                        _store_row(buffers, row, lineno + offset)
+                lineno += len(rows)
+        except csv.Error as exc:
+            raise DataError(f"interchange file {path}: malformed line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"interchange file {path} is not UTF-8 text: {exc}")
     days = []
     for (subject_id, label, d), buf in buffers.items():
         if (buf < 0).any():

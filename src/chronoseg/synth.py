@@ -11,12 +11,12 @@ once for class separability; none come from the study being modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import MINUTES_PER_DAY, ActivitySample, Corpus, DaySeries, LabeledSeries
+from .ingest import MINUTES_PER_DAY, Corpus, DaySeries, LabeledSeries
 
 DAY_START, DAY_END = 480, 1200  # 08:00-20:00
 MORNING_START, MORNING_END = 360, 720  # 06:00-12:00
@@ -86,15 +86,14 @@ def _gen_day_values(profile: SubjectProfile, rng: np.random.Generator) -> np.nda
 def gen_subject(profile: SubjectProfile, subject_id: str = "S000") -> LabeledSeries:
     """Generate one subject's complete multi-day recording (deterministic per seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
-    samples = []
-    for d in range(profile.days):
-        values = _gen_day_values(profile, rng)
-        day0 = datetime.combine(EPOCH + timedelta(days=d), datetime.min.time())
-        samples.extend(
-            ActivitySample(timestamp=day0 + timedelta(minutes=int(m)), activity=int(v))
-            for m, v in enumerate(values)
-        )
-    return LabeledSeries(subject_id=subject_id, label=int(profile.is_patient), samples=tuple(samples))
+    activity = np.concatenate([_gen_day_values(profile, rng) for _ in range(profile.days)])
+    start = (EPOCH - date(1970, 1, 1)).days * MINUTES_PER_DAY
+    return LabeledSeries(
+        subject_id=subject_id,
+        label=int(profile.is_patient),
+        minutes=start + np.arange(activity.size),
+        activity=activity,
+    )
 
 
 def _gen_subject_days(profile: SubjectProfile, subject_id: str, seed_seq: np.random.SeedSequence) -> list[DaySeries]:

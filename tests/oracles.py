@@ -4,12 +4,20 @@ The feature, AUC and F1 references are naive pure Python, deliberately
 written without numpy and without looking at the implementation under test.
 The split-search references are the earlier per-feature CART loop and the
 earlier dense GBDT histogram search, kept as they were so that the vectorized
-kernels can be required to return the very same splits.
+kernels can be required to return the very same splits. Likewise the
+per-segment feature code and the per-row recording parser are the earlier
+implementations, kept so that the block feature kernel and the columnar
+parser can be required to give the very same bytes and errors.
 """
 
+import csv
+import io
 import math
+from datetime import datetime
 
 import numpy as np
+
+from chronoseg.errors import ConfigError, DataError
 
 
 def _median_sorted(sorted_vals):
@@ -200,3 +208,156 @@ def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):
     if not np.isfinite(gain) or gain <= 1e-12:
         return None
     return gain, feature, bin_
+
+
+
+
+def per_segment_features(values):
+    """The sixteen statistics of one segment, as the per-segment code computed them.
+
+    Conventions: population moments throughout; skewness/kurtosis/cv/
+    autocorrelation are 0 for degenerate inputs; entropy is over at most 16
+    equal-width histogram bins spanning [0, max]; peaks/troughs are strict
+    interior local extrema.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("cannot extract features from an empty vector")
+    n = x.size
+    mean = float(x.mean())
+    median = float(np.median(x))
+    centered = x - mean
+    m2 = float(np.mean(centered**2))
+    std = float(np.sqrt(m2))
+
+    if m2 > 0:
+        skewness = float(np.mean(centered**3)) / m2**1.5
+        kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
+    else:
+        skewness = 0.0
+        kurtosis = 0.0
+
+    prop_zeros = float(np.count_nonzero(x == 0)) / n
+    maximum = float(x.max())
+    mad = float(np.median(np.abs(x - median)))
+    q1, q3 = np.quantile(x, [0.25, 0.75])  # linear interpolation at h=(n-1)p
+    iqr = float(q3 - q1)
+    cv = std / mean if mean != 0 else 0.0
+
+    distinct = np.unique(x).size
+    if distinct <= 1:
+        entropy = 0.0
+    else:
+        # equal-width bins over [0, max], left-closed, last bin closed
+        bins = min(16, distinct)
+        idx = np.minimum((x * bins / maximum).astype(np.int64), bins - 1)
+        counts = np.bincount(idx, minlength=bins)
+        p = counts[counts > 0] / n
+        entropy = float(-(p * np.log(p)).sum())
+
+    denom = float(np.sum(centered**2))
+    if denom > 0 and n > 1:
+        autocorr = float(np.sum(centered[:-1] * centered[1:])) / denom
+    else:
+        autocorr = 0.0
+
+    if n >= 3:
+        inner = x[1:-1]
+        n_peaks = int(np.count_nonzero((x[:-2] < inner) & (inner > x[2:])))
+        n_troughs = int(np.count_nonzero((x[:-2] > inner) & (inner < x[2:])))
+    else:
+        n_peaks = 0
+        n_troughs = 0
+
+    below = centered[centered < 0]
+    semivariance = float(np.sum(below**2)) / n
+    rms = float(np.sqrt(np.mean(x**2)))
+
+    return {
+        "mean": mean,
+        "median": median,
+        "std_dev": std,
+        "prop_zeros": prop_zeros,
+        "skewness": skewness,
+        "kurtosis": kurtosis,
+        "max": maximum,
+        "mad": mad,
+        "iqr": iqr,
+        "cv": cv,
+        "entropy": entropy,
+        "autocorr_lag1": autocorr,
+        "n_peaks": float(n_peaks),
+        "n_troughs": float(n_troughs),
+        "semivariance": semivariance,
+        "rms": rms,
+    }
+
+
+def _parse_timestamp(text):
+    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M"):
+        try:
+            ts = datetime.strptime(text.strip(), fmt)
+        except ValueError:
+            continue
+        return ts.replace(second=0, microsecond=0)
+    raise ValueError(f"unparseable timestamp {text!r}")
+
+
+def per_row_days(text, column_map=None, label=0):
+    """Parse one recording row by row and keep its complete days.
+
+    Returns (label, [(date, values)], n_discarded) with values a list of 1440
+    counts, or raises the DataError or ConfigError the per-row parser raised.
+    """
+    columns = {"timestamp": "timestamp", "activity": "activity", **(column_map or {})}
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty file: no header row")
+    header = [h.strip() for h in header]
+    try:
+        ts_idx = header.index(columns["timestamp"])
+        act_idx = header.index(columns["activity"])
+    except ValueError as exc:
+        raise ConfigError(f"mapped column missing from header {header}: {exc}")
+    label_idx = header.index(columns["label"]) if "label" in columns and columns["label"] in header else None
+
+    samples = []
+    file_label = None
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            ts = _parse_timestamp(row[ts_idx])
+            raw = row[act_idx].strip()
+            activity = int(float(raw))
+            if float(raw) != activity:
+                raise ValueError(f"non-integer activity {raw!r}")
+        except OverflowError:
+            raise DataError(f"malformed row at line {lineno}: non-finite activity {raw!r}")
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"malformed row at line {lineno}: {exc}")
+        if activity < 0:
+            raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
+        if label_idx is not None:
+            try:
+                file_label = int(row[label_idx])
+            except ValueError as exc:
+                raise DataError(f"malformed row at line {lineno}: {exc}")
+        samples.append((ts, activity))
+
+    for i, (prev, cur) in enumerate(zip(samples, samples[1:])):
+        if cur[0] <= prev[0]:
+            raise DataError(
+                f"non-monotonic timestamps: {prev[0]} followed by {cur[0]} (samples {i} and {i + 1})"
+            )
+    label = file_label if file_label is not None else label
+    if label not in (0, 1):
+        raise DataError(f"label must be 0 or 1, got {label}")
+
+    groups = {}
+    for ts, activity in samples:
+        groups.setdefault(ts.date(), {})[ts.hour * 60 + ts.minute] = activity
+    kept = [(d, [minutes[m] for m in range(1440)]) for d, minutes in sorted(groups.items()) if len(minutes) == 1440]
+    return label, kept, len(groups) - len(kept)

@@ -1,8 +1,11 @@
+import hashlib
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chronoseg.cli import main
+from chronoseg.cli import DEFAULT_SCHEMES, main
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,63 @@ class TestFeaturizeCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "features_parts2.csv").exists()
+
+    def test_raw_cohort_matches_golden_digests(self, tmp_path):
+        write_raw_cohort(tmp_path / "raw")
+        out = tmp_path / "features"
+        assert main(["featurize", "--corpus", str(tmp_path / "raw"), "--schemes", *DEFAULT_SCHEMES,
+                     "--out-dir", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / f"features_{name}.csv").read_bytes()).hexdigest()
+                   for name in DEFAULT_SCHEMES}
+        assert digests == RAW_COHORT_GOLDEN
+
+
+def write_raw_cohort(root: Path) -> None:
+    """Two patients and two controls with three days of per-minute raw CSV each.
+
+    P000 and C000 stamp rows as HH:MM:SS, P001 and C001 as HH:MM; every
+    stamp of C000's second day ends in :30 seconds, to be truncated, and
+    C001's last day is written without zero padding (2021-1-6 8:5). About 3% of counts are
+    written as "143.0", and P001 misses minutes 600-629 of its second day, so
+    that day is discarded.
+    """
+    rng = np.random.default_rng(2021)
+    minutes = np.arange(1440)
+    curve = 5.0 + 300.0 * ((minutes >= 480) & (minutes < 1200)) * np.sin(np.pi * (minutes - 480) / 720).clip(0)
+    for sid, label, seconds in (("P000", 1, True), ("P001", 1, False), ("C000", 0, True), ("C001", 0, False)):
+        lines = ["timestamp,activity"]
+        for d in range(3):
+            day = date(2021, 1, 4) + timedelta(days=d)
+            counts = rng.poisson(curve * (0.6 if label and d == 1 else 1.0))
+            as_float = rng.random(1440) < 0.03
+            for m in minutes.tolist():
+                if sid == "P001" and d == 1 and 600 <= m < 630:
+                    continue
+                if sid == "C001" and d == 2:
+                    stamp = f"{day.year}-{day.month}-{day.day} {m // 60}:{m % 60}"
+                else:
+                    stamp = f"{day.isoformat()} {m // 60:02d}:{m % 60:02d}"
+                    if seconds:
+                        stamp += ":30" if sid == "C000" and d == 1 else ":00"
+                count = f"{counts[m]}.0" if as_float[m] else str(counts[m])
+                lines.append(f"{stamp},{count}")
+        sub = root / ("patient" if label else "control")
+        sub.mkdir(parents=True, exist_ok=True)
+        (sub / f"{sid}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# sha256 of each features_<scheme>.csv written from write_raw_cohort, recorded
+# with the per-row parser and the per-segment feature code
+RAW_COHORT_GOLDEN = {
+    "parts12": "b9c5d9ec02aa4a5efd043707f6e74c122ebb3ae9ea3f8816a6391d5ef9eddbc5",
+    "parts8": "c5082134615202f752a4fa980efb44a02f76dc983e1907b5cee6586bbae51afd",
+    "parts6": "4b736769506bf9a6ef81bc701e9027052093549b95c41d0b7550d736400f897e",
+    "parts4": "e121d9d2613396bbbda9047f944cd2d81e19c401c133b33b13ebc9c461a8abde",
+    "parts3": "a81048eac06745271aac8d5b6526103ae267baef5367169fa499e8f0af0c095d",
+    "parts2": "b4fd2faf8e527ea2f0b537e811a1d48171f890028d9d5e9330f6f9e36bfcfeaf",
+    "full_day": "1657dae56fe6bf05b7321f86a0547acc2ce56c13cd1e3cb8aa9749978579e747",
+    "all_days": "e518348163b24c9e4abe4dad5ade4ffd4e34ff7786072b4f11daf13bc8cd5b2c",
+}
 
 
 class TestEvaluateCommand:
@@ -157,6 +217,27 @@ class TestDataErrors:
         code = main(["featurize", "--corpus", str(tmp_path), "--schemes", "parts2", "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "line 2: non-finite activity" in capsys.readouterr().err
+
+    def _evaluate_table(self, tmp_path, bad_row):
+        rows = [f"s{i},2020-03-0{i},{i % 2},{i}.5,{i}" for i in range(1, 5)]
+        rows.insert(2, bad_row)
+        (tmp_path / "features_full_day.csv").write_text(
+            "\n".join(["subject_id,date,label,day24h_mean,day24h_max", *rows]) + "\n"
+        )
+        return main(["evaluate", "--features-dir", str(tmp_path), "--schemes", "full_day", "--models", "knn",
+                     "--k", "2", "--out-dir", str(tmp_path / "out")])
+
+    def test_ragged_feature_row_exits_3(self, tmp_path, capsys):
+        assert self._evaluate_table(tmp_path, "s9,2020-03-09,1,3.5") == 3
+        assert "line 4: 4 cells, expected 5" in capsys.readouterr().err
+
+    def test_non_integer_feature_label_exits_3(self, tmp_path, capsys):
+        assert self._evaluate_table(tmp_path, "s9,2020-03-09,patient,3.5,3") == 3
+        assert "line 4" in capsys.readouterr().err
+
+    def test_non_numeric_feature_value_exits_3(self, tmp_path, capsys):
+        assert self._evaluate_table(tmp_path, "s9,2020-03-09,1,high,3") == 3
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,5 +1,5 @@
 import io
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import (
     MINUTES_PER_DAY,
-    ActivitySample,
     Corpus,
     DaySeries,
     LabeledSeries,
@@ -18,38 +17,34 @@ from chronoseg.ingest import (
     load_interchange,
     parse_subject_file,
     save_corpus,
-    split_into_days,
 )
 from chronoseg.synth import gen_corpus
 
+from oracles import per_row_days
+
 
 def make_series(minutes, start="2004-05-07", subject="s1", label=0):
-    y, m, d = (int(p) for p in start.split("-"))
-    base = datetime(y, m, d)
-    samples = tuple(
-        ActivitySample(timestamp=base.replace(hour=0, minute=0) + _dt(mi), activity=5) for mi in minutes
-    )
-    return LabeledSeries(subject_id=subject, label=label, samples=samples)
+    base = minute_of(datetime.fromisoformat(start))
+    minutes = base + np.asarray(list(minutes), dtype=np.int64)
+    return LabeledSeries(subject_id=subject, label=label, minutes=minutes, activity=np.full(minutes.size, 5))
 
 
-def _dt(minutes):
-    from datetime import timedelta
-
-    return timedelta(minutes=minutes)
+def minute_of(ts):
+    """Minutes since 1970-01-01 00:00 of a naive datetime."""
+    return (ts - datetime(1970, 1, 1)) // timedelta(minutes=1)
 
 
 class TestParseSubjectFile:
     def test_single_row(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:00,2004-05-07,143\n"
         series = parse_subject_file(io.StringIO(body))
-        assert len(series.samples) == 1
-        s = series.samples[0]
-        assert s.timestamp == datetime(2004, 5, 7, 12, 0)
-        assert s.activity == 143
+        assert series.minutes.size == 1
+        assert series.minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
+        assert series.activity[0] == 143
 
     def test_empty_body(self):
         series = parse_subject_file(io.StringIO("timestamp,date,activity\n"))
-        assert series.samples == ()
+        assert series.minutes.size == 0 and series.activity.size == 0
 
     def test_negative_activity_names_line(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:00,2004-05-07,143\n2004-05-07 12:01:00,2004-05-07,-3\n"
@@ -75,7 +70,7 @@ class TestParseSubjectFile:
     def test_custom_column_map(self):
         body = "ts,count\n2004-05-07 12:00:00,9\n"
         series = parse_subject_file(io.StringIO(body), column_map={"timestamp": "ts", "activity": "count"})
-        assert series.samples[0].activity == 9
+        assert series.activity[0] == 9
 
     def test_non_monotonic_rejected(self):
         body = (
@@ -89,22 +84,7 @@ class TestParseSubjectFile:
     def test_seconds_truncated_to_minute(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:30,2004-05-07,4\n"
         series = parse_subject_file(io.StringIO(body))
-        assert series.samples[0].timestamp.second == 0
-
-
-class TestSplitIntoDays:
-    def test_two_exact_days(self):
-        groups = split_into_days(make_series(range(2880)))
-        assert [len(g[1]) for g in groups] == [1440, 1440]
-
-    def test_partial_second_day(self):
-        groups = split_into_days(make_series(range(1500)))
-        assert [len(g[1]) for g in groups] == [1440, 60]
-
-    def test_two_hour_window(self):
-        groups = split_into_days(make_series(range(600, 720)))
-        assert len(groups) == 1
-        assert len(groups[0][1]) == 120
+        assert series.minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
 
 
 class TestFilterCompleteDays:
@@ -119,6 +99,10 @@ class TestFilterCompleteDays:
         kept, discarded = filter_complete_days(make_series(range(2880)))
         assert len(kept) == 2
         assert discarded == 0
+
+    def test_partial_day_is_discarded(self):
+        kept, discarded = filter_complete_days(make_series(range(600, 720)))
+        assert kept == [] and discarded == 1
 
     def test_single_missing_minute_discards_day(self):
         minutes = [m for m in range(1440) if m != 777]
@@ -192,6 +176,47 @@ class TestInterchange:
         save_corpus(load_interchange(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def _two_days(tmp_path, replace=None, blank_every=None):
+        """Interchange text of one subject's two days, rows sorted; row i (0-based
+        among data rows) replaced by ``replace[i]``, a blank line after every
+        ``blank_every`` rows."""
+        rows = [f"s1,1,2004-05-0{7 + m // 1440},{m % 1440},{m % 9}" for m in range(2880)]
+        for i, row in (replace or {}).items():
+            rows[i] = row
+        lines = ["subject_id,label,date,minute,activity"]
+        for i, row in enumerate(rows):
+            lines.append(row)
+            if blank_every and i % blank_every == blank_every - 1:
+                lines.append("")
+        path = tmp_path / "corpus.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("blank_every", [None, 700])
+    @pytest.mark.parametrize("at", [3, 2000])
+    def test_malformed_row_names_line_across_chunks(self, tmp_path, at, blank_every):
+        # blank lines are skipped and do not count towards line numbers
+        path = self._two_days(tmp_path, {at: "s1,1,2004-05-08,five,3"}, blank_every)
+        with pytest.raises(DataError, match=f"malformed row at line {at + 2}: invalid literal"):
+            load_interchange(path)
+
+    def test_duplicate_and_out_of_range_minutes(self, tmp_path):
+        with pytest.raises(DataError, match="duplicate minute 5 for s1 on 2004-05-08"):
+            load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-08,5,0"}))
+        with pytest.raises(DataError, match="minute 1440 out of range at line 2002"):
+            load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-08,1440,0"}))
+        with pytest.raises(DataError, match="incomplete day s1/2004-05-08"):
+            load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-09,560,0"}))
+
+    def test_blank_lines_and_unsorted_days_load(self, tmp_path):
+        path = self._two_days(tmp_path, blank_every=500)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        corpus = load_interchange(path)
+        assert [d.date for d in corpus.days] == [date(2004, 5, 7), date(2004, 5, 8)]
+        assert corpus.days[1].values.tolist() == [m % 9 for m in range(1440, 2880)]
+
 
 class TestCorpusInvariants:
     def test_label_integrity(self, tiny_corpus):
@@ -206,3 +231,90 @@ class TestCorpusInvariants:
     def test_wrong_length_rejected(self):
         with pytest.raises(DataError):
             DaySeries("s1", 0, date(2004, 5, 7), np.zeros(1439, dtype=int))
+
+
+# -- the columnar parser against the per-row parser ---------------------------
+
+STAMP_FORMS = {
+    "seconds": lambda t: t.strftime("%Y-%m-%d %H:%M:%S"),
+    "minutes": lambda t: t.strftime("%Y-%m-%d %H:%M"),
+    "odd_seconds": lambda t: t.strftime("%Y-%m-%d %H:%M:37"),
+    "unpadded": lambda t: f"{t.year}-{t.month}-{t.day} {t.hour}:{t.minute}",
+    "spaced": lambda t: t.strftime(" %Y-%m-%d %H:%M:37 "),
+}
+
+# what a mutation does to one row's (stamp, count) cells, or to the row
+MUTATIONS = {
+    "blank": lambda stamp, count: "",
+    "spaces": lambda stamp, count: "  ,  ",
+    "float": lambda stamp, count: f"{stamp},{count}.0",
+    "exponent": lambda stamp, count: f"{stamp},{count}e0",
+    "fraction": lambda stamp, count: f"{stamp},{count}.5",
+    "negative": lambda stamp, count: f"{stamp},-{count}",
+    "nan": lambda stamp, count: f"{stamp},nan",
+    "inf": lambda stamp, count: f"{stamp},inf",
+    "word": lambda stamp, count: f"{stamp},many",
+    "no_count": lambda stamp, count: stamp,
+    "extra_cell": lambda stamp, count: f"{stamp},{count},x",
+    "bad_stamp": lambda stamp, count: f"{stamp.replace(' ', 'T')},{count}",
+    "feb_30": lambda stamp, count: f"2021-02-30 00:00,{count}",
+    "hour_24": lambda stamp, count: f"{stamp[:10]} 24:00,{count}",
+    "second_60": lambda stamp, count: f"{stamp.strip()[:16]}:60,{count}",
+}
+
+
+@st.composite
+def recordings(draw):
+    """Raw recording text: up to three days, each complete or with a gap, each
+    in one stamp form, with counts from a seeded generator, then a few
+    mutated rows, repeated or swapped stamps and blank lines."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = datetime.combine(draw(st.dates(date(1960, 1, 1), date(2040, 12, 31))), datetime.min.time())
+    rows = []
+    for d in range(draw(st.integers(1, 3))):
+        form = STAMP_FORMS[draw(st.sampled_from(sorted(STAMP_FORMS)))]
+        minutes = np.arange(MINUTES_PER_DAY)
+        if draw(st.booleans()):
+            gap = draw(st.integers(0, MINUTES_PER_DAY - 1))
+            minutes = np.delete(minutes, np.s_[gap:gap + draw(st.integers(1, 30))])
+        for m, count in zip(minutes.tolist(), rng.poisson(40, minutes.size).tolist()):
+            rows.append((form(start + timedelta(days=d, minutes=m)), str(count)))
+    lines = [f"{stamp},{count}" for stamp, count in rows]
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS) + ["repeat", "swap"]),
+                                            st.integers(0, len(rows) - 1)), max_size=3)):
+        if kind == "repeat":
+            lines.insert(at, lines[at])
+        elif kind == "swap" and at + 1 < len(lines):
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        elif kind in MUTATIONS:
+            lines[at] = MUTATIONS[kind](*rows[at])
+    return "\n".join(["timestamp,activity", *lines]) + "\n"
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (DataError, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAgainstPerRowParser:
+    @given(recordings())
+    @settings(max_examples=60, deadline=None)
+    def test_same_days_or_same_error(self, text):
+        def columnar():
+            series = parse_subject_file(io.StringIO(text))
+            kept, discarded = filter_complete_days(series)
+            return series.label, [(d.date, d.values.tolist()) for d in kept], discarded
+
+        assert _outcome(columnar) == _outcome(lambda: per_row_days(text))
+
+    def test_label_column_and_extra_columns(self):
+        day = [f"2004-05-07 {m // 60:02d}:{m % 60:02d},2004-05-07,{m % 7},{1 - m % 2}" for m in range(1440)]
+        text = "\n".join(["timestamp,date,activity,group", *day, "2004-05-08 00:00,2004-05-08,3,0"]) + "\n"
+        columns = {"label": "group"}
+        series = parse_subject_file(io.StringIO(text), column_map=columns, label=1)
+        kept, discarded = filter_complete_days(series)
+        assert (series.label, [(d.date, d.values.tolist()) for d in kept], discarded) == per_row_days(
+            text, column_map=columns, label=1)
+        assert series.label == 0 and len(kept) == 1 and discarded == 1

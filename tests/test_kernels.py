@@ -1,5 +1,6 @@
-"""The vectorized split searches against their loop references, and golden
-digests of a small full matrix recorded before the searches were vectorized."""
+"""The vectorized split searches and the block feature kernel against their
+loop references, and golden digests of a small full matrix recorded before
+the searches were vectorized."""
 
 import hashlib
 
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from chronoseg.cli import DEFAULT_SCHEMES
 from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
+from chronoseg.features import FEATURE_NAMES, block_features, extract_features
 from chronoseg.models import ModelSpec, default_model_specs
 from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner
 from chronoseg.models.tree import _best_split as cart_split
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
-from oracles import dense_gbdt_split, loop_cart_split
+from oracles import dense_gbdt_split, loop_cart_split, per_segment_features
 
 
 @st.composite
@@ -30,6 +32,36 @@ def tie_heavy_matrix(draw, max_rows=30, max_cols=6):
         if constant:
             X[:, col] = X[0, col]
     return X
+
+
+@st.composite
+def count_rows(draw):
+    """(r, n) activity-like integer rows: tie-heavy, Poisson, sparse or constant,
+    mixed within one block, n of 1, 2, 3 or anything up to a day."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 1440)))
+    kinds = draw(st.lists(st.sampled_from(["ties", "poisson", "sparse", "constant"]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        if kind == "ties":
+            rows.append(rng.integers(0, draw(st.integers(1, 4)), n))
+        elif kind == "poisson":
+            rows.append(rng.poisson(rng.uniform(0, 400), n))
+        elif kind == "sparse":
+            rows.append(rng.integers(0, 60, n) * (rng.random(n) < 0.2))
+        else:
+            rows.append(np.full(n, draw(st.integers(0, 3))))
+    return np.array(rows, dtype=np.int64)
+
+
+class TestFeatureBlock:
+    @given(count_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_segment_code(self, x):
+        want = np.array([[per_segment_features(row)[name] for name in FEATURE_NAMES] for row in x])
+        assert block_features(x).tobytes() == want.tobytes()
+        one = extract_features(x[0])
+        assert np.array([one[name] for name in FEATURE_NAMES]).tobytes() == want[0].tobytes()
 
 
 class TestCartSplit:

@@ -30,7 +30,7 @@ class TestProfiles:
 class TestGenSubject:
     def test_control_two_days_shape_and_diurnal_contrast(self):
         series = gen_subject(control_profile(days=2, seed=1))
-        assert len(series.samples) == 2 * MINUTES_PER_DAY
+        assert series.activity.size == 2 * MINUTES_PER_DAY
         kept, discarded = filter_complete_days(series)
         assert len(kept) == 2 and discarded == 0
         day0 = kept[0].values
@@ -49,8 +49,8 @@ class TestGenSubject:
         for seed in range(100):
             p = gen_subject(SubjectProfile(is_patient=True, burst_prob=0.2, days=1, seed=seed))
             c = gen_subject(control_profile(days=1, seed=seed))
-            p_vals = np.array([s.activity for s in p.samples])[NIGHT]
-            c_vals = np.array([s.activity for s in c.samples])[NIGHT]
+            p_vals = p.activity[NIGHT]
+            c_vals = c.activity[NIGHT]
             patient_zeros.append(np.mean(p_vals == 0))
             control_zeros.append(np.mean(c_vals == 0))
         assert np.mean(patient_zeros) < np.mean(control_zeros)
