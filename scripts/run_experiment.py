@@ -17,6 +17,7 @@ from pathlib import Path
 
 from chronoseg.cli import DEFAULT_SCHEMES
 from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
+from chronoseg.features import featurize_corpus
 from chronoseg.models import default_model_specs
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     corpus = gen_corpus(args.patients, args.controls, args.days, seed=args.seed)
-    print(f"synthetic corpus: {len(corpus.subjects)} subjects, {len(corpus.days)} days")
+    print(f"synthetic corpus: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
 
     specs = default_model_specs(seed=args.seed)
     if args.models is not None:
@@ -45,9 +46,8 @@ def main(argv=None) -> int:
     schemes = [resolve_scheme(name) for name in args.schemes]
 
     start = time.monotonic()
-    reports, grid = run_matrix(
-        corpus, schemes, specs, k=args.k, seed=args.seed, workers=args.workers
-    )
+    tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
+    reports, grid = run_matrix(tables, specs, k=args.k, seed=args.seed, workers=args.workers)
     print(grid, end="")
     print(f"{len(reports)} cells in {time.monotonic() - start:.0f}s")
 

@@ -17,14 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ChronosegError, ConfigError, DataError
-from .evaluation import (
-    _run_cell,
-    render_grid,
-    run_matrix,
-    write_fold_csv,
-    write_report_csv,
-    write_roc_csv,
-)
+from .evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, train, TREE_FAMILIES
@@ -87,7 +80,7 @@ def cmd_synth(args, config: dict) -> int:
     out = _setting(args, config, "out", "corpus.csv")
     corpus = gen_corpus(patients, controls, days, seed=seed)
     save_corpus(corpus, out)
-    print(f"wrote {out}: {len(corpus.subjects)} subjects, {len(corpus.days)} days")
+    print(f"wrote {out}: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
     return 0
 
 
@@ -123,19 +116,17 @@ def cmd_evaluate(args, config: dict) -> int:
     if corpus_path:
         corpus = _load_any_corpus(corpus_path, _setting(args, config, "metadata"))
         schemes = [resolve_scheme(name) for name in scheme_names]
-        reports, grid = run_matrix(corpus, schemes, specs, k=k, seed=seed, mode=mode, workers=workers)
+        tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
     elif features_dir:
-        reports = []
+        tables = []
         for name in scheme_names:
             path = Path(features_dir) / f"features_{name}.csv"
             if not path.exists():
                 raise ConfigError(f"feature table {path} does not exist")
-            table = read_feature_table(path, scheme=name)
-            for spec in specs.values():
-                reports.append(_run_cell((table, spec, k, seed, mode)))
-        grid = render_grid(reports)
+            tables.append(read_feature_table(path, scheme=name))
     else:
         raise ConfigError("evaluate needs --corpus or --features-dir (or config keys)")
+    reports, grid = run_matrix(tables, specs, k=k, seed=seed, mode=mode, workers=workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(reports, out_dir / "report.csv")

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FeatureTable, featurize_corpus
-from .ingest import Corpus
+from .features import FeatureTable, featurize_corpus  # noqa: F401 (kept importable here)
 from .models import ModelSpec, TrainedModel, predict_proba, train
-from .segmentation import SegmentationScheme
 
 logger = logging.getLogger(__name__)
 
@@ -244,22 +242,22 @@ def _run_cell(args) -> CVReport:
 
 
 def run_matrix(
-    corpus: Corpus,
-    schemes: list[SegmentationScheme],
+    tables: list[FeatureTable],
     specs: dict[str, ModelSpec],
     k: int = 10,
     seed: int = 0,
     mode: str = "row_stratified",
     workers: int = 1,
 ) -> tuple[list[CVReport], str]:
-    """One CVReport per (scheme, model) cell plus a rendered results grid.
+    """One CVReport per (table, model) cell plus a rendered results grid.
 
-    Cells are independent jobs; with workers > 1 they run in a process pool
-    and are still collected in submission order, so output is deterministic.
+    The tables come from ``featurize_corpus`` or ``read_feature_table``, one
+    per scheme. Cells are independent jobs; with workers > 1 they run in a
+    process pool and are still collected in submission order, so output is
+    deterministic.
     """
-    if not schemes or not specs:
+    if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")
-    tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
     jobs = [(table, spec, k, seed, mode) for table in tables for spec in specs.values()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

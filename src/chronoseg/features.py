@@ -8,25 +8,24 @@ classes poorly and is dropped from the set.
 
 All sixteen are computed along ``axis=1`` of a block of equal-length rows
 (:func:`block_features`); :func:`extract_features` is its one-row case. A
-per-day table gathers each segment's minutes out of
-:data:`FEATURE_CHUNK_ROWS` days at a time, and the all_days table takes one
-subject's record per block. That bounds the kernel's temporaries (about ten
-arrays of the block's size), and with them peak RSS, whatever the cohort
-size.
+per-day table gathers each segment's minutes (``segment_minutes``) out of
+:data:`FEATURE_CHUNK_ROWS` rows of the corpus day matrix at a time, and the
+all_days table takes one subject's contiguous rows per block. That bounds the
+kernel's temporaries (about ten arrays of the block's size), and with them
+peak RSS, whatever the cohort size.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .ingest import Corpus
-from .segmentation import SegmentationScheme, segment_day, validate_scheme  # noqa: F401 (segment_day stays importable here)
+from .segmentation import SegmentationScheme, segment_day, segment_minutes, validate_scheme  # noqa: F401 (kept importable here)
 
 FEATURE_NAMES = (
     "mean",
@@ -185,37 +184,31 @@ def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable
     order. Column order is segments in scheme order x features in canonical
     order; rows sorted by (subject_id, date).
     """
-    if not corpus.days:
+    if not corpus.dates:
         raise DataError("cannot featurize an empty corpus")
-    violations = validate_scheme(scheme)
-    if violations:
-        raise ConfigError(f"scheme {scheme.name!r} invalid: {violations[0].detail}")
-
+    gathers = segment_minutes(scheme)
     columns = tuple(f"{seg}_{feat}" for seg in scheme.segment_names() for feat in FEATURE_NAMES)
-    days = sorted(corpus.days, key=lambda d: (d.subject_id, d.date))
 
     if scheme.per_subject:
-        subjects = [list(group) for _, group in groupby(days, key=lambda d: d.subject_id)]
-        # one record per block: a record is as long as all of a subject's days
-        X = np.array([block_features(np.concatenate([d.values for d in group])[None, :])[0] for group in subjects])
-        subject_ids = tuple(group[0].subject_id for group in subjects)
-        dates = ("all",) * len(subjects)
-        labels = [group[0].label for group in subjects]
+        # one record per block: a subject's rows, contiguous and in date order
+        records, end = [], 0
+        for label, n_days in corpus.subjects.values():
+            records.append(block_features(corpus.values[end:end + n_days].reshape(1, -1))[0])
+            end += n_days
+        X = np.array(records)
+        subject_ids = tuple(corpus.subjects)
+        dates = ("all",) * len(subject_ids)
+        labels = [label for label, _ in corpus.subjects.values()]
     else:
-        # each segment's minutes, its windows in start order, as one gather index
-        gathers = [
-            np.concatenate([np.arange(w.start, w.end) for w in sorted(seg.windows, key=lambda w: w.start)])
-            for seg in scheme.segments
-        ]
         width = len(FEATURE_NAMES)
-        X = np.empty((len(days), width * len(gathers)))
-        for lo in range(0, len(days), FEATURE_CHUNK_ROWS):
-            block = np.array([d.values for d in days[lo:lo + FEATURE_CHUNK_ROWS]], dtype=np.float64)
+        X = np.empty((len(corpus.dates), width * len(gathers)))
+        for lo in range(0, len(corpus.dates), FEATURE_CHUNK_ROWS):
+            block = corpus.values[lo:lo + FEATURE_CHUNK_ROWS].astype(np.float64)
             for s, gather in enumerate(gathers):
                 X[lo:lo + len(block), s * width:(s + 1) * width] = block_features(block[:, gather])
-        subject_ids = tuple(d.subject_id for d in days)
-        dates = tuple(d.date.isoformat() for d in days)
-        labels = [d.label for d in days]
+        subject_ids = corpus.subject_ids
+        dates = tuple(d.isoformat() for d in corpus.dates)
+        labels = corpus.labels
 
     return FeatureTable(
         scheme=scheme.name,

@@ -28,6 +28,12 @@ Days are cut from the minute and count arrays with ``minutes // 1440``.
 Chunking bounds the Python row objects alive at once (about 300 bytes a
 row), so peak memory stays near that of the parsed arrays however long a
 recording or an interchange file is.
+
+A :class:`Corpus` is one read-only int64 day matrix of shape (n_days, 1440),
+one row per complete subject-day, with the subject id, date and label of
+each row. Its constructor sorts the rows by (subject_id, date) and validates
+them once; ``load_corpus``, ``load_interchange`` and the synthetic generator
+all build that matrix directly.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ import io
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -106,64 +112,60 @@ class LabeledSeries:
             values.setflags(write=False)
             object.__setattr__(self, name, values)
 
-    def __eq__(self, other):
-        if not isinstance(other, LabeledSeries):
-            return NotImplemented
-        return (
-            (self.subject_id, self.label) == (other.subject_id, other.label)
-            and np.array_equal(self.minutes, other.minutes)
-            and np.array_equal(self.activity, other.activity)
-        )
 
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """All complete days of all subjects as one day x minute matrix.
 
-@dataclass(frozen=True)
-class DaySeries:
-    """One complete subject-day: exactly 1440 per-minute counts."""
+    Row i of ``values`` holds the 1440 per-minute counts of subject
+    ``subject_ids[i]`` on ``dates[i]``, whose class is ``labels[i]``
+    (1=patient). The constructor sorts the rows by (subject_id, date), so a
+    subject's days are contiguous and in date order, and checks them: the
+    (n, 1440) shape, non-negative counts, labels in {0, 1}, no duplicate
+    (subject, date) and one label per subject. ``subjects`` maps each id to
+    (label, n_days), in row order.
+    """
 
-    subject_id: str
-    label: int
-    date: date
     values: np.ndarray
+    subject_ids: Sequence[str]
+    dates: Sequence[date]
+    labels: np.ndarray
+    subjects: dict[str, tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.int64)
-        if values.shape != (MINUTES_PER_DAY,):
-            raise DataError(
-                f"day {self.subject_id}/{self.date} has {values.shape} values, "
-                f"expected ({MINUTES_PER_DAY},)"
-            )
-        if (values < 0).any():
-            raise DataError(f"negative activity in day {self.subject_id}/{self.date}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        n = len(self.subject_ids)
+        if values.shape != (n, MINUTES_PER_DAY) or labels.shape != (n,) or len(self.dates) != n:
+            raise DataError(f"corpus of {n} subject ids has {values.shape} values, {labels.shape} labels "
+                            f"and {len(self.dates)} dates; expected ({n}, {MINUTES_PER_DAY}) values")
+        order = sorted(range(n), key=lambda i: (self.subject_ids[i], self.dates[i]))
+        if order != list(range(n)):
+            values, labels = values[order], labels[order]
+        subject_ids = tuple(self.subject_ids[i] for i in order)
+        dates = tuple(self.dates[i] for i in order)
 
-
-@dataclass(frozen=True)
-class Corpus:
-    """All complete days of all subjects plus a per-subject summary."""
-
-    days: tuple[DaySeries, ...]
-    subjects: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (label, n_days)
-
-    def __post_init__(self):
-        seen = set()
-        for d in self.days:
-            key = (d.subject_id, d.date)
-            if key in seen:
-                raise DataError(f"duplicate day {key}")
-            seen.add(key)
-            label, _ = self.subjects.get(d.subject_id, (d.label, 0))
-            if label != d.label:
-                raise DataError(f"label mismatch for subject {d.subject_id}")
-
-    @classmethod
-    def from_days(cls, days: Iterable[DaySeries]) -> "Corpus":
-        days = tuple(sorted(days, key=lambda d: (d.subject_id, d.date)))
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if bad.size:
+            raise DataError(f"label must be 0 or 1, got {labels[bad[0]]}")
+        negative = np.flatnonzero(values.min(axis=1) < 0)
+        if negative.size:
+            i = negative[0]
+            raise DataError(f"negative activity in day {subject_ids[i]}/{dates[i]}")
         subjects: dict[str, tuple[int, int]] = {}
-        for d in days:
-            label, count = subjects.get(d.subject_id, (d.label, 0))
-            subjects[d.subject_id] = (label, count + 1)
-        return cls(days=days, subjects=subjects)
+        for i, (subject_id, day, label) in enumerate(zip(subject_ids, dates, labels.tolist())):
+            if i and (subject_id, day) == (subject_ids[i - 1], dates[i - 1]):
+                raise DataError(f"duplicate day {(subject_id, day)}")
+            first, count = subjects.get(subject_id, (label, 0))
+            if label != first:
+                raise DataError(f"label mismatch for subject {subject_id}")
+            subjects[subject_id] = (first, count + 1)
+
+        values.setflags(write=False)
+        labels.setflags(write=False)
+        for name, value in (("values", values), ("labels", labels), ("subject_ids", subject_ids),
+                            ("dates", dates), ("subjects", subjects)):
+            object.__setattr__(self, name, value)
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -350,8 +352,9 @@ def parse_subject_file(
     )
 
 
-def filter_complete_days(series: LabeledSeries) -> tuple[list[DaySeries], int]:
-    """Keep only days with all 1440 minutes present; return (kept, n_discarded).
+def filter_complete_days(series: LabeledSeries) -> tuple[list[date], np.ndarray, int]:
+    """The dates and the (n_kept, 1440) counts of the days with all 1440
+    minutes present, and the number of days discarded.
 
     Minutes are strictly increasing, so a day with 1440 samples holds every
     minute of that day, in order.
@@ -359,16 +362,9 @@ def filter_complete_days(series: LabeledSeries) -> tuple[list[DaySeries], int]:
     day = series.minutes // MINUTES_PER_DAY
     days, first, count = np.unique(day, return_index=True, return_counts=True)
     complete = count == MINUTES_PER_DAY
-    kept = [
-        DaySeries(
-            subject_id=series.subject_id,
-            label=series.label,
-            date=EPOCH.date() + timedelta(days=d),
-            values=series.activity[start:start + MINUTES_PER_DAY],
-        )
-        for d, start in zip(days[complete].tolist(), first[complete].tolist())
-    ]
-    return kept, int(np.count_nonzero(~complete))
+    kept = [EPOCH.date() + timedelta(days=d) for d in days[complete].tolist()]
+    values = series.activity[first[complete][:, None] + np.arange(MINUTES_PER_DAY)]
+    return kept, values, int(np.count_nonzero(~complete))
 
 
 def _read_metadata(path: Path) -> dict[str, int]:
@@ -410,7 +406,9 @@ def load_corpus(
     if not entries:
         entries = [(p, None) for p in sorted(root.glob("*.csv"))]
 
-    days: list[DaySeries] = []
+    # one (subject_id, label, dates, values) per subject, sorted by id below
+    # so that the matrix is built in row order
+    kept = []
     stats: dict[int, list[int]] = {0: [0, 0], 1: [0, 0]}  # label -> [kept, discarded]
     for path, dir_label in entries:
         subject_id = path.stem
@@ -422,18 +420,24 @@ def load_corpus(
             raise ConfigError(f"subject {subject_id} has no label (no class directory, not in metadata)")
         with open(path, newline="", encoding="utf-8") as fh:
             series = parse_subject_file(fh, column_map=column_map, subject_id=subject_id, label=label)
-        kept, discarded = filter_complete_days(series)
-        stats[label][0] += len(kept)
+        dates, values, discarded = filter_complete_days(series)
+        stats[label][0] += len(dates)
         stats[label][1] += discarded
-        days.extend(kept)
+        kept.append((subject_id, label, dates, values))
 
-    if not days:
+    if not any(dates for _, _, dates, _ in kept):
         raise DataError(f"empty corpus under {root}")
 
-    corpus = Corpus.from_days(days)
+    kept.sort(key=lambda subject: subject[0])
+    corpus = Corpus(
+        values=np.concatenate([values for *_, values in kept]),
+        subject_ids=[subject_id for subject_id, _, dates, _ in kept for _ in dates],
+        dates=[day for *_, dates, _ in kept for day in dates],
+        labels=[label for _, label, dates, _ in kept for _ in dates],
+    )
     logger.info(
         "loaded corpus: %d subjects, %d days (control kept/discarded %d/%d, patient %d/%d)",
-        len(corpus.subjects), len(corpus.days), stats[0][0], stats[0][1], stats[1][0], stats[1][1],
+        len(corpus.subjects), len(corpus.dates), stats[0][0], stats[0][1], stats[1][0], stats[1][1],
     )
     return corpus
 
@@ -442,16 +446,17 @@ def load_corpus(
 # One CSV: subject_id,label,date,minute,activity sorted by (subject_id, date,
 # minute). Bit-exact sort order makes rewrites byte-identical.
 
+INTERCHANGE_COLUMNS = ["subject_id", "label", "date", "minute", "activity"]
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "label", "date", "minute", "activity"])
-        for day in sorted(corpus.days, key=lambda d: (d.subject_id, d.date)):
-            for minute in range(MINUTES_PER_DAY):
-                writer.writerow([day.subject_id, day.label, day.date.isoformat(), minute, int(day.values[minute])])
-
-
-INTERCHANGE_COLUMNS = ["subject_id", "label", "date", "minute", "activity"]
+        writer.writerow(INTERCHANGE_COLUMNS)
+        for subject_id, label, day, row in zip(corpus.subject_ids, corpus.labels.tolist(), corpus.dates,
+                                               corpus.values):
+            writer.writerows(zip(repeat(subject_id), repeat(label), repeat(day.isoformat()),
+                                 range(MINUTES_PER_DAY), row.tolist()))
 
 
 def _store_row(buffers: dict, row: list[str], lineno: int) -> None:
@@ -468,6 +473,9 @@ def _store_row(buffers: dict, row: list[str], lineno: int) -> None:
         raise DataError(f"minute {minute} out of range at line {lineno}")
     if buf[minute] >= 0:
         raise DataError(f"duplicate minute {minute} for {key[0]} on {key[2]}")
+    # -1 marks a missing minute in the buffer, so a negative count cannot be stored
+    if activity < 0:
+        raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
     try:
         buf[minute] = activity
     except OverflowError:
@@ -489,7 +497,8 @@ def _store_bulk(buffers: dict, rows: list[list[str]]) -> bool:
         ]
     except (ValueError, OverflowError):
         return False
-    if len({key for key, _ in runs}) != len(runs) or minute.min() < 0 or minute.max() >= MINUTES_PER_DAY:
+    if (len({key for key, _ in runs}) != len(runs) or minute.min() < 0 or minute.max() >= MINUTES_PER_DAY
+            or activity.min() < 0):
         return False
     bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
     for (key, _), a, b in zip(runs, bounds, bounds[1:]):
@@ -528,11 +537,18 @@ def load_interchange(path: str | Path) -> Corpus:
             raise DataError(f"interchange file {path}: malformed line {reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
             raise DataError(f"interchange file {path} is not UTF-8 text: {exc}")
-    days = []
-    for (subject_id, label, d), buf in buffers.items():
+    for (subject_id, _, d), buf in buffers.items():
         if (buf < 0).any():
             raise DataError(f"incomplete day {subject_id}/{d} in interchange file")
-        days.append(DaySeries(subject_id=subject_id, label=label, date=d, values=buf))
-    if not days:
+    if not buffers:
         raise DataError(f"empty corpus in {path}")
-    return Corpus.from_days(days)
+    keys = list(buffers)
+    values = np.empty((len(keys), MINUTES_PER_DAY), dtype=np.int64)
+    for row, key in zip(values, keys):
+        row[:] = buffers.pop(key)  # each day's buffer is freed once copied
+    return Corpus(
+        values=values,
+        subject_ids=[subject_id for subject_id, _, _ in keys],
+        dates=[d for _, _, d in keys],
+        labels=[label for _, label, _ in keys],
+    )

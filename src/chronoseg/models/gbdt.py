@@ -27,12 +27,12 @@ from ..errors import DataError
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
 
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
-    p = np.clip(p, 1e-15, 1 - 1e-15)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
+    p = np.minimum(np.maximum(p, 1e-15), 1 - 1e-15)
+    return float(-((y * np.log(p) + (1 - y) * np.log(1 - p)).sum() / p.size))
 
 
 @dataclass
@@ -147,8 +147,7 @@ def _best_split(hist: np.ndarray, counts: np.ndarray, positions: np.ndarray, reg
     GL, HL = np.cumsum(hist, axis=2).reshape(2, -1)[:, positions]
     GR = G - GL
     HR = H - HL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
+    gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
     k = int(np.argmax(gains))
     gain = float(gains[k])
     if not np.isfinite(gain) or gain <= 1e-12:
@@ -344,13 +343,15 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) 
 
     trees: list[BoostNode] = []
     losses = [log_loss(y, prob)]
-    for _ in range(params["n_rounds"]):
-        tree, leaves = grower.grow(prob - y, prob * (1 - prob))
-        trees.append(tree)
-        for leaf in leaves:
-            raw[leaf.idx] += leaf.node.value
-        prob = sigmoid(raw)
-        losses.append(log_loss(y, prob))
+    # split searches divide by H + lambda, which is 0 when lambda is 0 and a side's hessians are 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(params["n_rounds"]):
+            tree, leaves = grower.grow(prob - y, prob * (1 - prob))
+            trees.append(tree)
+            for leaf in leaves:
+                raw[leaf.idx] += leaf.node.value
+            prob = sigmoid(raw)
+            losses.append(log_loss(y, prob))
 
     return GradientBoosting(
         preset=preset, base_score=base, binner=binner, trees=trees, n_features=p, train_losses=losses

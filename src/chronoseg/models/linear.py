@@ -13,6 +13,7 @@ margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,14 @@ from .gbdt import sigmoid
 def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
     """Gradient d(obj)/d[w, b] of logistic_objective, without the loss."""
     n = X.shape[0]
-    residual = sigmoid(X @ w + b) - y
-    return X.T @ residual / n + (l2 / n) * w, float(np.mean(residual))
+    # sigmoid(margin) - y, computed in the margin's own buffer
+    residual = X @ w + b
+    np.minimum(np.maximum(residual, -500, out=residual), 500, out=residual)
+    np.exp(np.negative(residual, out=residual), out=residual)
+    residual += 1.0
+    np.divide(1.0, residual, out=residual)
+    residual -= y
+    return X.T @ residual / n + (l2 / n) * w, float(residual.sum() / n)
 
 
 def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
@@ -76,7 +83,7 @@ def train_logistic(
     t_prev = 1.0
     n_iter, grad_norm = 0, float("inf")
     for n_iter in range(1, max_iter + 1):
-        t = (1 + np.sqrt(1 + 4 * t_prev**2)) / 2
+        t = (1 + math.sqrt(1 + 4 * t_prev**2)) / 2
         beta = (t_prev - 1) / t
         w_look = w + beta * (w - w_prev)
         b_look = b + beta * (b - b_prev)
@@ -86,7 +93,7 @@ def train_logistic(
         b = b_look - step * gb
         t_prev = t
         gw, gb = logistic_gradient(w, b, X, y, l2)
-        grad_norm = float(np.sqrt(float(gw @ gw) + gb**2))
+        grad_norm = math.sqrt(float(gw @ gw) + gb**2)
         if grad_norm <= tol:
             break
     return LogisticModel(weights=w, intercept=b, n_iter=n_iter, grad_norm=grad_norm)

@@ -5,18 +5,23 @@ half-open minute windows so a "night" covering 20:00-08:00 can live inside a
 single calendar day as [0,480) U [1200,1440). Presets cover the standard
 divisions (full day, 2/3/4/6/8/12 parts) plus the all_days sentinel where
 features are computed once over a subject's whole record.
+
+A segment's minutes have one definition, :func:`segment_minutes`: the
+minutes of its windows in start order, as an index into a day's 1440 counts.
+Feature tables gather each segment from the corpus day matrix with that
+index, and :func:`segment_day` is its one-day view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, DataError
-from .ingest import MINUTES_PER_DAY, DaySeries
+from .errors import ConfigError
+from .ingest import MINUTES_PER_DAY
 
 PRESET_NAMES = ("full_day", "parts2", "parts3", "parts4", "parts6", "parts8", "parts12", "all_days")
 
@@ -32,9 +37,6 @@ class MinuteWindow:
         if not (0 <= self.start < self.end <= MINUTES_PER_DAY):
             raise ConfigError(f"invalid window [{self.start}, {self.end})")
 
-    def __len__(self):
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class SegmentDef:
@@ -45,10 +47,6 @@ class SegmentDef:
         if not self.windows:
             raise ConfigError(f"segment {self.name!r} has no windows")
 
-    @property
-    def n_minutes(self) -> int:
-        return sum(len(w) for w in self.windows)
-
 
 @dataclass(frozen=True)
 class SegmentationScheme:
@@ -58,15 +56,6 @@ class SegmentationScheme:
 
     def segment_names(self) -> list[str]:
         return [s.name for s in self.segments]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Activity values of one segment of one day, with provenance."""
-
-    def_name: str
-    values: np.ndarray
-    parent: tuple[str, str, int]  # (subject_id, date-iso, label)
 
 
 @dataclass(frozen=True)
@@ -143,17 +132,22 @@ def validate_scheme(scheme: SegmentationScheme) -> list[SchemeViolation]:
     return violations
 
 
-def segment_day(day: DaySeries, scheme: SegmentationScheme) -> list[Segment]:
-    """Slice one complete day into the scheme's segments."""
+def segment_minutes(scheme: SegmentationScheme) -> list[np.ndarray]:
+    """Each segment's minutes of the day, its windows in start order, in
+    scheme order; a scheme that is not an exact partition is a ConfigError."""
     violations = validate_scheme(scheme)
     if violations:
         raise ConfigError(f"scheme {scheme.name!r} invalid: {violations[0].detail}")
-    parent = (day.subject_id, day.date.isoformat(), day.label)
-    out = []
-    for seg in scheme.segments:
-        chunks = [day.values[w.start:w.end] for w in sorted(seg.windows, key=lambda w: w.start)]
-        out.append(Segment(def_name=seg.name, values=np.concatenate(chunks), parent=parent))
-    return out
+    return [
+        np.concatenate([np.arange(w.start, w.end) for w in sorted(seg.windows, key=lambda w: w.start)])
+        for seg in scheme.segments
+    ]
+
+
+def segment_day(values: np.ndarray, scheme: SegmentationScheme) -> dict[str, np.ndarray]:
+    """One day's 1440 counts cut into the scheme's segments, by segment name."""
+    values = np.asarray(values)
+    return {seg.name: values[minutes] for seg, minutes in zip(scheme.segments, segment_minutes(scheme))}
 
 
 def _parse_range(text: str) -> MinuteWindow:

@@ -6,6 +6,9 @@ of geometric duration) and damped morning activity. Counts are Poisson draws
 around the intensity curve, so all values are non-negative integers and every
 generated day is complete. All numeric defaults are artifact choices tuned
 once for class separability; none come from the study being modeled.
+
+:func:`gen_corpus` writes each subject's days, in date order, straight into
+the corpus day matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import MINUTES_PER_DAY, Corpus, DaySeries, LabeledSeries
+from .ingest import MINUTES_PER_DAY, Corpus
 
 DAY_START, DAY_END = 480, 1200  # 08:00-20:00
 MORNING_START, MORNING_END = 360, 720  # 06:00-12:00
@@ -34,7 +37,6 @@ class SubjectProfile:
     burst_prob: float = 0.15
     morning_damping: float = 0.5
     days: int = 14
-    seed: int = 0
 
     def __post_init__(self):
         if self.base_rate < 0 or self.night_rate < 0:
@@ -47,12 +49,12 @@ class SubjectProfile:
             raise ConfigError("days must be >= 1")
 
 
-def control_profile(days: int = 14, seed: int = 0) -> SubjectProfile:
-    return SubjectProfile(is_patient=False, burst_prob=0.0, morning_damping=1.0, days=days, seed=seed)
+def control_profile(days: int = 14) -> SubjectProfile:
+    return SubjectProfile(is_patient=False, burst_prob=0.0, morning_damping=1.0, days=days)
 
 
-def patient_profile(days: int = 14, seed: int = 0) -> SubjectProfile:
-    return SubjectProfile(is_patient=True, days=days, seed=seed)
+def patient_profile(days: int = 14) -> SubjectProfile:
+    return SubjectProfile(is_patient=True, days=days)
 
 
 def _diurnal_curve(profile: SubjectProfile) -> np.ndarray:
@@ -83,33 +85,6 @@ def _gen_day_values(profile: SubjectProfile, rng: np.random.Generator) -> np.nda
     return rng.poisson(intensity).astype(np.int64)
 
 
-def gen_subject(profile: SubjectProfile, subject_id: str = "S000") -> LabeledSeries:
-    """Generate one subject's complete multi-day recording (deterministic per seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
-    activity = np.concatenate([_gen_day_values(profile, rng) for _ in range(profile.days)])
-    start = (EPOCH - date(1970, 1, 1)).days * MINUTES_PER_DAY
-    return LabeledSeries(
-        subject_id=subject_id,
-        label=int(profile.is_patient),
-        minutes=start + np.arange(activity.size),
-        activity=activity,
-    )
-
-
-def _gen_subject_days(profile: SubjectProfile, subject_id: str, seed_seq: np.random.SeedSequence) -> list[DaySeries]:
-    rng = np.random.default_rng(seed_seq)
-    label = int(profile.is_patient)
-    return [
-        DaySeries(
-            subject_id=subject_id,
-            label=label,
-            date=EPOCH + timedelta(days=d),
-            values=_gen_day_values(profile, rng),
-        )
-        for d in range(profile.days)
-    ]
-
-
 def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Corpus:
     """Corpus with ids P000.../C000...; per-subject randomness comes from
     child streams of the master seed (SeedSequence spawn), and per-subject
@@ -120,10 +95,10 @@ def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Co
     streams = master.spawn(n_patients + n_controls)
     jitter_rng = np.random.default_rng(master.spawn(1)[0])
 
-    all_days: list[DaySeries] = []
-    for i in range(n_patients + n_controls):
+    subject_ids = [f"P{i:03d}" for i in range(n_patients)] + [f"C{i:03d}" for i in range(n_controls)]
+    values = np.empty((len(subject_ids) * days, MINUTES_PER_DAY), dtype=np.int64)
+    for i, stream in enumerate(streams):
         is_patient = i < n_patients
-        subject_id = f"P{i:03d}" if is_patient else f"C{i - n_patients:03d}"
         base = patient_profile(days=days) if is_patient else control_profile(days=days)
         profile = replace(
             base,
@@ -131,5 +106,12 @@ def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Co
             night_rate=base.night_rate * jitter_rng.lognormal(0.0, 0.3),
             burst_prob=min(1.0, base.burst_prob * jitter_rng.uniform(0.6, 1.4)) if is_patient else 0.0,
         )
-        all_days.extend(_gen_subject_days(profile, subject_id, streams[i]))
-    return Corpus.from_days(all_days)
+        rng = np.random.default_rng(stream)
+        for row in values[i * days:(i + 1) * days]:
+            row[:] = _gen_day_values(profile, rng)
+    return Corpus(
+        values=values,
+        subject_ids=[subject_id for subject_id in subject_ids for _ in range(days)],
+        dates=[EPOCH + timedelta(days=d) for d in range(days)] * len(subject_ids),
+        labels=np.repeat([1, 0], [n_patients * days, n_controls * days]),
+    )

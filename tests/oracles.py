@@ -7,7 +7,9 @@ earlier dense GBDT histogram search, kept as they were so that the vectorized
 kernels can be required to return the very same splits. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
-parser can be required to give the very same bytes and errors.
+parser can be required to give the very same bytes and errors. So are the
+per-minute interchange writer and the logistic fit with its clip-and-mean
+sigmoid and gradient, for the bulk writer and the in-place gradient.
 """
 
 import csv
@@ -18,6 +20,7 @@ from datetime import datetime
 import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
+from chronoseg.models.linear import LogisticModel
 
 
 def _median_sorted(sorted_vals):
@@ -361,3 +364,56 @@ def per_row_days(text, column_map=None, label=0):
         groups.setdefault(ts.date(), {})[ts.hour * 60 + ts.minute] = activity
     kept = [(d, [minutes[m] for m in range(1440)]) for d, minutes in sorted(groups.items()) if len(minutes) == 1440]
     return label, kept, len(groups) - len(kept)
+
+
+def per_minute_save_corpus(corpus, path):
+    """The interchange file of a corpus, written one csv row per minute."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject_id", "label", "date", "minute", "activity"])
+        for subject_id, label, day, row in zip(corpus.subject_ids, corpus.labels, corpus.dates, corpus.values):
+            for minute in range(1440):
+                writer.writerow([subject_id, int(label), day.isoformat(), minute, int(row[minute])])
+
+
+def _clipped_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
+def _mean_gradient(w, b, X, y, l2):
+    n = X.shape[0]
+    residual = _clipped_sigmoid(X @ w + b) - y
+    return X.T @ residual / n + (l2 / n) * w, float(np.mean(residual))
+
+
+def reference_train_logistic(X, y, l2=1.0, tol=1e-6, max_iter=1000):
+    """Nesterov-accelerated logistic fit with NumPy scalars throughout."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+
+    design = np.hstack([X, np.ones((n, 1))])
+    sigma = float(np.linalg.norm(design, 2))
+    L = sigma**2 / (4 * n) + l2 / n
+    step = 1.0 / L
+
+    w = np.zeros(p)
+    b = 0.0
+    w_prev, b_prev = w, b
+    t_prev = 1.0
+    n_iter, grad_norm = 0, float("inf")
+    for n_iter in range(1, max_iter + 1):
+        t = (1 + np.sqrt(1 + 4 * t_prev**2)) / 2
+        beta = (t_prev - 1) / t
+        w_look = w + beta * (w - w_prev)
+        b_look = b + beta * (b - b_prev)
+        gw, gb = _mean_gradient(w_look, b_look, X, y, l2)
+        w_prev, b_prev = w, b
+        w = w_look - step * gw
+        b = b_look - step * gb
+        t_prev = t
+        gw, gb = _mean_gradient(w, b, X, y, l2)
+        grad_norm = float(np.sqrt(float(gw @ gw) + gb**2))
+        if grad_norm <= tol:
+            break
+    return LogisticModel(weights=w, intercept=b, n_iter=n_iter, grad_norm=grad_norm)

@@ -160,17 +160,12 @@ def test_05_stratification_property():
 
 
 def test_06_segmentation_conservation_and_night_window():
-    from chronoseg.ingest import DaySeries
-    from datetime import date
-
     rng = np.random.default_rng(6006)
     presets = [p for p in PRESET_NAMES if p != "all_days"]
     for i in range(100):
         values = rng.integers(0, 5000, MINUTES_PER_DAY)
-        day = DaySeries("s", 0, date(2020, 1, 1), values)
         for preset in presets:
-            segments = segment_day(day, builtin_scheme(preset))
-            combined = np.concatenate([s.values for s in segments])
+            combined = np.concatenate(list(segment_day(values, builtin_scheme(preset)).values()))
             assert combined.sum() == values.sum()
             np.testing.assert_array_equal(np.sort(combined), np.sort(values))
     night = {s.name: s for s in builtin_scheme("parts2").segments}["night"]

@@ -156,6 +156,17 @@ class TestEvaluateCommand:
         )
         assert code == 0
 
+    def test_features_dir_with_workers_matches_corpus(self, corpus_file, tmp_path):
+        schemes = ["--schemes", "parts2", "all_days"]
+        cells = ["--models", "knn", "decision_tree", "logistic_regression", "--k", "3", "--seed", "4"]
+        assert main(["featurize", "--corpus", str(corpus_file), *schemes, "--out-dir", str(tmp_path / "f")]) == 0
+        assert main(["evaluate", "--corpus", str(corpus_file), *schemes, *cells,
+                     "--out-dir", str(tmp_path / "corpus")]) == 0
+        assert main(["evaluate", "--features-dir", str(tmp_path / "f"), *schemes, *cells, "--workers", "2",
+                     "--out-dir", str(tmp_path / "tables")]) == 0
+        for name in ("report.csv", "folds.csv", "roc_points.csv"):
+            assert (tmp_path / "corpus" / name).read_bytes() == (tmp_path / "tables" / name).read_bytes(), name
+
     def test_config_file_with_flag_override(self, corpus_file, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text(

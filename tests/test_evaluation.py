@@ -225,6 +225,10 @@ class TestCrossValidate:
         assert len(report.fold_aucs) == 2
 
 
+def tables(corpus, schemes):
+    return [featurize_corpus(corpus, scheme) for scheme in schemes]
+
+
 class TestRunMatrix:
     def test_cell_counts_and_order(self, tiny_corpus):
         schemes = [builtin_scheme("parts2"), builtin_scheme("full_day")]
@@ -232,7 +236,7 @@ class TestRunMatrix:
             "knn": ModelSpec("knn"),
             "decision_tree": ModelSpec("decision_tree"),
         }
-        reports, grid = run_matrix(tiny_corpus, schemes, specs, k=3, seed=0)
+        reports, grid = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0)
         assert len(reports) == 4
         assert [r.scheme for r in reports] == ["parts2", "parts2", "full_day", "full_day"]
         assert "parts2" in grid and "knn" in grid
@@ -240,7 +244,7 @@ class TestRunMatrix:
     def test_single_cell_matches_direct_call(self, tiny_corpus):
         scheme = builtin_scheme("parts2")
         spec = ModelSpec("knn")
-        reports, _ = run_matrix(tiny_corpus, [scheme], {"knn": spec}, k=3, seed=5)
+        reports, _ = run_matrix(tables(tiny_corpus, [scheme]), {"knn": spec}, k=3, seed=5)
         table = featurize_corpus(tiny_corpus, scheme)
         plan = stratified_kfold(table.labels, k=3, seed=5)
         direct = cross_validate(table, spec, plan)
@@ -249,14 +253,14 @@ class TestRunMatrix:
 
     def test_empty_inputs_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
-            run_matrix(tiny_corpus, [], {}, k=2, seed=0)
+            run_matrix([], {}, k=2, seed=0)
 
     def test_deterministic_rendering(self, tiny_corpus, tmp_path):
         schemes = [builtin_scheme("full_day")]
         specs = {"knn": ModelSpec("knn")}
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        reports1, grid1 = run_matrix(tiny_corpus, schemes, specs, k=3, seed=0)
-        reports2, grid2 = run_matrix(tiny_corpus, schemes, specs, k=3, seed=0)
+        reports1, grid1 = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0)
+        reports2, grid2 = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0)
         assert grid1 == grid2
         write_report_csv(reports1, out1)
         write_report_csv(reports2, out2)
@@ -265,14 +269,14 @@ class TestRunMatrix:
     def test_parallel_equals_serial(self, tiny_corpus):
         schemes = [builtin_scheme("full_day")]
         specs = {"knn": ModelSpec("knn"), "decision_tree": ModelSpec("decision_tree")}
-        serial, _ = run_matrix(tiny_corpus, schemes, specs, k=3, seed=0, workers=1)
-        parallel, _ = run_matrix(tiny_corpus, schemes, specs, k=3, seed=0, workers=2)
+        serial, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=1)
+        parallel, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=2)
         for a, b in zip(serial, parallel):
             assert a.fold_aucs == b.fold_aucs
             assert a.digest == b.digest
 
     def test_fold_csv_includes_all_cells(self, tiny_corpus, tmp_path):
-        reports, _ = run_matrix(tiny_corpus, [builtin_scheme("full_day")], {"knn": ModelSpec("knn")}, k=3, seed=0)
+        reports, _ = run_matrix(tables(tiny_corpus, [builtin_scheme("full_day")]), {"knn": ModelSpec("knn")}, k=3, seed=0)
         path = tmp_path / "folds.csv"
         write_fold_csv(reports, path)
         lines = path.read_text().strip().splitlines()

@@ -13,7 +13,7 @@ from chronoseg.features import (
     read_feature_table,
     write_feature_table,
 )
-from chronoseg.segmentation import builtin_scheme
+from chronoseg.segmentation import builtin_scheme, segment_day
 
 from oracles import naive_features
 
@@ -124,7 +124,7 @@ def test_all_values_finite_and_signed_correctly(values):
 class TestFeaturizeCorpus:
     def test_parts2_dimensions(self, tiny_corpus):
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
-        assert table.X.shape == (len(tiny_corpus.days), 32)
+        assert table.X.shape == (len(tiny_corpus.dates), 32)
         assert table.columns[:2] == ("day_mean", "day_median")
         assert table.unit == "per_day"
 
@@ -142,11 +142,28 @@ class TestFeaturizeCorpus:
     def test_row_order_independent_of_input_order(self, tiny_corpus):
         from chronoseg.ingest import Corpus
 
-        shuffled = Corpus.from_days(tuple(reversed(tiny_corpus.days)))
+        shuffled = Corpus(tiny_corpus.values[::-1], tiny_corpus.subject_ids[::-1], tiny_corpus.dates[::-1],
+                          tiny_corpus.labels[::-1])
         a = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
         b = featurize_corpus(shuffled, builtin_scheme("parts2"))
         assert a.subject_ids == b.subject_ids
         np.testing.assert_array_equal(a.X, b.X)
+
+    @pytest.mark.parametrize("preset", ["parts2", "parts6"])
+    def test_row_is_features_of_segment_day(self, tiny_corpus, preset):
+        scheme = builtin_scheme(preset)
+        table = featurize_corpus(tiny_corpus, scheme)
+        for i in (0, len(tiny_corpus.dates) - 1):
+            segments = segment_day(tiny_corpus.values[i], scheme)
+            row = [f for values in segments.values() for f in extract_features(values).values()]
+            assert table.X[i].tobytes() == np.array(row).tobytes()
+
+    def test_all_days_row_is_features_of_subject_record(self, tiny_corpus):
+        table = featurize_corpus(tiny_corpus, builtin_scheme("all_days"))
+        ids = np.array(tiny_corpus.subject_ids)
+        for i, subject_id in enumerate(table.subject_ids):
+            record = tiny_corpus.values[ids == subject_id].ravel()
+            assert table.X[i].tobytes() == np.array(list(extract_features(record).values())).tobytes()
 
     def test_csv_round_trip_lossless(self, tiny_corpus, tmp_path):
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts3"))

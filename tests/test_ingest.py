@@ -10,7 +10,6 @@ from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import (
     MINUTES_PER_DAY,
     Corpus,
-    DaySeries,
     LabeledSeries,
     filter_complete_days,
     load_corpus,
@@ -20,7 +19,7 @@ from chronoseg.ingest import (
 )
 from chronoseg.synth import gen_corpus
 
-from oracles import per_row_days
+from oracles import per_minute_save_corpus, per_row_days
 
 
 def make_series(minutes, start="2004-05-07", subject="s1", label=0):
@@ -90,35 +89,35 @@ class TestParseSubjectFile:
 class TestFilterCompleteDays:
     def test_keeps_only_complete(self):
         series = make_series(range(1500))
-        kept, discarded = filter_complete_days(series)
-        assert len(kept) == 1
+        dates, values, discarded = filter_complete_days(series)
+        assert len(dates) == 1
         assert discarded == 1
-        assert kept[0].values.shape == (MINUTES_PER_DAY,)
+        assert values.shape == (1, MINUTES_PER_DAY)
 
     def test_both_days_complete(self):
-        kept, discarded = filter_complete_days(make_series(range(2880)))
-        assert len(kept) == 2
+        dates, values, discarded = filter_complete_days(make_series(range(2880)))
+        assert len(dates) == 2 and values.shape == (2, MINUTES_PER_DAY)
         assert discarded == 0
 
     def test_partial_day_is_discarded(self):
-        kept, discarded = filter_complete_days(make_series(range(600, 720)))
-        assert kept == [] and discarded == 1
+        dates, values, discarded = filter_complete_days(make_series(range(600, 720)))
+        assert dates == [] and values.shape == (0, MINUTES_PER_DAY) and discarded == 1
 
     def test_single_missing_minute_discards_day(self):
         minutes = [m for m in range(1440) if m != 777]
-        kept, discarded = filter_complete_days(make_series(minutes))
-        assert kept == []
+        dates, _, discarded = filter_complete_days(make_series(minutes))
+        assert dates == []
         assert discarded == 1
 
     @given(st.sets(st.integers(min_value=0, max_value=1439), max_size=20))
     @settings(max_examples=50, deadline=None)
     def test_random_missing_masks(self, missing):
         minutes = [m for m in range(1440) if m not in missing]
-        kept, discarded = filter_complete_days(make_series(minutes))
+        dates, _, discarded = filter_complete_days(make_series(minutes))
         if missing:
-            assert kept == [] and discarded == 1
+            assert dates == [] and discarded == 1
         else:
-            assert len(kept) == 1 and discarded == 0
+            assert len(dates) == 1 and discarded == 0
 
 
 class TestLoadCorpus:
@@ -137,7 +136,7 @@ class TestLoadCorpus:
         self._write_subject(tmp_path / "control" / "c2.csv", 3)
         self._write_subject(tmp_path / "patient" / "p1.csv", 2)
         corpus = load_corpus(tmp_path)
-        assert len(corpus.days) == 8
+        assert corpus.values.shape == (8, MINUTES_PER_DAY)
         assert len(corpus.subjects) == 3
         assert corpus.subjects["p1"][0] == 1
         assert corpus.subjects["c1"][0] == 0
@@ -164,10 +163,9 @@ class TestInterchange:
         save_corpus(corpus, path)
         back = load_interchange(path)
         assert back.subjects == corpus.subjects
-        assert len(back.days) == len(corpus.days)
-        for a, b in zip(corpus.days, back.days):
-            assert (a.subject_id, a.label, a.date) == (b.subject_id, b.label, b.date)
-            np.testing.assert_array_equal(a.values, b.values)
+        assert (back.subject_ids, back.dates) == (corpus.subject_ids, corpus.dates)
+        np.testing.assert_array_equal(back.labels, corpus.labels)
+        np.testing.assert_array_equal(back.values, corpus.values)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         corpus = gen_corpus(1, 1, 1, seed=9)
@@ -209,28 +207,76 @@ class TestInterchange:
         with pytest.raises(DataError, match="incomplete day s1/2004-05-08"):
             load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-09,560,0"}))
 
+    @pytest.mark.parametrize("at", [3, 2000])
+    def test_negative_count_names_line(self, tmp_path, at):
+        # -1 marks a missing minute while a file is read, so -3 must not be stored
+        path = self._two_days(tmp_path, {at: f"s1,1,2004-05-0{7 + at // 1440},{at % 1440},-3"})
+        with pytest.raises(DataError, match=f"malformed row at line {at + 2}: negative activity -3"):
+            load_interchange(path)
+
+    def test_duplicate_after_negative_count(self, tmp_path):
+        path = self._two_days(tmp_path, {5: "s1,1,2004-05-07,5,-3"})
+        path.write_text(path.read_text() + "s1,1,2004-05-07,5,4\n")
+        with pytest.raises(DataError, match="malformed row at line 7: negative activity -3"):
+            load_interchange(path)
+
+    def test_writer_matches_per_minute_writer(self, tmp_path):
+        # csv quotes an id holding a comma and a quote; rows are written sorted
+        values = np.arange(3 * 1440).reshape(3, 1440) % 50
+        corpus = Corpus(values, ['a,"b', 'a,"b', "c"], [date(2004, 5, 8), date(2004, 5, 7), date(2004, 5, 7)],
+                        [1, 1, 0])
+        save_corpus(corpus, tmp_path / "bulk.csv")
+        per_minute_save_corpus(corpus, tmp_path / "per_minute.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "per_minute.csv").read_bytes()
+        back = load_interchange(tmp_path / "bulk.csv")
+        assert (back.subject_ids, back.dates, back.subjects) == (corpus.subject_ids, corpus.dates, corpus.subjects)
+        np.testing.assert_array_equal(back.values, corpus.values)
+
     def test_blank_lines_and_unsorted_days_load(self, tmp_path):
         path = self._two_days(tmp_path, blank_every=500)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
         corpus = load_interchange(path)
-        assert [d.date for d in corpus.days] == [date(2004, 5, 7), date(2004, 5, 8)]
-        assert corpus.days[1].values.tolist() == [m % 9 for m in range(1440, 2880)]
+        assert corpus.dates == (date(2004, 5, 7), date(2004, 5, 8))
+        assert corpus.values[1].tolist() == [m % 9 for m in range(1440, 2880)]
 
 
 class TestCorpusInvariants:
     def test_label_integrity(self, tiny_corpus):
-        for day in tiny_corpus.days:
-            assert day.label == tiny_corpus.subjects[day.subject_id][0]
+        for subject_id, label in zip(tiny_corpus.subject_ids, tiny_corpus.labels.tolist()):
+            assert label == tiny_corpus.subjects[subject_id][0]
 
     def test_duplicate_day_rejected(self):
-        day = DaySeries("s1", 0, date(2004, 5, 7), np.zeros(1440, dtype=int))
+        day = date(2004, 5, 7)
         with pytest.raises(DataError, match="duplicate"):
-            Corpus(days=(day, day), subjects={"s1": (0, 2)})
+            Corpus(np.zeros((2, 1440), dtype=int), ["s1", "s1"], [day, day], [0, 0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DataError):
-            DaySeries("s1", 0, date(2004, 5, 7), np.zeros(1439, dtype=int))
+            Corpus(np.zeros((1, 1439), dtype=int), ["s1"], [date(2004, 5, 7)], [0])
+
+    def test_rows_sorted_and_read_only(self):
+        values = np.arange(3 * 1440).reshape(3, 1440)
+        corpus = Corpus(values, ["s2", "s1", "s1"], [date(2004, 5, 7), date(2004, 5, 9), date(2004, 5, 8)], [1, 0, 0])
+        assert corpus.subject_ids == ("s1", "s1", "s2")
+        assert corpus.dates == (date(2004, 5, 8), date(2004, 5, 9), date(2004, 5, 7))
+        assert corpus.labels.tolist() == [0, 0, 1]
+        assert corpus.values[:, 0].tolist() == [2880, 1440, 0]
+        assert corpus.subjects == {"s1": (0, 2), "s2": (1, 1)}
+        with pytest.raises(ValueError):
+            corpus.values[0, 0] = 1
+
+    @pytest.mark.parametrize("labels, cells, message", [
+        ([0, 2], {}, "label must be 0 or 1, got 2"),
+        ([1, 0], {}, "label mismatch for subject s1"),
+        ([0, 0], {(1, 7): -1}, "negative activity in day s1/2004-05-08"),
+    ])
+    def test_bad_rows_rejected(self, labels, cells, message):
+        values = np.zeros((2, 1440), dtype=int)
+        for cell, value in cells.items():
+            values[cell] = value
+        with pytest.raises(DataError, match=message):
+            Corpus(values, ["s1", "s1"], [date(2004, 5, 7), date(2004, 5, 8)], labels)
 
 
 # -- the columnar parser against the per-row parser ---------------------------
@@ -304,8 +350,8 @@ class TestAgainstPerRowParser:
     def test_same_days_or_same_error(self, text):
         def columnar():
             series = parse_subject_file(io.StringIO(text))
-            kept, discarded = filter_complete_days(series)
-            return series.label, [(d.date, d.values.tolist()) for d in kept], discarded
+            dates, values, discarded = filter_complete_days(series)
+            return series.label, list(zip(dates, values.tolist())), discarded
 
         assert _outcome(columnar) == _outcome(lambda: per_row_days(text))
 
@@ -314,7 +360,7 @@ class TestAgainstPerRowParser:
         text = "\n".join(["timestamp,date,activity,group", *day, "2004-05-08 00:00,2004-05-08,3,0"]) + "\n"
         columns = {"label": "group"}
         series = parse_subject_file(io.StringIO(text), column_map=columns, label=1)
-        kept, discarded = filter_complete_days(series)
-        assert (series.label, [(d.date, d.values.tolist()) for d in kept], discarded) == per_row_days(
+        dates, values, discarded = filter_complete_days(series)
+        assert (series.label, list(zip(dates, values.tolist())), discarded) == per_row_days(
             text, column_map=columns, label=1)
-        assert series.label == 0 and len(kept) == 1 and discarded == 1
+        assert series.label == 0 and len(dates) == 1 and discarded == 1

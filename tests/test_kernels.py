@@ -1,6 +1,6 @@
-"""The vectorized split searches and the block feature kernel against their
-loop references, and golden digests of a small full matrix recorded before
-the searches were vectorized."""
+"""The vectorized split searches, the block feature kernel and the logistic
+fit against their references, and golden digests of a small full matrix
+recorded before the searches were vectorized."""
 
 import hashlib
 
@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from chronoseg.cli import DEFAULT_SCHEMES
 from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
-from chronoseg.features import FEATURE_NAMES, block_features, extract_features
+from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs
 from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner
+from chronoseg.models.linear import train_logistic
+from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import _best_split as cart_split
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
-from oracles import dense_gbdt_split, loop_cart_split, per_segment_features
+from oracles import dense_gbdt_split, loop_cart_split, per_segment_features, reference_train_logistic
 
 
 @st.composite
@@ -105,6 +107,27 @@ class TestGbdtSplit:
         assert grower._search(idx) == dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child)
 
 
+class TestLogisticFit:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_fit(self, data):
+        X = data.draw(tie_heavy_matrix())
+        if data.draw(st.booleans()):
+            X = fit_scaler(X).transform(X)
+        n = X.shape[0]
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
+        # a low max_iter stops some fits at the cap, a loose tol ends others early
+        params = {
+            "l2": data.draw(st.sampled_from([0.0, 1.0])),
+            "tol": data.draw(st.sampled_from([1e-6, 1e-2])),
+            "max_iter": data.draw(st.integers(1, 60)),
+        }
+        got, want = train_logistic(X, y, **params), reference_train_logistic(X, y, **params)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert float(got.intercept).hex() == float(want.intercept).hex()
+        assert (got.n_iter, float(got.grad_norm).hex()) == (want.n_iter, float(want.grad_norm).hex())
+
+
 # sha256 of the three CSVs, recorded before the CART, GBDT and logistic fit
 # loops were vectorized; every fitted model must stay the same to the bit
 GOLDEN = {
@@ -122,7 +145,7 @@ def test_small_matrix_matches_golden_digests(tmp_path):
     for name in ("lightgbm", "xgboost"):
         spec = specs[name]
         specs[name] = ModelSpec(spec.family, {**spec.params, "min_child_samples": 5}, spec.seed)
-    reports, _ = run_matrix(corpus, [resolve_scheme(s) for s in DEFAULT_SCHEMES], specs, k=4, seed=0)
+    reports, _ = run_matrix([featurize_corpus(corpus, resolve_scheme(s)) for s in DEFAULT_SCHEMES], specs, k=4, seed=0)
     assert len(reports) == 8 * 7
     write_report_csv(reports, tmp_path / "report.csv")
     write_fold_csv(reports, tmp_path / "folds.csv")

@@ -1,12 +1,10 @@
-from datetime import date
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoseg.errors import ConfigError
-from chronoseg.ingest import MINUTES_PER_DAY, DaySeries
+from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.segmentation import (
     PRESET_NAMES,
     MinuteWindow,
@@ -18,10 +16,6 @@ from chronoseg.segmentation import (
     segment_day,
     validate_scheme,
 )
-
-
-def make_day(values):
-    return DaySeries("s1", 0, date(2004, 5, 7), np.asarray(values, dtype=np.int64))
 
 
 class TestPresets:
@@ -93,35 +87,41 @@ class TestValidateScheme:
 
 class TestSegmentDay:
     def test_constant_day_parts4(self):
-        segments = segment_day(make_day(np.full(1440, 7)), builtin_scheme("parts4"))
-        assert len(segments) == 4
-        for seg in segments:
-            assert seg.values.shape == (360,)
-            assert (seg.values == 7).all()
+        segments = segment_day(np.full(1440, 7), builtin_scheme("parts4"))
+        assert list(segments) == ["night", "morning", "afternoon", "evening"]
+        for values in segments.values():
+            assert values.shape == (360,)
+            assert (values == 7).all()
 
     def test_minute_identity_parts2(self):
-        segments = segment_day(make_day(np.arange(1440)), builtin_scheme("parts2"))
-        by_name = {s.def_name: s.values for s in segments}
+        by_name = segment_day(np.arange(1440), builtin_scheme("parts2"))
         np.testing.assert_array_equal(by_name["day"], np.arange(480, 1200))
         np.testing.assert_array_equal(by_name["night"], np.r_[np.arange(480), np.arange(1200, 1440)])
 
+    def test_windows_gathered_in_start_order(self):
+        scheme = scheme_from_config(
+            {"name": "wrapped", "segments": [{"name": "night", "windows": ["20:00-24:00", "00:00-08:00"]},
+                                             {"name": "day", "windows": ["08:00-20:00"]}]}
+        )
+        night = segment_day(np.arange(1440), scheme)["night"]
+        np.testing.assert_array_equal(night, np.r_[np.arange(480), np.arange(1200, 1440)])
+
     def test_full_day_is_identity(self):
         values = np.arange(1440) % 97
-        (segment,) = segment_day(make_day(values), builtin_scheme("full_day"))
-        np.testing.assert_array_equal(segment.values, values)
+        (segment,) = segment_day(values, builtin_scheme("full_day")).values()
+        np.testing.assert_array_equal(segment, values)
 
     def test_invalid_scheme_raises(self):
         scheme = SegmentationScheme("bad", (SegmentDef("a", (MinuteWindow(0, 700),)),))
         with pytest.raises(ConfigError):
-            segment_day(make_day(np.zeros(1440)), scheme)
+            segment_day(np.zeros(1440), scheme)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([p for p in PRESET_NAMES if p != "all_days"]))
     @settings(max_examples=60, deadline=None)
     def test_partition_conserves_values(self, seed, preset):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 5000, MINUTES_PER_DAY)
-        segments = segment_day(make_day(values), builtin_scheme(preset))
-        combined = np.concatenate([s.values for s in segments])
+        combined = np.concatenate(list(segment_day(values, builtin_scheme(preset)).values()))
         assert combined.size == MINUTES_PER_DAY
         assert combined.sum() == values.sum()
         np.testing.assert_array_equal(np.sort(combined), np.sort(values))
