@@ -371,12 +371,29 @@ def _read_metadata(path: Path) -> dict[str, int]:
     """Metadata table: CSV with columns subject_id,label."""
     table: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "subject_id" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise ConfigError(f"metadata file {path} needs subject_id and label columns")
-        for row in reader:
-            table[row["subject_id"]] = int(row["label"])
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "subject_id" not in reader.fieldnames or "label" not in reader.fieldnames:
+                raise ConfigError(f"metadata file {path} needs subject_id and label columns")
+            for row in reader:
+                table[row["subject_id"]] = _metadata_label(row, path)
+        except csv.Error as exc:
+            raise ConfigError(f"metadata file {path}: malformed line {reader.reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"metadata file {path} is not UTF-8 text: {exc}")
     return table
+
+
+def _metadata_label(row: dict, path: Path) -> int:
+    """The label of one metadata row, which must read as 0 or 1."""
+    try:
+        label = int(row["label"])
+    except (TypeError, ValueError):
+        label = None
+    if label not in (0, 1):
+        raise ConfigError(f"metadata file {path}: subject {row['subject_id']!r} has label {row['label']!r}, "
+                          "expected 0 or 1")
+    return label
 
 
 def load_corpus(
@@ -468,6 +485,8 @@ def _store_row(buffers: dict, row: list[str], lineno: int) -> None:
         activity = int(activity)
     except (ValueError, TypeError) as exc:
         raise DataError(f"malformed row at line {lineno}: {exc}")
+    if key[1] not in (0, 1):
+        raise DataError(f"malformed row at line {lineno}: label must be 0 or 1, got {key[1]}")
     buf = buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))
     if not 0 <= minute < MINUTES_PER_DAY:
         raise DataError(f"minute {minute} out of range at line {lineno}")
@@ -498,7 +517,7 @@ def _store_bulk(buffers: dict, rows: list[list[str]]) -> bool:
     except (ValueError, OverflowError):
         return False
     if (len({key for key, _ in runs}) != len(runs) or minute.min() < 0 or minute.max() >= MINUTES_PER_DAY
-            or activity.min() < 0):
+            or activity.min() < 0 or any(key[1] not in (0, 1) for key, _ in runs)):
         return False
     bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
     for (key, _), a, b in zip(runs, bounds, bounds[1:]):

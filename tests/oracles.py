@@ -7,9 +7,10 @@ earlier dense GBDT histogram search, kept as they were so that the vectorized
 kernels can be required to return the very same splits. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
-parser can be required to give the very same bytes and errors. So are the
-per-minute interchange writer and the logistic fit with its clip-and-mean
-sigmoid and gradient, for the bulk writer and the in-place gradient.
+parser can be required to give the very same bytes and errors. So is the
+per-minute interchange writer, for the bulk writer. The earlier
+Nesterov-accelerated logistic fit is kept as a baseline objective that the
+Newton fit must reach.
 """
 
 import csv

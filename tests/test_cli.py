@@ -251,6 +251,19 @@ class TestDataErrors:
         assert "line 4" in capsys.readouterr().err
 
 
+class TestConfigErrors:
+    def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "s1.csv").write_text("timestamp,activity\n2004-05-07 12:00:00,3\n")
+        (tmp_path / "meta.csv").write_text("subject_id,label\ns1,patient\n")
+        code = main(["featurize", "--corpus", str(corpus), "--metadata", str(tmp_path / "meta.csv"),
+                     "--schemes", "parts2", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "meta.csv" in err and "subject 's1' has label 'patient'" in err
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.features import read_feature_table
-from chronoseg.ingest import filter_complete_days, load_interchange, parse_subject_file
+from chronoseg.ingest import filter_complete_days, load_corpus, load_interchange, parse_subject_file
 
 RAW = "timestamp,date,activity\n" + "".join(
     f"2004-05-07 {m // 60:02d}:{m % 60:02d}:00,2004-05-07,{m % 13}\n" for m in range(1440)
@@ -17,6 +17,7 @@ RAW = "timestamp,date,activity\n" + "".join(
 INTERCHANGE = "subject_id,label,date,minute,activity\n" + "".join(
     f"s1,1,2004-05-07,{m},{m % 11}\n" for m in range(1440)
 )
+METADATA = "subject_id,label\ns1,1\ns2,0\n"
 FEATURES = "subject_id,date,label,day24h_mean,day24h_max\n" + "".join(
     f"s{i},2004-05-0{i},{i % 2},{i}.25,{i}\n" for i in range(1, 6)
 )
@@ -74,6 +75,21 @@ def test_parse_subject_file(text):
 def test_load_interchange(scratch, text):
     scratch.write_text(text, encoding="utf-8", newline="")
     _only_documented_errors(lambda: load_interchange(scratch))
+
+
+@pytest.fixture(scope="module")
+def subject_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("subjects")
+    for subject_id in ("s1", "s2"):
+        (root / f"{subject_id}.csv").write_text(RAW, encoding="utf-8", newline="")
+    return root
+
+
+@given(text=mutated(METADATA))
+@settings(max_examples=200, deadline=None)
+def test_load_corpus_metadata(scratch, subject_dir, text):
+    scratch.write_text(text, encoding="utf-8", newline="")
+    _only_documented_errors(lambda: load_corpus(subject_dir, metadata=scratch))
 
 
 @given(text=mutated(FEATURES))

@@ -155,6 +155,24 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path, metadata={"s1": 1})
         assert corpus.subjects["s1"][0] == 1
 
+    @pytest.mark.parametrize("content, message", [
+        (b"subject_id,label\n\xff\xfe,1\n", "is not UTF-8 text"),
+        (b"subject_id,label\ns1," + b"1" * 200_000 + b"\n", "malformed line 2: field larger than field limit"),
+    ], ids=["not_utf8", "oversized_field"])
+    def test_unreadable_metadata_is_config_error(self, tmp_path, content, message):
+        self._write_subject(tmp_path / "s1.csv", 1)
+        (tmp_path.parent / "meta.csv").write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_corpus(tmp_path, metadata=tmp_path.parent / "meta.csv")
+
+    @pytest.mark.parametrize("row", ["s1,patient", "s1,2", "s1,", "s1"])
+    def test_metadata_label_must_be_binary(self, tmp_path, row):
+        (tmp_path / "data").mkdir()
+        self._write_subject(tmp_path / "data" / "s1.csv", 1)
+        (tmp_path / "meta.csv").write_text(f"subject_id,label\n{row}\n")
+        with pytest.raises(ConfigError, match=r"metadata file .*meta\.csv: subject 's1' has label"):
+            load_corpus(tmp_path / "data", metadata=tmp_path / "meta.csv")
+
 
 class TestInterchange:
     def test_round_trip(self, tmp_path):
@@ -266,17 +284,27 @@ class TestCorpusInvariants:
         with pytest.raises(ValueError):
             corpus.values[0, 0] = 1
 
-    @pytest.mark.parametrize("labels, cells, message", [
-        ([0, 2], {}, "label must be 0 or 1, got 2"),
-        ([1, 0], {}, "label mismatch for subject s1"),
-        ([0, 0], {(1, 7): -1}, "negative activity in day s1/2004-05-08"),
+    # the interchange reader names the line of a bad row: the second day's
+    # rows start at line 1442, in the second 1024-row chunk
+    @pytest.mark.parametrize("labels, cells, message, interchange_message", [
+        ([0, 2], {}, "label must be 0 or 1, got 2", "malformed row at line 1442: label must be 0 or 1, got 2"),
+        ([1, 0], {}, "label mismatch for subject s1", "label mismatch for subject s1"),
+        ([0, 0], {(1, 7): -1}, "negative activity in day s1/2004-05-08",
+         "malformed row at line 1449: negative activity -1"),
     ])
-    def test_bad_rows_rejected(self, labels, cells, message):
+    def test_bad_rows_rejected(self, tmp_path, labels, cells, message, interchange_message):
         values = np.zeros((2, 1440), dtype=int)
         for cell, value in cells.items():
             values[cell] = value
+        days = [date(2004, 5, 7), date(2004, 5, 8)]
         with pytest.raises(DataError, match=message):
-            Corpus(values, ["s1", "s1"], [date(2004, 5, 7), date(2004, 5, 8)], labels)
+            Corpus(values, ["s1", "s1"], days, labels)
+        path = tmp_path / "corpus.csv"
+        path.write_text("subject_id,label,date,minute,activity\n" + "".join(
+            f"s1,{label},{day.isoformat()},{m},{row[m]}\n" for label, day, row in zip(labels, days, values)
+            for m in range(1440)))
+        with pytest.raises(DataError, match=interchange_message):
+            load_interchange(path)
 
 
 # -- the columnar parser against the per-row parser ---------------------------
