@@ -3,7 +3,6 @@ fit against their references, and golden digests of a small full matrix
 recorded before the searches were vectorized."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -126,7 +125,7 @@ class TestLogisticFit:
         }
         got = train_logistic(X, y, **params)
         _, gw, gb = logistic_objective(got.weights, got.intercept, X, y, params["l2"])
-        assert got.grad_norm == pytest.approx(math.sqrt(gw @ gw + gb**2), rel=1e-12)
+        assert got.grad_norm == pytest.approx(np.sqrt(gw @ gw + gb**2), rel=1e-12)
         assert got.n_iter <= params["max_iter"]
         if got.n_iter < params["max_iter"]:
             assert got.grad_norm <= params["tol"]
