@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -50,6 +49,15 @@ def _setting(args, config: dict, key: str, default=None):
     return config.get(key, default)
 
 
+def _int_setting(args, config: dict, key: str, default: int, minimum: int | None = None) -> int:
+    value = _setting(args, config, key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
     p = Path(path)
     if not p.exists():
@@ -59,7 +67,10 @@ def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
     return load_interchange(p)
 
 
-def _resolve_specs(model_names: list[str], model_params: dict, seed: int) -> dict[str, ModelSpec]:
+def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str, ModelSpec]:
+    model_params = config.get("model_params", {})
+    if not isinstance(model_params, dict) or not all(isinstance(v, dict) for v in model_params.values()):
+        raise ConfigError(f"model_params must map model names to hyperparameter mappings, got {model_params!r}")
     available = default_model_specs(seed=seed)
     specs: dict[str, ModelSpec] = {}
     for name in model_names:
@@ -73,10 +84,10 @@ def _resolve_specs(model_names: list[str], model_params: dict, seed: int) -> dic
 
 
 def cmd_synth(args, config: dict) -> int:
-    patients = int(_setting(args, config, "patients", 10))
-    controls = int(_setting(args, config, "controls", 10))
-    days = int(_setting(args, config, "days", 14))
-    seed = int(_setting(args, config, "seed", 0))
+    patients = _int_setting(args, config, "patients", 10)
+    controls = _int_setting(args, config, "controls", 10)
+    days = _int_setting(args, config, "days", 14)
+    seed = _int_setting(args, config, "seed", 0, minimum=0)
     out = _setting(args, config, "out", "corpus.csv")
     corpus = gen_corpus(patients, controls, days, seed=seed)
     save_corpus(corpus, out)
@@ -102,14 +113,14 @@ def cmd_featurize(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    k = int(_setting(args, config, "k", 10))
-    seed = int(_setting(args, config, "seed", 0))
+    k = _int_setting(args, config, "k", 10)
+    seed = _int_setting(args, config, "seed", 0, minimum=0)
     mode = _setting(args, config, "cv_mode", "row_stratified")
-    workers = int(_setting(args, config, "workers", os.environ.get("CHRONOSEG_WORKERS", 1)))
+    workers = _int_setting(args, config, "workers", 1)
     out_dir = Path(_setting(args, config, "out_dir", "."))
     scheme_names = _setting(args, config, "schemes") or DEFAULT_SCHEMES
     model_names = _setting(args, config, "models") or DEFAULT_MODELS
-    specs = _resolve_specs(model_names, config.get("model_params", {}), seed)
+    specs = _resolve_specs(model_names, config, seed)
 
     corpus_path = _setting(args, config, "corpus")
     features_dir = _setting(args, config, "features_dir")
@@ -142,10 +153,10 @@ def cmd_importance(args, config: dict) -> int:
         raise ConfigError("importance needs a corpus path")
     scheme_name = _setting(args, config, "scheme", "parts2")
     model_name = _setting(args, config, "model", "lightgbm")
-    seed = int(_setting(args, config, "seed", 0))
+    seed = _int_setting(args, config, "seed", 0, minimum=0)
     out = _setting(args, config, "out", "importance.csv")
 
-    specs = _resolve_specs([model_name], config.get("model_params", {}), seed)
+    specs = _resolve_specs([model_name], config, seed)
     spec = specs[model_name]
     if spec.family not in TREE_FAMILIES:
         raise ConfigError(f"model {model_name} is not a tree family; gain importance undefined")

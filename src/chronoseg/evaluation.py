@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureTable, featurize_corpus  # noqa: F401 (kept importable here)
-from .models import ModelSpec, TrainedModel, predict_proba, train
+from .models import ModelSpec, predict_proba, train
 
 logger = logging.getLogger(__name__)
 
@@ -253,12 +253,14 @@ def run_matrix(
 
     The tables come from ``featurize_corpus`` or ``read_feature_table``, one
     per scheme. Cells are independent jobs; with workers > 1 they run in a
-    process pool and are still collected in submission order, so output is
-    deterministic.
+    process pool of at most one process per cell and are still collected in
+    submission order, so output is deterministic.
     """
     if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")
     jobs = [(table, spec, k, seed, mode) for table in tables for spec in specs.values()]
+    # the fork start method starts every worker at the first submit
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_cell, jobs))

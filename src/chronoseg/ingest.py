@@ -39,7 +39,6 @@ all build that matrix directly.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -284,7 +283,7 @@ def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int, l
 
 
 def parse_subject_file(
-    stream: TextIO | io.BufferedIOBase,
+    stream: TextIO,
     column_map: Mapping[str, str] | None = None,
     subject_id: str = "",
     label: int = 0,
@@ -301,11 +300,6 @@ def parse_subject_file(
     columns = dict(DEFAULT_COLUMNS)
     if column_map:
         columns.update(column_map)
-
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(stream, "read") and isinstance(getattr(stream, "mode", ""), str) and "b" in getattr(stream, "mode", "")
-    ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
 
     reader = csv.reader(stream)
     minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]

@@ -48,29 +48,6 @@ class BoostNode:
     def is_leaf(self) -> bool:
         return self.feature < 0
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "bin": self.bin,
-            "gain": self.gain,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostNode":
-        if "feature" not in d:
-            return cls(value=d["value"])
-        return cls(
-            feature=d["feature"],
-            bin=d["bin"],
-            gain=d["gain"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
-
 
 @dataclass
 class Binner:

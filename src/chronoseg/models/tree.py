@@ -13,7 +13,7 @@ forest (which adds bootstrap and per-split feature subsampling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +31,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature < 0
-
-    def to_dict(self) -> dict:
-        d = {"n": self.n, "value": self.value}
-        if not self.is_leaf:
-            d.update(
-                feature=self.feature,
-                threshold=self.threshold,
-                gain=self.gain,
-                left=self.left.to_dict(),
-                right=self.right.to_dict(),
-            )
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(n=d["n"], value=d["value"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.gain = d["gain"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
 
 
 def _gini_total(n: int, n_pos: int) -> float:

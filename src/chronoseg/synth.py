@@ -36,7 +36,6 @@ class SubjectProfile:
     night_rate: float = 5.0
     burst_prob: float = 0.15
     morning_damping: float = 0.5
-    days: int = 14
 
     def __post_init__(self):
         if self.base_rate < 0 or self.night_rate < 0:
@@ -45,16 +44,14 @@ class SubjectProfile:
             raise ConfigError("burst_prob must be in [0, 1]")
         if not 0 < self.morning_damping <= 1:
             raise ConfigError("morning_damping must be in (0, 1]")
-        if self.days < 1:
-            raise ConfigError("days must be >= 1")
 
 
-def control_profile(days: int = 14) -> SubjectProfile:
-    return SubjectProfile(is_patient=False, burst_prob=0.0, morning_damping=1.0, days=days)
+def control_profile() -> SubjectProfile:
+    return SubjectProfile(is_patient=False, burst_prob=0.0, morning_damping=1.0)
 
 
-def patient_profile(days: int = 14) -> SubjectProfile:
-    return SubjectProfile(is_patient=True, days=days)
+def patient_profile() -> SubjectProfile:
+    return SubjectProfile(is_patient=True)
 
 
 def _diurnal_curve(profile: SubjectProfile) -> np.ndarray:
@@ -99,7 +96,7 @@ def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Co
     values = np.empty((len(subject_ids) * days, MINUTES_PER_DAY), dtype=np.int64)
     for i, stream in enumerate(streams):
         is_patient = i < n_patients
-        base = patient_profile(days=days) if is_patient else control_profile(days=days)
+        base = patient_profile() if is_patient else control_profile()
         profile = replace(
             base,
             base_rate=base.base_rate * jitter_rng.lognormal(0.0, 0.25),

@@ -252,6 +252,42 @@ class TestDataErrors:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ("k: ten", []),
+            ("k: 2.9", []),
+            ("seed: [1]", []),
+            ("workers: two", []),
+            ("seed: -1", []),
+            ("", ["--seed", "-1"]),
+            ("model_params: [1, 2]", []),
+            ("model_params: {knn: 3}", []),
+            ("model_params: {knn: {C: 1}}", []),
+            ("model_params: {knn: {k: x}}", []),
+        ],
+    )
+    def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
+        path = tmp_path / "config.yaml"
+        path.write_text(config + "\n")
+        code = main(["--config", str(path), "evaluate", "--corpus", str(corpus_file), "--schemes", "parts2",
+                     "--models", "knn", *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [("patients: lots", []), ("seed: -1", []), ("", ["--seed", "-1"]), ("days: 1.5", [])],
+    )
+    def test_bad_synth_setting_exits_2(self, tmp_path, capsys, config, flags):
+        path = tmp_path / "config.yaml"
+        path.write_text(config + "\n")
+        code = main(["--config", str(path), "synth", *flags, "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

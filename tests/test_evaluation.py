@@ -275,6 +275,32 @@ class TestRunMatrix:
             assert a.fold_aucs == b.fold_aucs
             assert a.digest == b.digest
 
+    def test_pool_capped_at_cell_count(self, tiny_corpus, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("chronoseg.evaluation.ProcessPoolExecutor", SerialPool)
+        schemes = [builtin_scheme("full_day")]
+        specs = {"knn": ModelSpec("knn"), "decision_tree": ModelSpec("decision_tree")}
+        pooled, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=10_000)
+        assert started == [2]
+        serial, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=1)
+        assert [r.fold_aucs for r in pooled] == [r.fold_aucs for r in serial]
+        run_matrix(tables(tiny_corpus, schemes), {"knn": ModelSpec("knn")}, k=3, seed=0, workers=10_000)
+        assert started == [2]  # one cell runs serially
+
     def test_fold_csv_includes_all_cells(self, tiny_corpus, tmp_path):
         reports, _ = run_matrix(tables(tiny_corpus, [builtin_scheme("full_day")]), {"knn": ModelSpec("knn")}, k=3, seed=0)
         path = tmp_path / "folds.csv"

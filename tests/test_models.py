@@ -7,9 +7,7 @@ from chronoseg.models import (
     ModelSpec,
     default_model_specs,
     gain_importance,
-    load_model,
     predict_proba,
-    save_model,
     train,
 )
 from chronoseg.models.gbdt import train_gbdt
@@ -52,6 +50,27 @@ class TestModelSpec:
             ModelSpec("knn", {"k": 0})
         with pytest.raises(ConfigError):
             ModelSpec("gbdt", {"learning_rate": 1.5})
+
+    def test_unknown_hyperparameter(self):
+        with pytest.raises(ConfigError, match="unknown hyperparameter 'C' for family knn"):
+            ModelSpec("knn", {"C": 1})
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gbdt", {"n_rounds": "x"}),
+            ("gbdt", {"n_rounds": 2.5}),
+            ("gbdt", {"learning_rate": "fast"}),
+            ("gbdt", {"preset": ["lgbm"]}),
+            ("random_forest", {"max_features": "log2"}),
+            ("random_forest", {"bootstrap": "yes"}),
+            ("knn", {"k": True}),
+            ("logistic_regression", {"tol": "1e-6"}),
+        ],
+    )
+    def test_wrong_type_hyperparameter(self, family, params):
+        with pytest.raises(ConfigError, match="invalid hyperparameter"):
+            ModelSpec(family, params)
 
     def test_seven_presets(self):
         specs = default_model_specs()
@@ -101,15 +120,6 @@ class TestAllFamilies:
         s1 = predict_proba(train(spec, X, y), X)
         s2 = predict_proba(train(spec, X, y), X)
         np.testing.assert_array_equal(s1, s2)
-
-    def test_serialization_round_trip(self, separable_data, tmp_path, name):
-        X, y = separable_data
-        spec = default_model_specs()[name]
-        model = train(spec, X, y)
-        path = tmp_path / f"{name}.json"
-        save_model(model, path)
-        back = load_model(path)
-        np.testing.assert_array_equal(predict_proba(model, X), predict_proba(back, X))
 
 
 class TestKnn:

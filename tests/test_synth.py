@@ -17,8 +17,6 @@ class TestProfiles:
             SubjectProfile(is_patient=True, morning_damping=0.0)
         with pytest.raises(ConfigError):
             SubjectProfile(is_patient=False, base_rate=-1)
-        with pytest.raises(ConfigError):
-            SubjectProfile(is_patient=False, days=0)
 
 
 class TestGenCorpus:
@@ -62,3 +60,5 @@ class TestGenCorpus:
     def test_counts_validated(self):
         with pytest.raises(ConfigError):
             gen_corpus(0, 1, 1, seed=0)
+        with pytest.raises(ConfigError):
+            gen_corpus(1, 1, 0, seed=0)
