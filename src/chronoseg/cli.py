@@ -58,6 +58,22 @@ def _int_setting(args, config: dict, key: str, default: int, minimum: int | None
     return value
 
 
+def _str_setting(args, config: dict, key: str, default: str | None = None) -> str | None:
+    value = _setting(args, config, key, default)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _str_list_setting(args, config: dict, key: str, default: list[str]) -> list[str]:
+    value = _setting(args, config, key)
+    if value is None:
+        return default
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+    return value or default
+
+
 def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
     p = Path(path)
     if not p.exists():
@@ -88,7 +104,7 @@ def cmd_synth(args, config: dict) -> int:
     controls = _int_setting(args, config, "controls", 10)
     days = _int_setting(args, config, "days", 14)
     seed = _int_setting(args, config, "seed", 0, minimum=0)
-    out = _setting(args, config, "out", "corpus.csv")
+    out = _str_setting(args, config, "out", "corpus.csv")
     corpus = gen_corpus(patients, controls, days, seed=seed)
     save_corpus(corpus, out)
     print(f"wrote {out}: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
@@ -96,12 +112,13 @@ def cmd_synth(args, config: dict) -> int:
 
 
 def cmd_featurize(args, config: dict) -> int:
-    corpus_path = _setting(args, config, "corpus")
+    corpus_path = _str_setting(args, config, "corpus")
     if not corpus_path:
         raise ConfigError("featurize needs a corpus path (--corpus or config key 'corpus')")
-    corpus = _load_any_corpus(corpus_path, _setting(args, config, "metadata"))
-    scheme_names = _setting(args, config, "schemes") or DEFAULT_SCHEMES
-    out_dir = Path(_setting(args, config, "out_dir", "."))
+    metadata = _str_setting(args, config, "metadata")
+    scheme_names = _str_list_setting(args, config, "schemes", DEFAULT_SCHEMES)
+    out_dir = Path(_str_setting(args, config, "out_dir", "."))
+    corpus = _load_any_corpus(corpus_path, metadata)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in scheme_names:
         scheme = resolve_scheme(name)
@@ -115,17 +132,18 @@ def cmd_featurize(args, config: dict) -> int:
 def cmd_evaluate(args, config: dict) -> int:
     k = _int_setting(args, config, "k", 10)
     seed = _int_setting(args, config, "seed", 0, minimum=0)
-    mode = _setting(args, config, "cv_mode", "row_stratified")
+    mode = _str_setting(args, config, "cv_mode", "row_stratified")
     workers = _int_setting(args, config, "workers", 1)
-    out_dir = Path(_setting(args, config, "out_dir", "."))
-    scheme_names = _setting(args, config, "schemes") or DEFAULT_SCHEMES
-    model_names = _setting(args, config, "models") or DEFAULT_MODELS
+    out_dir = Path(_str_setting(args, config, "out_dir", "."))
+    scheme_names = _str_list_setting(args, config, "schemes", DEFAULT_SCHEMES)
+    model_names = _str_list_setting(args, config, "models", DEFAULT_MODELS)
     specs = _resolve_specs(model_names, config, seed)
 
-    corpus_path = _setting(args, config, "corpus")
-    features_dir = _setting(args, config, "features_dir")
+    corpus_path = _str_setting(args, config, "corpus")
+    features_dir = _str_setting(args, config, "features_dir")
+    metadata = _str_setting(args, config, "metadata")
     if corpus_path:
-        corpus = _load_any_corpus(corpus_path, _setting(args, config, "metadata"))
+        corpus = _load_any_corpus(corpus_path, metadata)
         schemes = [resolve_scheme(name) for name in scheme_names]
         tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
     elif features_dir:
@@ -148,20 +166,21 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_importance(args, config: dict) -> int:
-    corpus_path = _setting(args, config, "corpus")
+    corpus_path = _str_setting(args, config, "corpus")
     if not corpus_path:
         raise ConfigError("importance needs a corpus path")
-    scheme_name = _setting(args, config, "scheme", "parts2")
-    model_name = _setting(args, config, "model", "lightgbm")
+    scheme_name = _str_setting(args, config, "scheme", "parts2")
+    model_name = _str_setting(args, config, "model", "lightgbm")
     seed = _int_setting(args, config, "seed", 0, minimum=0)
-    out = _setting(args, config, "out", "importance.csv")
+    out = _str_setting(args, config, "out", "importance.csv")
+    metadata = _str_setting(args, config, "metadata")
 
     specs = _resolve_specs([model_name], config, seed)
     spec = specs[model_name]
     if spec.family not in TREE_FAMILIES:
         raise ConfigError(f"model {model_name} is not a tree family; gain importance undefined")
 
-    corpus = _load_any_corpus(corpus_path, _setting(args, config, "metadata"))
+    corpus = _load_any_corpus(corpus_path, metadata)
     table = featurize_corpus(corpus, resolve_scheme(scheme_name))
     model = train(spec, table.X, table.labels, feature_names=table.columns)
     ranking = gain_importance(model)

@@ -1,4 +1,12 @@
-"""Random forest of CART trees: bootstrap rows, subsample features per split."""
+"""Random forest of CART trees: bootstrap rows, subsample features per split.
+
+Each tree owns one generator, spawned from the seed, so tree i is stable
+under n_trees changes. The generator draws the tree's bootstrap rows first,
+then the candidate features of each split. ``grow_trees`` grows all trees
+together, one node per tree per step in that tree's own depth-first order, so
+each generator is consumed in the order a one-tree-at-a-time builder would
+consume it, and every tree is the same to the bit.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +15,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .tree import CartTree, build_cart
+from .tree import CartTree, grow_trees
 
 
 @dataclass
@@ -38,21 +46,10 @@ def build_forest(
     seed: int = 0,
 ) -> RandomForest:
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     n, p = X.shape
     if max_features == "sqrt":
         max_features = ceil(sqrt(p))
-    # one independent stream per tree so tree i is stable under n_trees changes
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xb, yb = X[idx], y[idx]
-        else:
-            Xb, yb = X, y
-        trees.append(
-            build_cart(Xb, yb, min_samples_split=min_samples_split, max_features=max_features, rng=rng)
-        )
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    trees = grow_trees(X, y, samples, min_samples_split=min_samples_split, max_features=max_features, rngs=rngs)
     return RandomForest(trees=trees, n_features=p)

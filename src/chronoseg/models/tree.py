@@ -1,14 +1,28 @@
-"""CART binary classification tree with Gini impurity.
+"""CART binary classification trees with Gini impurity, grown in lockstep.
 
-Splits maximize the total Gini decrease n*imp(parent) - nL*imp(L) - nR*imp(R).
-A node's split search covers all candidate features in one pass: a stable
-argsort of every candidate column, one cumulative count of positives down the
-sorted rows, and the gain at every row boundary where the value changes (other
-rows are masked to -inf). The first maximum of each column gives its lowest
-best threshold and the first maximum across columns its lowest feature, so
-ties break deterministically on lowest feature index, then lowest threshold.
-The same builder backs the standalone decision_tree family and the random
-forest (which adds bootstrap and per-split feature subsampling).
+Splits maximize the total Gini decrease n*imp(parent) - nL*imp(L) - nR*imp(R)
+at midpoints between consecutive distinct values (rows with value <= threshold
+go left); ties break on the lowest feature index, then the lowest threshold.
+Every tree grows to purity (no depth cap).
+
+``grow_trees`` grows many trees together: the random forest hands it all of
+its bootstrap samples, the standalone decision tree one sample. Each step
+takes, from every tree, the next node of that tree's own depth-first order
+(right child before left) and draws that node's candidate features from that
+tree's own generator. So each generator is consumed in exactly the order of
+a builder that grows one tree, one node at a time, and every tree comes out
+the same to the bit. A tree that draws no features puts all of its open
+nodes into one step: with no draws, node order cannot change the tree.
+
+One step's nodes share one split search. Each (node, candidate feature) pair
+is a segment of the node's rows in value order, got from one sort of integer
+keys that pack the segment, a per-fit dense rank of the value, the row and
+its label. One cumulative count of positives runs down all segments, the gain
+is scored at every boundary where the rank changes, and a node's first
+maximum, in feature order and then row order, is its split. Only the nodes
+with a child still to split have their rows stably partitioned, left rows
+first. A step is searched in chunks of at most ``SEARCH_CHUNK`` (row,
+feature) elements, which bounds the search's temporaries.
 """
 
 from __future__ import annotations
@@ -16,6 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# (row, candidate feature) elements of one batched split search; a step holding
+# more is searched in several chunks, a node holding more alone
+SEARCH_CHUNK = 1 << 14
 
 
 @dataclass
@@ -31,43 +49,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature < 0
-
-
-def _gini_total(n: int, n_pos: int) -> float:
-    """n * gini impurity, i.e. the unnormalized split criterion."""
-    if n == 0:
-        return 0.0
-    p = n_pos / n
-    return n * 2.0 * p * (1.0 - p)
-
-
-def _best_split(X: np.ndarray, y: np.ndarray):
-    """Best (gain, column, threshold) over the columns of X, or None.
-
-    Candidate thresholds are midpoints between consecutive distinct values;
-    rows with value <= threshold go left.
-    """
-    n = y.size
-    n_pos = int(y.sum())
-    parent = _gini_total(n, n_pos)
-    cols = np.arange(X.shape[1])
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = X[order, cols]
-    boundary = xs[:-1] < xs[1:]  # row i: split after sorted row i
-    if not boundary.any():
-        return None
-    pl = np.cumsum(y[order[:-1]], axis=0)
-    nl = np.arange(1, n)[:, None]
-    nr = n - nl
-    pr = n_pos - pl
-    gains = parent - 2.0 * pl * (nl - pl) / nl - 2.0 * pr * (nr - pr) / nr
-    gains[~boundary] = -np.inf
-    rows = np.argmax(gains, axis=0)  # first max -> lowest threshold among ties
-    best = gains[rows, cols]
-    col = int(np.argmax(best))  # first max -> lowest feature among ties
-    row = rows[col]
-    threshold = float((xs[row, col] + xs[row + 1, col]) / 2.0)
-    return float(best[col]), col, threshold
 
 
 @dataclass
@@ -103,6 +84,252 @@ class CartTree:
         return gains
 
 
+def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, n) rows of each column in value order and the rank of each among
+    the column's distinct values."""
+    Xt = X.T
+    order = np.argsort(Xt, axis=1)
+    xs = np.take_along_axis(Xt, order, axis=1)
+    dense = np.zeros(Xt.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    return order, dense
+
+
+def _ranks(order, dense):
+    """(p, n) rank of each row on each feature, from _sorted_columns."""
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+# A search key is one integer per (candidate feature, row) of a chunk of m
+# nodes. It sorts as (segment, rank, row): segment node*k + j holds the node's
+# rows on its j-th candidate in value order, ties in row order, and the
+# lowest bit carries the row's label.
+def _key_widths(n_rows: int, n_ranks: int, n_segments: int) -> tuple[int, int]:
+    """Bit offsets of the rank and segment fields."""
+    w_row = 1 + (n_rows - 1).bit_length()
+    w_rank = w_row + (n_ranks - 1).bit_length()
+    if w_rank + (n_segments - 1).bit_length() > 63:
+        raise ValueError(f"a split search over {n_rows} rows and {n_segments} segments does not fit in 63 bits")
+    return w_row, w_rank
+
+
+def _search_key(ranks, y, rows, lens, feats):
+    """Sorted search key of the nodes' rows; ranks[f, i] is row i's rank on f."""
+    R, m = rows.size, lens.size
+    node = np.repeat(np.arange(m), lens)
+    if feats is None:
+        key = ranks[:, rows]  # (p, R)
+    else:
+        key = ranks.take(feats[node].T * ranks.shape[1] + rows)  # (k, R)
+    k = key.shape[0]
+    w_row, w_rank = _key_widths(R, ranks.shape[1], m * k)
+    key <<= w_row
+    key |= node * k << w_rank | np.arange(R) << 1 | y[rows]
+    key += (np.arange(k) << w_rank)[:, None]
+    key = key.ravel()
+    key.sort()
+    return key
+
+
+def _root_key(order, dense, y):
+    """The search key of one node holding every row in order, all features
+    its candidates, read off the sorted columns without a sort.
+
+    Rows of equal rank may come in any order: the search reads a boundary
+    where the rank changes, the label count there and the values either side,
+    none of which depends on the order within a rank.
+    """
+    p, n = order.shape
+    w_row, w_rank = _key_widths(n, n, p)
+    key = dense << w_row
+    key |= order << 1 | y[order]
+    key += (np.arange(p) << w_rank)[:, None]
+    return key.ravel()
+
+
+def _best_splits(X, key, rows, lens, n_pos, feats):
+    """Best split of each of m nodes from their sorted search key.
+
+    rows holds the nodes' rows (ids into X), one node after another; lens and
+    n_pos are each node's row and positive counts. feats (m, k) holds each
+    node's candidate features in ascending order, or is None for all
+    features. For the nodes whose best gain exceeds 1e-12, returns (nodes,
+    gain, feature, threshold, n_left, pos_left, exact): the left child's row
+    and positive counts are those below the boundary, which are the rows at or
+    below the threshold unless it is not below the next value (exact False),
+    as when the midpoint of adjacent floats rounds up.
+    """
+    R, m = rows.size, lens.size
+    k = key.size // R
+    w_row, w_rank = _key_widths(R, X.shape[0], m * k)
+    seg_len = lens.repeat(k)
+    start = seg_len.cumsum() - seg_len
+    cum = (key & 1).cumsum()
+    ahead = cum[start] - (key[start] & 1)  # positives before each segment
+    boundary = key >> w_row  # (segment, rank)
+    boundary = boundary[1:] != boundary[:-1]  # position b: split after sorted row b
+    boundary[start[1:] - 1] = False  # a segment's last row has none
+    b = boundary.nonzero()[0]
+    seg = key[b] >> w_rank
+    nl = b - (start - 1)[seg]
+    nr = seg_len[seg] - nl
+    pl = cum[b] - ahead[seg]
+    pr = n_pos.repeat(k)[seg] - pl
+    frac = n_pos / lens
+    # parent n * 2.0 * p * (1.0 - p) less each child's 2.0 * pos * (n - pos) / n,
+    # in the one-node search's expression order, so every gain is the same to
+    # the bit
+    gains = (lens * 2.0 * frac * (1.0 - frac)).repeat(k)[seg]
+    side = 2.0 * pl
+    side *= nl - pl
+    side /= nl
+    gains -= side
+    np.multiply(2.0, pr, out=side)
+    side *= nr - pr
+    side /= nr
+    gains -= side
+
+    # a node's boundaries run in (feature, threshold) order, so its first
+    # maximum is its lowest feature, then its lowest threshold
+    first = b.searchsorted(start[::k])
+    count = np.append(first[1:], b.size) - first
+    nodes = count.nonzero()[0]
+    best = np.maximum.reduceat(gains, first[nodes])
+    hits = (gains == best.repeat(count[nodes])).nonzero()[0]
+    nodes = nodes[best > 1e-12]
+    hit = hits[hits.searchsorted(first[nodes])]
+    j = seg[hit] - nodes * k
+    feature = j if feats is None else feats[nodes, j]
+    # the rows either side of each boundary, and their values
+    pair = rows[(key[np.add.outer(b[hit], (0, 1))] >> 1) & ((1 << (w_row - 1)) - 1)]
+    values = X[pair, feature[:, None]]
+    threshold = (values[:, 0] + values[:, 1]) / 2.0
+    return nodes, gains[hit], feature, threshold, nl[hit], pl[hit], threshold < values[:, 1]
+
+
+def _partition(X, y, rows, lens, feature, threshold):
+    """Stable split of each node's rows, left rows first.
+
+    Returns the reordered rows and each node's left row and positive counts.
+    """
+    node = np.arange(lens.size).repeat(lens)
+    go_left = X[rows, feature[node]] <= threshold[node]
+    starts = lens.cumsum() - lens
+    n_left = np.add.reduceat(go_left, starts, dtype=np.int64)
+    pos_left = np.add.reduceat(go_left * y[rows], starts, dtype=np.int64)
+    return rows[(2 * node + ~go_left).argsort(kind="stable")], n_left, pos_left
+
+
+def grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: list[np.ndarray],
+    min_samples_split: int = 2,
+    max_features: int | None = None,
+    rngs: list[np.random.Generator] | None = None,
+) -> list[CartTree]:
+    """Grow one tree per sample (row ids into X, repeats allowed) in lockstep.
+
+    X is finite and y holds 0/1 labels. max_features enables per-split
+    feature subsampling (random forest mode) from rngs[t] for tree t; sampled
+    feature ids are sorted so the lowest-index tie-break is preserved within
+    the sample.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, p = X.shape
+    draws = max_features is not None and max_features < p
+    k = max_features if draws else p
+    order, dense = _sorted_columns(X)
+    ranks = None  # until a search needs them
+    # a lone tree on every row in order searches its root on the sorted columns
+    root_key = None
+    if not draws and len(samples) == 1 and np.array_equal(samples[0], np.arange(n)):
+        root_key = _root_key(order, dense, y)
+
+    roots, stacks = [], []
+    for sample in samples:
+        n_pos = int(y[sample].sum())
+        roots.append(TreeNode(n=sample.size, value=n_pos / sample.size))
+        stacks.append([(roots[-1], sample, n_pos)] if _is_open(sample.size, n_pos, min_samples_split) else [])
+
+    while True:
+        # (tree, node, rows, n_pos) of this step: each tree's next node, or all of
+        # its open nodes when it draws no features
+        step, drawn = [], []
+        for t, stack in enumerate(stacks):
+            if stack and draws:
+                step.append((t, *stack.pop()))
+                drawn.append(rngs[t].choice(p, size=k, replace=False))
+            elif stack:
+                step.extend((t, *entry) for entry in stack)
+                stack.clear()
+        if not step:
+            break
+        feats = np.sort(drawn, axis=1) if draws else None
+        lo = 0
+        while lo < len(step):
+            hi, size = lo + 1, step[lo][1].n * k
+            while hi < len(step) and size + step[hi][1].n * k <= SEARCH_CHUNK:
+                size += step[hi][1].n * k
+                hi += 1
+            if root_key is None and ranks is None:
+                ranks = _ranks(order, dense)
+            _grow_chunk(X, y, ranks, root_key, step[lo:hi], None if feats is None else feats[lo:hi], stacks,
+                        min_samples_split)
+            root_key, lo = None, hi
+    return [CartTree(root=root, n_features=p) for root in roots]
+
+
+def _is_open(n, n_pos, min_samples_split):
+    """Whether a node of n rows, n_pos of them positive, is searched for a split."""
+    return (n >= min_samples_split) & (n_pos > 0) & (n_pos < n)
+
+
+def _grow_chunk(X, y, ranks, key, chunk, feats, stacks, min_samples_split):
+    """Search and split the nodes of chunk, pushing their open children.
+
+    The search runs on key if given, else on the nodes' sorted search key.
+    """
+    rows = np.concatenate([entry[2] for entry in chunk])
+    lens = np.array([entry[1].n for entry in chunk], dtype=np.int64)
+    n_pos = np.array([entry[3] for entry in chunk], dtype=np.int64)
+    if key is None:
+        key = _search_key(ranks, y, rows, lens, feats)
+    nodes, gain, feature, threshold, n_left, pos_left, exact = _best_splits(X, key, rows, lens, n_pos, feats)
+    n, n_pos = lens[nodes], n_pos[nodes]
+    # only nodes with an open child need their rows split, and those whose
+    # threshold is not below the next value, for their children's counts
+    moved = ~exact | _is_open(n_left, pos_left, min_samples_split)
+    moved = (moved | _is_open(n - n_left, n_pos - pos_left, min_samples_split)).nonzero()[0]
+    part_start = np.zeros(nodes.size, dtype=np.int64)
+    if moved.size:
+        in_moved = np.zeros(lens.size, dtype=bool)
+        in_moved[nodes[moved]] = True
+        part, n_left[moved], pos_left[moved] = _partition(
+            X, y, rows[in_moved.repeat(lens)], n[moved], feature[moved], threshold[moved]
+        )
+        part_start[moved] = n[moved].cumsum() - n[moved]
+    n_right, pos_right = n - n_left, n_pos - pos_left
+    # n_pos / n equals float(y[rows].mean()) to the bit
+    for i, f, thr, g, nl, nr, pl, pr, vl, vr, start in zip(
+        nodes.tolist(), feature.tolist(), threshold.tolist(), gain.tolist(), n_left.tolist(), n_right.tolist(),
+        pos_left.tolist(), pos_right.tolist(), (pos_left / n_left).tolist(), (pos_right / n_right).tolist(),
+        part_start.tolist(),
+    ):
+        t, node = chunk[i][0], chunk[i][1]
+        node.feature, node.threshold, node.gain = f, thr, g
+        node.left = TreeNode(n=nl, value=vl)
+        node.right = TreeNode(n=nr, value=vr)
+        # pushed left then right, so the tree's next pop is the right child
+        if _is_open(nl, pl, min_samples_split):
+            stacks[t].append((node.left, part[start:start + nl], pl))
+        if _is_open(nr, pr, min_samples_split):
+            stacks[t].append((node.right, part[start + nl:start + nl + nr], pr))
+
+
 def build_cart(
     X: np.ndarray,
     y: np.ndarray,
@@ -110,43 +337,6 @@ def build_cart(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> CartTree:
-    """Grow a CART tree to purity (no depth cap).
-
-    max_features enables per-split feature subsampling (random forest mode);
-    sampled feature ids are sorted so the lowest-index tie-break is preserved
-    within the sample.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    p = X.shape[1]
-    all_features = np.arange(p)
-
-    root = TreeNode(n=y.size, value=float(y.mean()))
-    stack = [(root, np.arange(y.size))]
-    while stack:
-        node, idx = stack.pop()
-        sub_y = y[idx]
-        n_pos = int(sub_y.sum())
-        if idx.size < min_samples_split or n_pos == 0 or n_pos == idx.size:
-            continue
-        if max_features is not None and max_features < p:
-            features = np.sort(rng.choice(p, size=max_features, replace=False))
-        else:
-            features = all_features
-        candidates = X[idx[:, None], features]
-        found = _best_split(candidates, sub_y)
-        if found is None or found[0] <= 1e-12:
-            continue
-        gain, col, threshold = found
-        feature = int(features[col])
-        go_left = candidates[:, col] <= threshold
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        node.left = TreeNode(n=left_idx.size, value=float(y[left_idx].mean()))
-        node.right = TreeNode(n=right_idx.size, value=float(y[right_idx].mean()))
-        stack.append((node.left, left_idx))
-        stack.append((node.right, right_idx))
-    return CartTree(root=root, n_features=p)
+    """Grow one CART tree on all rows of X (see grow_trees)."""
+    n = np.asarray(X).shape[0]
+    return grow_trees(X, y, [np.arange(n)], min_samples_split, max_features, [rng])[0]

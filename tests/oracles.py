@@ -4,7 +4,10 @@ The feature, AUC and F1 references are naive pure Python, deliberately
 written without numpy and without looking at the implementation under test.
 The split-search references are the earlier per-feature CART loop and the
 earlier dense GBDT histogram search, kept as they were so that the vectorized
-kernels can be required to return the very same splits. Likewise the
+kernels can be required to return the very same splits. The one-node-at-a-time
+depth-first CART builder and the one-tree-at-a-time forest loop are kept as
+they were, so that the lockstep builder can be required to grow the very same
+trees. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
 parser can be required to give the very same bytes and errors. So is the
@@ -17,11 +20,14 @@ import csv
 import io
 import math
 from datetime import datetime
+from math import ceil, sqrt
 
 import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
+from chronoseg.models.forest import RandomForest
 from chronoseg.models.linear import LogisticModel
+from chronoseg.models.tree import CartTree, TreeNode
 
 
 def _median_sorted(sorted_vals):
@@ -171,6 +177,122 @@ def loop_cart_split(X, y, features):
             threshold = float((xs[b] + xs[b + 1]) / 2.0)
             best = (gain, int(f), threshold)
     return best
+
+
+def _gini_total(n: int, n_pos: int) -> float:
+    """n * gini impurity, i.e. the unnormalized split criterion."""
+    if n == 0:
+        return 0.0
+    p = n_pos / n
+    return n * 2.0 * p * (1.0 - p)
+
+
+def _best_split(X: np.ndarray, y: np.ndarray):
+    """Best (gain, column, threshold) over the columns of X, or None.
+
+    Candidate thresholds are midpoints between consecutive distinct values;
+    rows with value <= threshold go left.
+    """
+    n = y.size
+    n_pos = int(y.sum())
+    parent = _gini_total(n, n_pos)
+    cols = np.arange(X.shape[1])
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = X[order, cols]
+    boundary = xs[:-1] < xs[1:]  # row i: split after sorted row i
+    if not boundary.any():
+        return None
+    pl = np.cumsum(y[order[:-1]], axis=0)
+    nl = np.arange(1, n)[:, None]
+    nr = n - nl
+    pr = n_pos - pl
+    gains = parent - 2.0 * pl * (nl - pl) / nl - 2.0 * pr * (nr - pr) / nr
+    gains[~boundary] = -np.inf
+    rows = np.argmax(gains, axis=0)  # first max -> lowest threshold among ties
+    best = gains[rows, cols]
+    col = int(np.argmax(best))  # first max -> lowest feature among ties
+    row = rows[col]
+    threshold = float((xs[row, col] + xs[row + 1, col]) / 2.0)
+    return float(best[col]), col, threshold
+
+
+def reference_build_cart(
+    X: np.ndarray,
+    y: np.ndarray,
+    min_samples_split: int = 2,
+    max_features: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> CartTree:
+    """Grow a CART tree to purity (no depth cap).
+
+    max_features enables per-split feature subsampling (random forest mode);
+    sampled feature ids are sorted so the lowest-index tie-break is preserved
+    within the sample.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    p = X.shape[1]
+    all_features = np.arange(p)
+
+    root = TreeNode(n=y.size, value=float(y.mean()))
+    stack = [(root, np.arange(y.size))]
+    while stack:
+        node, idx = stack.pop()
+        sub_y = y[idx]
+        n_pos = int(sub_y.sum())
+        if idx.size < min_samples_split or n_pos == 0 or n_pos == idx.size:
+            continue
+        if max_features is not None and max_features < p:
+            features = np.sort(rng.choice(p, size=max_features, replace=False))
+        else:
+            features = all_features
+        candidates = X[idx[:, None], features]
+        found = _best_split(candidates, sub_y)
+        if found is None or found[0] <= 1e-12:
+            continue
+        gain, col, threshold = found
+        feature = int(features[col])
+        go_left = candidates[:, col] <= threshold
+        left_idx = idx[go_left]
+        right_idx = idx[~go_left]
+        node.feature = feature
+        node.threshold = threshold
+        node.gain = gain
+        node.left = TreeNode(n=left_idx.size, value=float(y[left_idx].mean()))
+        node.right = TreeNode(n=right_idx.size, value=float(y[right_idx].mean()))
+        stack.append((node.left, left_idx))
+        stack.append((node.right, right_idx))
+    return CartTree(root=root, n_features=p)
+
+
+def reference_build_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_trees: int = 100,
+    max_features: int | str | None = "sqrt",
+    bootstrap: bool = True,
+    min_samples_split: int = 2,
+    seed: int = 0,
+) -> RandomForest:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, p = X.shape
+    if max_features == "sqrt":
+        max_features = ceil(sqrt(p))
+    # one independent stream per tree so tree i is stable under n_trees changes
+    streams = np.random.SeedSequence(seed).spawn(n_trees)
+    trees = []
+    for ss in streams:
+        rng = np.random.default_rng(ss)
+        if bootstrap:
+            idx = rng.integers(0, n, size=n)
+            Xb, yb = X[idx], y[idx]
+        else:
+            Xb, yb = X, y
+        trees.append(
+            reference_build_cart(Xb, yb, min_samples_split=min_samples_split, max_features=max_features, rng=rng)
+        )
+    return RandomForest(trees=trees, n_features=p)
 
 
 def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):

@@ -288,6 +288,37 @@ class TestConfigErrors:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, flags, key",
+        [
+            ("synth", "out: 5", [], "out"),
+            ("featurize", "out_dir: 5", ["--corpus", "CORPUS", "--schemes", "parts2"], "out_dir"),
+            ("featurize", "corpus: 5", ["--schemes", "parts2"], "corpus"),
+            ("featurize", "metadata: 5", ["--corpus", "CORPUS", "--schemes", "parts2"], "metadata"),
+            ("featurize", "schemes: parts2", ["--corpus", "CORPUS"], "schemes"),
+            ("evaluate", "out_dir: 5", ["--corpus", "CORPUS", "--schemes", "parts2", "--models", "knn"], "out_dir"),
+            ("evaluate", "corpus: 5", ["--schemes", "parts2", "--models", "knn"], "corpus"),
+            ("evaluate", "features_dir: 5", ["--schemes", "parts2", "--models", "knn"], "features_dir"),
+            ("evaluate", "cv_mode: 5", ["--corpus", "CORPUS", "--schemes", "parts2", "--models", "knn"], "cv_mode"),
+            ("evaluate", "schemes: parts2", ["--corpus", "CORPUS", "--models", "knn"], "schemes"),
+            ("evaluate", "schemes: [parts2, 3]", ["--corpus", "CORPUS", "--models", "knn"], "schemes"),
+            ("evaluate", "models: knn", ["--corpus", "CORPUS", "--schemes", "parts2"], "models"),
+            ("evaluate", "models: [knn, [1]]", ["--corpus", "CORPUS", "--schemes", "parts2"], "models"),
+            ("importance", "scheme: 7", ["--corpus", "CORPUS", "--model", "decision_tree"], "scheme"),
+            ("importance", "model: [1]", ["--corpus", "CORPUS"], "model"),
+            ("importance", "out: 5", ["--corpus", "CORPUS", "--model", "decision_tree"], "out"),
+        ],
+    )
+    def test_non_string_setting_exits_2(self, corpus_file, tmp_path, monkeypatch, capsys, command, config, flags, key):
+        # an integer path would reach open() as a file descriptor; run in an empty
+        # directory so that a default output name would show up there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.yaml").write_text(config + "\n")
+        flags = [str(corpus_file) if flag == "CORPUS" else flag for flag in flags]
+        assert main(["--config", "config.yaml", command, *flags]) == 2
+        assert f"config error: {key} must be " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

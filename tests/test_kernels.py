@@ -1,6 +1,6 @@
-"""The vectorized split searches, the block feature kernel and the logistic
-fit against their references, and golden digests of a small full matrix
-recorded before the searches were vectorized."""
+"""The vectorized split searches, the lockstep tree builder, the block feature
+kernel and the logistic fit against their references, and golden digests of a
+small full matrix recorded before the searches were vectorized."""
 
 import hashlib
 
@@ -13,14 +13,23 @@ from chronoseg.cli import DEFAULT_SCHEMES
 from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs
+from chronoseg.models import tree as tree_module
+from chronoseg.models.forest import build_forest
 from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
-from chronoseg.models.tree import _best_split as cart_split
+from chronoseg.models.tree import _best_splits, _ranks, _root_key, _search_key, _sorted_columns, build_cart
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
-from oracles import dense_gbdt_split, loop_cart_split, per_segment_features, reference_train_logistic
+from oracles import (
+    dense_gbdt_split,
+    loop_cart_split,
+    per_segment_features,
+    reference_build_cart,
+    reference_build_forest,
+    reference_train_logistic,
+)
 
 
 @st.composite
@@ -74,16 +83,94 @@ class TestCartSplit:
         X = data.draw(tie_heavy_matrix())
         n, p = X.shape
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
-        subset = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True))
-        features = np.array(sorted(subset))
+        # several nodes in one search, each on its own rows (repeats allowed, as in
+        # a bootstrap sample) and its own sorted candidates, or all features
+        node_rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+                                       min_size=1, max_size=5))
+        k = data.draw(st.integers(1, p))
+        subsets = [sorted(data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True)))
+                   for _ in node_rows]
+        feats = None if data.draw(st.booleans()) else np.array(subsets)
+        rows = np.concatenate([np.array(r, dtype=np.int64) for r in node_rows])
+        lens = np.array([len(r) for r in node_rows], dtype=np.int64)
+        n_pos = np.array([int(y[r].sum()) for r in node_rows], dtype=np.int64)
 
-        found = cart_split(X[:, features], y)
-        expected = loop_cart_split(X, y, features)
-        if expected is None:
-            assert found is None
-        else:
-            gain, col, threshold = found
-            assert (gain, int(features[col]), threshold) == expected
+        order, dense = _sorted_columns(X)
+        key = _search_key(_ranks(order, dense), y, rows, lens, feats)
+        found = _best_splits(X, key, rows, lens, n_pos, feats)
+        got = {int(i): (g, int(f), t, int(nl), int(pl), bool(e)) for i, g, f, t, nl, pl, e in zip(*found)}
+        for i, r in enumerate(node_rows):
+            features = np.arange(p) if feats is None else feats[i]
+            expected = loop_cart_split(X[r], y[r], features)
+            if expected is None or expected[0] <= 1e-12:
+                assert i not in got
+                continue
+            gain, feature, threshold, n_left, pos_left, exact = got[i]
+            assert (gain, feature, threshold) == expected
+            # the midpoint of two small integers lies strictly between them
+            go_left = X[r, feature] <= threshold
+            assert exact and (n_left, pos_left) == (go_left.sum(), y[r][go_left].sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_root_key_matches_sorted_key(self, data):
+        X = data.draw(tie_heavy_matrix())
+        n = X.shape[0]
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        rows, lens, n_pos = np.arange(n), np.array([n]), np.array([y.sum()])
+        order, dense = _sorted_columns(X)
+        by_sort = _best_splits(X, _search_key(_ranks(order, dense), y, rows, lens, None), rows, lens, n_pos, None)
+        by_columns = _best_splits(X, _root_key(order, dense, y), rows, lens, n_pos, None)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(by_sort, by_columns))
+
+
+def tree_nodes(tree):
+    """(feature, threshold, gain, value, n) of every node, in preorder."""
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.feature, node.threshold, node.gain, node.value, node.n))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return nodes
+
+
+class TestLockstepTrees:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_forest_and_tree_match_one_at_a_time_builders(self, data):
+        X = data.draw(tie_heavy_matrix(max_rows=40))
+        n, p = X.shape
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        params = {
+            "n_trees": data.draw(st.integers(1, 8)),
+            "max_features": data.draw(st.sampled_from([None, 1, "sqrt", p])),
+            "bootstrap": data.draw(st.booleans()),
+            "min_samples_split": data.draw(st.sampled_from([2, 5])),
+            "seed": data.draw(st.integers(0, 2**32 - 1)),
+        }
+        # a small chunk splits one step over several searches
+        chunk = data.draw(st.sampled_from([1, 16, tree_module.SEARCH_CHUNK]))
+        saved, tree_module.SEARCH_CHUNK = tree_module.SEARCH_CHUNK, chunk
+        try:
+            forest = build_forest(X, y, **params)
+            cart = build_cart(X, y, min_samples_split=params["min_samples_split"])
+        finally:
+            tree_module.SEARCH_CHUNK = saved
+        want = reference_build_forest(X, y, **params)
+        assert [tree_nodes(t) for t in forest.trees] == [tree_nodes(t) for t in want.trees]
+        assert tree_nodes(cart) == tree_nodes(reference_build_cart(X, y, min_samples_split=params["min_samples_split"]))
+
+    def test_threshold_rounded_onto_next_value(self):
+        # the midpoint of adjacent floats 1+eps and 1+2eps rounds up to 1+2eps, so
+        # the rows at the boundary's right go left too, and the children's counts
+        # come from the rows, not from the boundary
+        a, b = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        X = np.array([[a], [a], [b], [b], [3.0]])
+        y = np.array([0, 0, 1, 1, 1])
+        cart = build_cart(X, y, min_samples_split=5)
+        assert cart.root.threshold == b and (cart.root.left.n, cart.root.right.n) == (4, 1)
+        assert tree_nodes(cart) == tree_nodes(reference_build_cart(X, y, min_samples_split=5))
 
 
 class TestGbdtSplit:
