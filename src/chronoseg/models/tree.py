@@ -19,10 +19,10 @@ is a segment of the node's rows in value order, got from one sort of integer
 keys that pack the segment, a per-fit dense rank of the value, the row and
 its label. One cumulative count of positives runs down all segments, the gain
 is scored at every boundary where the rank changes, and a node's first
-maximum, in feature order and then row order, is its split. Only the nodes
-with a child still to split have their rows stably partitioned, left rows
-first. A step is searched in chunks of at most ``SEARCH_CHUNK`` (row,
-feature) elements, which bounds the search's temporaries.
+maximum, in feature order and then row order, is its split. The rows of
+every split node are then stably partitioned, left rows first. A step is
+searched in chunks of at most ``SEARCH_CHUNK`` (row, feature) elements,
+which bounds the search's temporaries.
 """
 
 from __future__ import annotations
@@ -84,19 +84,13 @@ class CartTree:
         return gains
 
 
-def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, n) rows of each column in value order and the rank of each among
-    the column's distinct values."""
+def _ranks(X: np.ndarray) -> np.ndarray:
+    """(p, n) rank of each row's value among its column's distinct values."""
     Xt = X.T
     order = np.argsort(Xt, axis=1)
     xs = np.take_along_axis(Xt, order, axis=1)
     dense = np.zeros(Xt.shape, dtype=np.int64)
     np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
-    return order, dense
-
-
-def _ranks(order, dense):
-    """(p, n) rank of each row on each feature, from _sorted_columns."""
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, order, dense, axis=1)
     return ranks
@@ -133,33 +127,14 @@ def _search_key(ranks, y, rows, lens, feats):
     return key
 
 
-def _root_key(order, dense, y):
-    """The search key of one node holding every row in order, all features
-    its candidates, read off the sorted columns without a sort.
-
-    Rows of equal rank may come in any order: the search reads a boundary
-    where the rank changes, the label count there and the values either side,
-    none of which depends on the order within a rank.
-    """
-    p, n = order.shape
-    w_row, w_rank = _key_widths(n, n, p)
-    key = dense << w_row
-    key |= order << 1 | y[order]
-    key += (np.arange(p) << w_rank)[:, None]
-    return key.ravel()
-
-
 def _best_splits(X, key, rows, lens, n_pos, feats):
     """Best split of each of m nodes from their sorted search key.
 
     rows holds the nodes' rows (ids into X), one node after another; lens and
     n_pos are each node's row and positive counts. feats (m, k) holds each
     node's candidate features in ascending order, or is None for all
-    features. For the nodes whose best gain exceeds 1e-12, returns (nodes,
-    gain, feature, threshold, n_left, pos_left, exact): the left child's row
-    and positive counts are those below the boundary, which are the rows at or
-    below the threshold unless it is not below the next value (exact False),
-    as when the midpoint of adjacent floats rounds up.
+    features. Returns (nodes, gain, feature, threshold) of the nodes whose
+    best gain exceeds 1e-12.
     """
     R, m = rows.size, lens.size
     k = key.size // R
@@ -205,8 +180,7 @@ def _best_splits(X, key, rows, lens, n_pos, feats):
     # the rows either side of each boundary, and their values
     pair = rows[(key[np.add.outer(b[hit], (0, 1))] >> 1) & ((1 << (w_row - 1)) - 1)]
     values = X[pair, feature[:, None]]
-    threshold = (values[:, 0] + values[:, 1]) / 2.0
-    return nodes, gains[hit], feature, threshold, nl[hit], pl[hit], threshold < values[:, 1]
+    return nodes, gains[hit], feature, (values[:, 0] + values[:, 1]) / 2.0
 
 
 def _partition(X, y, rows, lens, feature, threshold):
@@ -239,15 +213,10 @@ def grow_trees(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n, p = X.shape
+    p = X.shape[1]
     draws = max_features is not None and max_features < p
     k = max_features if draws else p
-    order, dense = _sorted_columns(X)
-    ranks = None  # until a search needs them
-    # a lone tree on every row in order searches its root on the sorted columns
-    root_key = None
-    if not draws and len(samples) == 1 and np.array_equal(samples[0], np.arange(n)):
-        root_key = _root_key(order, dense, y)
+    ranks = _ranks(X)
 
     roots, stacks = [], []
     for sample in samples:
@@ -275,11 +244,8 @@ def grow_trees(
             while hi < len(step) and size + step[hi][1].n * k <= SEARCH_CHUNK:
                 size += step[hi][1].n * k
                 hi += 1
-            if root_key is None and ranks is None:
-                ranks = _ranks(order, dense)
-            _grow_chunk(X, y, ranks, root_key, step[lo:hi], None if feats is None else feats[lo:hi], stacks,
-                        min_samples_split)
-            root_key, lo = None, hi
+            _grow_chunk(X, y, ranks, step[lo:hi], None if feats is None else feats[lo:hi], stacks, min_samples_split)
+            lo = hi
     return [CartTree(root=root, n_features=p) for root in roots]
 
 
@@ -288,30 +254,20 @@ def _is_open(n, n_pos, min_samples_split):
     return (n >= min_samples_split) & (n_pos > 0) & (n_pos < n)
 
 
-def _grow_chunk(X, y, ranks, key, chunk, feats, stacks, min_samples_split):
-    """Search and split the nodes of chunk, pushing their open children.
-
-    The search runs on key if given, else on the nodes' sorted search key.
-    """
+def _grow_chunk(X, y, ranks, chunk, feats, stacks, min_samples_split):
+    """Search and split the nodes of chunk, pushing their open children."""
     rows = np.concatenate([entry[2] for entry in chunk])
     lens = np.array([entry[1].n for entry in chunk], dtype=np.int64)
     n_pos = np.array([entry[3] for entry in chunk], dtype=np.int64)
-    if key is None:
-        key = _search_key(ranks, y, rows, lens, feats)
-    nodes, gain, feature, threshold, n_left, pos_left, exact = _best_splits(X, key, rows, lens, n_pos, feats)
+    key = _search_key(ranks, y, rows, lens, feats)
+    nodes, gain, feature, threshold = _best_splits(X, key, rows, lens, n_pos, feats)
+    if not nodes.size:
+        return
     n, n_pos = lens[nodes], n_pos[nodes]
-    # only nodes with an open child need their rows split, and those whose
-    # threshold is not below the next value, for their children's counts
-    moved = ~exact | _is_open(n_left, pos_left, min_samples_split)
-    moved = (moved | _is_open(n - n_left, n_pos - pos_left, min_samples_split)).nonzero()[0]
-    part_start = np.zeros(nodes.size, dtype=np.int64)
-    if moved.size:
-        in_moved = np.zeros(lens.size, dtype=bool)
-        in_moved[nodes[moved]] = True
-        part, n_left[moved], pos_left[moved] = _partition(
-            X, y, rows[in_moved.repeat(lens)], n[moved], feature[moved], threshold[moved]
-        )
-        part_start[moved] = n[moved].cumsum() - n[moved]
+    split = np.zeros(lens.size, dtype=bool)
+    split[nodes] = True
+    part, n_left, pos_left = _partition(X, y, rows[split.repeat(lens)], n, feature, threshold)
+    part_start = n.cumsum() - n
     n_right, pos_right = n - n_left, n_pos - pos_left
     # n_pos / n equals float(y[rows].mean()) to the bit
     for i, f, thr, g, nl, nr, pl, pr, vl, vr, start in zip(

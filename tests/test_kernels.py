@@ -18,7 +18,7 @@ from chronoseg.models.forest import build_forest
 from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
-from chronoseg.models.tree import _best_splits, _ranks, _root_key, _search_key, _sorted_columns, build_cart
+from chronoseg.models.tree import _best_splits, _partition, _ranks, _search_key, build_cart
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
@@ -95,33 +95,29 @@ class TestCartSplit:
         lens = np.array([len(r) for r in node_rows], dtype=np.int64)
         n_pos = np.array([int(y[r].sum()) for r in node_rows], dtype=np.int64)
 
-        order, dense = _sorted_columns(X)
-        key = _search_key(_ranks(order, dense), y, rows, lens, feats)
-        found = _best_splits(X, key, rows, lens, n_pos, feats)
-        got = {int(i): (g, int(f), t, int(nl), int(pl), bool(e)) for i, g, f, t, nl, pl, e in zip(*found)}
+        key = _search_key(_ranks(X), y, rows, lens, feats)
+        nodes, gain, feature, threshold = _best_splits(X, key, rows, lens, n_pos, feats)
+        got = {int(i): (g, int(f), t) for i, g, f, t in zip(nodes, gain, feature, threshold)}
         for i, r in enumerate(node_rows):
             features = np.arange(p) if feats is None else feats[i]
             expected = loop_cart_split(X[r], y[r], features)
             if expected is None or expected[0] <= 1e-12:
                 assert i not in got
-                continue
-            gain, feature, threshold, n_left, pos_left, exact = got[i]
-            assert (gain, feature, threshold) == expected
-            # the midpoint of two small integers lies strictly between them
-            go_left = X[r, feature] <= threshold
-            assert exact and (n_left, pos_left) == (go_left.sum(), y[r][go_left].sum())
+            else:
+                assert got[i] == expected
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_root_key_matches_sorted_key(self, data):
-        X = data.draw(tie_heavy_matrix())
-        n = X.shape[0]
-        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
-        rows, lens, n_pos = np.arange(n), np.array([n]), np.array([y.sum()])
-        order, dense = _sorted_columns(X)
-        by_sort = _best_splits(X, _search_key(_ranks(order, dense), y, rows, lens, None), rows, lens, n_pos, None)
-        by_columns = _best_splits(X, _root_key(order, dense, y), rows, lens, n_pos, None)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(by_sort, by_columns))
+        if not nodes.size:
+            return
+        # the split nodes' rows, partitioned as idx[go_left] then idx[~go_left]
+        part, n_left, pos_left = _partition(X, y, np.concatenate([node_rows[i] for i in nodes]), lens[nodes],
+                                            feature, threshold)
+        want, start = [], 0
+        for i, f, t, nl, pl in zip(nodes, feature, threshold, n_left, pos_left):
+            r = np.array(node_rows[i])
+            go_left = X[r, f] <= t
+            want += [r[go_left], r[~go_left]]
+            assert (nl, pl) == (go_left.sum(), y[r][go_left].sum())
+        assert part.tolist() == np.concatenate(want).tolist()
 
 
 def tree_nodes(tree):
@@ -163,8 +159,7 @@ class TestLockstepTrees:
 
     def test_threshold_rounded_onto_next_value(self):
         # the midpoint of adjacent floats 1+eps and 1+2eps rounds up to 1+2eps, so
-        # the rows at the boundary's right go left too, and the children's counts
-        # come from the rows, not from the boundary
+        # the rows at the boundary's right go left too
         a, b = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
         X = np.array([[a], [a], [b], [b], [3.0]])
         y = np.array([0, 0, 1, 1, 1])
