@@ -88,15 +88,18 @@ def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str,
     if not isinstance(model_params, dict) or not all(isinstance(v, dict) for v in model_params.values()):
         raise ConfigError(f"model_params must map model names to hyperparameter mappings, got {model_params!r}")
     available = default_model_specs(seed=seed)
-    specs: dict[str, ModelSpec] = {}
-    for name in model_names:
+    for name in model_params:
         if name not in available:
+            raise ConfigError(f"model_params key {name!r} names no model; choose from {list(available)}")
+    # every model_params entry is checked, whether or not its model runs
+    resolved = {
+        name: ModelSpec(base.family, {**base.params, **model_params.get(name, {})}, seed)
+        for name, base in available.items()
+    }
+    for name in model_names:
+        if name not in resolved:
             raise ConfigError(f"unknown model {name!r}; choose from {list(available)}")
-        base = available[name]
-        params = dict(base.params)
-        params.update(model_params.get(name, {}))
-        specs[name] = ModelSpec(base.family, params, seed)
-    return specs
+    return {name: resolved[name] for name in model_names}
 
 
 def cmd_synth(args, config: dict) -> int:
@@ -149,6 +152,9 @@ def cmd_evaluate(args, config: dict) -> int:
     elif features_dir:
         tables = []
         for name in scheme_names:
+            # featurize files a scheme file's table under the scheme's name
+            if Path(name).is_file():
+                name = resolve_scheme(name).name
             path = Path(features_dir) / f"features_{name}.csv"
             if not path.exists():
                 raise ConfigError(f"feature table {path} does not exist")

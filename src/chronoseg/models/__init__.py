@@ -77,6 +77,12 @@ class ModelSpec:
                 )
             if not PARAM_CHECKS[key](value):
                 raise ConfigError(f"invalid hyperparameter {key}={value!r} for family {self.family}")
+        if self.family == "gbdt":
+            # each preset is stopped by one limit and ignores the other's
+            preset = self.params.get("preset", "lgbm")
+            ignored = {"lgbm": "max_depth", "xgb": "num_leaves"}[preset]
+            if ignored in self.params:
+                raise ConfigError(f"hyperparameter {ignored!r} has no effect on gbdt preset {preset} ({self.name})")
 
     @property
     def name(self) -> str:

@@ -1,29 +1,42 @@
 """Histogram-based gradient boosted trees with logistic loss.
 
-One engine, two growth strategies: "lgbm" grows leaf-wise up to num_leaves,
-"xgb" grows level-wise up to max_depth. Features are pre-binned (at most 255
-bins per feature) once per fit; the flat histogram codes and the root's split
-candidates, which do not depend on the gradients, are built once per fit too.
-A leaf at max_depth, or any leaf once the num_leaves budget is spent, is never
-searched. For every other leaf with enough rows, the candidate splits (bins
-that leave min_child_samples rows on each side and that some row occupies)
-come from the sorted bin codes of its rows; one weighted bincount fills a
-stacked (2, p, width) gradient/hessian histogram, one cumulative sum runs over
-it and the gain is computed only at the candidates, in row-major order so ties
-break on lowest feature, then lowest bin (Ke et al., LightGBM, NeurIPS 2017,
-section 3). Leaf values are Newton steps -G/(H+lambda) with the learning rate
-folded in; each round adds them to the training scores through the final leaf
+One engine, one growth loop, two presets that differ only in which limit
+stops a tree: "lgbm" at num_leaves leaves (leaf-wise, Ke et al., LightGBM,
+NeurIPS 2017), "xgb" at max_depth (level-wise, Chen & Guestrin, XGBoost, KDD
+2016). The loop splits the open leaf of highest gain first. A leaf at the
+depth limit, or any leaf once the leaf budget is spent, is never searched.
+Without a leaf budget every searched leaf with a split is split, so the order
+of the splits cannot change an "xgb" tree.
+
+Features are pre-binned (at most 255 bins per feature) once per fit; the flat
+histogram codes and the root's split candidates, which do not depend on the
+gradients, are built once per fit too. For every leaf searched, the candidate
+splits (bins that leave min_child_samples rows on each side and that some row
+occupies) come from the sorted bin codes of its rows; one weighted bincount
+fills a stacked (2, p, width) gradient/hessian histogram, one cumulative sum
+runs over it and the gain is computed only at the candidates, in row-major
+order so ties break on lowest feature, then lowest bin (Ke et al., section
+3). Leaf values are Newton steps -G/(H+lambda) with the learning rate folded
+in; each round adds them to the training scores through the final leaf
 partition and takes one sigmoid for both the loss and the next gradients.
+
+The trees are ``TreeNode`` trees in feature space, predicted and summed by the
+same walks as CART. A split at bin b of feature f sends a row left when its
+code is <= b, which holds exactly when x < boundaries[f][b], that is when
+x <= nextafter(boundaries[f][b], -inf); that float is the node's threshold,
+so prediction never bins X.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DataError
+from .tree import TreeNode, predict_tree, sum_gains
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -33,20 +46,6 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     p = np.minimum(np.maximum(p, 1e-15), 1 - 1e-15)
     return float(-((y * np.log(p) + (1 - y) * np.log(1 - p)).sum() / p.size))
-
-
-@dataclass
-class BoostNode:
-    value: float = 0.0  # leaf output (already shrunk)
-    feature: int = -1
-    bin: int = -1  # rows with bin index <= this go left
-    gain: float = 0.0
-    left: "BoostNode | None" = None
-    right: "BoostNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 @dataclass
@@ -135,7 +134,7 @@ def _best_split(hist: np.ndarray, counts: np.ndarray, positions: np.ndarray, reg
 
 @dataclass
 class _Leaf:
-    node: BoostNode
+    node: TreeNode
     idx: np.ndarray
     depth: int
     split: tuple | None  # (gain, feature, bin)
@@ -144,13 +143,20 @@ class _Leaf:
 class _TreeGrower:
     """Grows one tree per boosting round over bin codes fixed for the fit."""
 
-    def __init__(self, codes: np.ndarray, n_bins: np.ndarray, preset: str, params: dict):
+    def __init__(self, X: np.ndarray, binner: Binner, preset: str, params: dict):
+        codes, n_bins = binner.transform(X), binner.n_bins
         n, p = codes.shape
         width = int(n_bins.max())
         self.codes = codes
         self.rows = np.arange(n)
-        self.preset = preset
         self.params = params
+        self.max_leaves = params["num_leaves"] if preset == "lgbm" else math.inf
+        self.max_depth = params["max_depth"] if preset == "xgb" else math.inf
+        # the threshold of every bin boundary, feature after feature; one array, as
+        # one small array per feature left the fit's large temporaries where
+        # malloc trims and page-faults them again on every split search
+        self.thresholds = np.nextafter(np.concatenate(binner.boundaries), -np.inf)
+        self.first_boundary = np.cumsum(n_bins - 1) - (n_bins - 1)
         self.width = width
         self.last_bin = n_bins - 2
         # flat[k, i, f]: cell of row i, feature f in block k (gradient, hessian)
@@ -162,15 +168,25 @@ class _TreeGrower:
         self.codes_t = np.ascontiguousarray(codes.T, dtype=np.int32)
         self.root_positions = self._positions(self.rows)
 
-    def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[BoostNode, list[_Leaf]]:
-        """The round's tree and its final leaves, which partition the rows."""
+    def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[TreeNode, list[_Leaf]]:
+        """The round's tree and its final leaves, which partition the rows.
+
+        Best first: the open leaf of highest gain is split next, the
+        earlier-created one on ties.
+        """
         self.g, self.h = g, h
-        self.leaves: list[_Leaf] = []
-        if self.preset == "lgbm":
-            root = self._grow_leafwise(self.params["num_leaves"])
-        else:
-            root = self._grow_levelwise(self.params["max_depth"])
-        return root, [leaf for leaf in self.leaves if leaf.node.is_leaf]
+        root = self._make_leaf(self.rows, 0, 1)
+        nodes, heap, n_leaves = [root], [], 1
+        if root.split:
+            heap.append((-root.split[0], 0, root))
+        while heap and n_leaves < self.max_leaves:
+            _, _, leaf = heapq.heappop(heap)
+            n_leaves += 1
+            for child in self._apply_split(leaf, n_leaves):
+                nodes.append(child)
+                if child.split:
+                    heapq.heappush(heap, (-child.split[0], len(nodes), child))
+        return root.node, [leaf for leaf in nodes if leaf.node.is_leaf]
 
     def _positions(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _split_positions(self.codes_t[:, idx], self.params["min_child_samples"], self.last_bin, self.width)
@@ -191,72 +207,24 @@ class _TreeGrower:
         hist = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * p * self.width)
         return _best_split(hist.reshape(2, p, self.width), counts, positions, self.params["reg_lambda"])
 
-    def _make_leaf(self, idx: np.ndarray, depth: int, can_split: bool) -> _Leaf:
+    def _make_leaf(self, idx: np.ndarray, depth: int, n_leaves: int) -> _Leaf:
+        """A new leaf at depth in a tree of n_leaves leaves, searched unless a limit binds."""
         pr = self.params
         g_sum = float(self.g[idx].sum())
         h_sum = float(self.h[idx].sum())
-        node = BoostNode(value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
-        leaf = _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
-        self.leaves.append(leaf)
-        return leaf
+        node = TreeNode(n=idx.size, value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
+        can_split = n_leaves < self.max_leaves and depth < self.max_depth
+        return _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
 
-    def _apply_split(self, leaf: _Leaf, can_split: bool) -> tuple[_Leaf, _Leaf]:
+    def _apply_split(self, leaf: _Leaf, n_leaves: int) -> tuple[_Leaf, _Leaf]:
         gain, feature, bin_ = leaf.split
-        node = leaf.node
         go_left = self.codes[leaf.idx, feature] <= bin_
-        left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1, can_split)
-        right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1, can_split)
-        node.value = 0.0
-        node.feature = feature
-        node.bin = bin_
-        node.gain = gain
-        node.left = left.node
-        node.right = right.node
+        left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1, n_leaves)
+        right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1, n_leaves)
+        node = leaf.node
+        node.feature, node.threshold, node.gain = feature, float(self.thresholds[self.first_boundary[feature] + bin_]), gain
+        node.left, node.right = left.node, right.node
         return left, right
-
-    def _grow_leafwise(self, num_leaves: int) -> BoostNode:
-        root = self._make_leaf(self.rows, 0, num_leaves > 1)
-        heap: list[tuple[float, int, _Leaf]] = []
-        counter = 0  # heap tie-break: earlier-created leaf first
-        if root.split:
-            heapq.heappush(heap, (-root.split[0], counter, root))
-        leaves = 1
-        while heap and leaves < num_leaves:
-            _, _, leaf = heapq.heappop(heap)
-            leaves += 1
-            left, right = self._apply_split(leaf, leaves < num_leaves)
-            for child in (left, right):
-                if child.split:
-                    counter += 1
-                    heapq.heappush(heap, (-child.split[0], counter, child))
-        return root.node
-
-    def _grow_levelwise(self, max_depth: int) -> BoostNode:
-        root = self._make_leaf(self.rows, 0, max_depth > 0)
-        level = [root]
-        while level:
-            next_level = []
-            for leaf in level:
-                if leaf.split:
-                    next_level.extend(self._apply_split(leaf, leaf.depth + 1 < max_depth))
-            level = next_level
-        return root.node
-
-
-def _predict_tree(node: BoostNode, codes: np.ndarray) -> np.ndarray:
-    out = np.empty(codes.shape[0], dtype=np.float64)
-    stack = [(node, np.arange(codes.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if nd.is_leaf:
-            out[idx] = nd.value
-            continue
-        go_left = codes[idx, nd.feature] <= nd.bin
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
-    return out
 
 
 DEFAULT_PARAMS = {
@@ -274,31 +242,22 @@ DEFAULT_PARAMS = {
 class GradientBoosting:
     preset: str  # "lgbm" | "xgb"
     base_score: float
-    binner: Binner
-    trees: list[BoostNode]
+    trees: list[TreeNode]
     n_features: int
     train_losses: list[float] = field(default_factory=list)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        codes = self.binner.transform(X)
-        raw = np.full(codes.shape[0], self.base_score, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        raw = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
-            raw += _predict_tree(tree, codes)
+            raw += predict_tree(tree, X)
         return raw
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_function(X))
 
     def feature_gains(self) -> np.ndarray:
-        gains = np.zeros(self.n_features, dtype=np.float64)
-        stack = list(self.trees)
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                gains[node.feature] += node.gain
-                stack.append(node.left)
-                stack.append(node.right)
-        return gains
+        return sum_gains(self.trees, self.n_features)
 
 
 def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) -> GradientBoosting:
@@ -310,15 +269,14 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) 
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
 
-    binner = fit_binner(X, max_bins=params["max_bins"])
-    grower = _TreeGrower(binner.transform(X), binner.n_bins, preset, params)
+    grower = _TreeGrower(X, fit_binner(X, max_bins=params["max_bins"]), preset, params)
 
     prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
     base = float(np.log(prior / (1 - prior)))
     raw = np.full(n, base, dtype=np.float64)
     prob = sigmoid(raw)
 
-    trees: list[BoostNode] = []
+    trees: list[TreeNode] = []
     losses = [log_loss(y, prob)]
     # split searches divide by H + lambda, which is 0 when lambda is 0 and a side's hessians are 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -330,6 +288,4 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) 
             prob = sigmoid(raw)
             losses.append(log_loss(y, prob))
 
-    return GradientBoosting(
-        preset=preset, base_score=base, binner=binner, trees=trees, n_features=p, train_losses=losses
-    )
+    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p, train_losses=losses)

@@ -1,5 +1,11 @@
 """CART binary classification trees with Gini impurity, grown in lockstep.
 
+``TreeNode`` is the one node type of all three tree families: CART, the
+random forest and gradient boosting (whose nodes hold feature-space
+thresholds too, see ``gbdt``). ``predict_tree`` is the one walk that
+predicts with a tree and ``sum_gains`` the one walk that totals split gains
+per feature.
+
 Splits maximize the total Gini decrease n*imp(parent) - nL*imp(L) - nR*imp(R)
 at midpoints between consecutive distinct values (rows with value <= threshold
 go left); ties break on the lowest feature index, then the lowest threshold.
@@ -38,10 +44,10 @@ SEARCH_CHUNK = 1 << 14
 
 @dataclass
 class TreeNode:
-    n: int
-    value: float  # fraction of positive samples at the node
+    n: int  # training rows at the node
+    value: float  # the node's output as a leaf
     feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
+    threshold: float = 0.0  # rows with x[feature] <= threshold go left
     gain: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
@@ -51,37 +57,48 @@ class TreeNode:
         return self.feature < 0
 
 
+def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """The value of the leaf that each row of X reaches."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.value
+            continue
+        go_left = X[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def sum_gains(roots: list[TreeNode], n_features: int) -> np.ndarray:
+    """Total split gain per feature in one accumulator, last tree first, each
+    tree in preorder with the right child before the left."""
+    gains = np.zeros(n_features, dtype=np.float64)
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            gains[node.feature] += node.gain
+            stack.append(node.left)
+            stack.append(node.right)
+    return gains
+
+
 @dataclass
 class CartTree:
     root: TreeNode
     n_features: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            go_left = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
-        return out
+        return predict_tree(self.root, X)
 
     def feature_gains(self) -> np.ndarray:
-        gains = np.zeros(self.n_features, dtype=np.float64)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                gains[node.feature] += node.gain
-                stack.append(node.left)
-                stack.append(node.right)
-        return gains
+        return sum_gains([self.root], self.n_features)
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ earlier dense GBDT histogram search, kept as they were so that the vectorized
 kernels can be required to return the very same splits. The one-node-at-a-time
 depth-first CART builder and the one-tree-at-a-time forest loop are kept as
 they were, so that the lockstep builder can be required to grow the very same
-trees. Likewise the
+trees. The earlier boosting engine, with its own bin-code node type, predict
+walk, gains walk and separate leaf-wise and level-wise growth loops, is kept
+as it was, so that the one feature-space tree and growth loop can be required
+to give the very same predictions and gains. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
 parser can be required to give the very same bytes and errors. So is the
@@ -17,8 +20,10 @@ Newton fit must reach.
 """
 
 import csv
+import heapq
 import io
 import math
+from dataclasses import dataclass, field
 from datetime import datetime
 from math import ceil, sqrt
 
@@ -26,6 +31,8 @@ import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.models.forest import RandomForest
+from chronoseg.models.gbdt import DEFAULT_PARAMS, Binner, _best_split as _gbdt_best_split, _split_positions, fit_binner
+from chronoseg.models.gbdt import log_loss, sigmoid
 from chronoseg.models.linear import LogisticModel
 from chronoseg.models.tree import CartTree, TreeNode
 
@@ -336,6 +343,212 @@ def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):
     return gain, feature, bin_
 
 
+
+
+@dataclass
+class BoostNode:
+    value: float = 0.0  # leaf output (already shrunk)
+    feature: int = -1
+    bin: int = -1  # rows with bin index <= this go left
+    gain: float = 0.0
+    left: "BoostNode | None" = None
+    right: "BoostNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature < 0
+
+
+
+@dataclass
+class _Leaf:
+    node: BoostNode
+    idx: np.ndarray
+    depth: int
+    split: tuple | None  # (gain, feature, bin)
+
+
+class _ReferenceGrower:
+    """Grows one tree per boosting round over bin codes fixed for the fit."""
+
+    def __init__(self, codes: np.ndarray, n_bins: np.ndarray, preset: str, params: dict):
+        n, p = codes.shape
+        width = int(n_bins.max())
+        self.codes = codes
+        self.rows = np.arange(n)
+        self.preset = preset
+        self.params = params
+        self.width = width
+        self.last_bin = n_bins - 2
+        # flat[k, i, f]: cell of row i, feature f in block k (gradient, hessian)
+        # of the flattened (2, p, width) histogram
+        flat = codes + np.arange(p) * width
+        self.flat = np.stack([flat, flat + p * width])
+        # feature-major for the per-node sorts; NumPy sorts int32 several
+        # times faster than int64 or uint8
+        self.codes_t = np.ascontiguousarray(codes.T, dtype=np.int32)
+        self.root_positions = self._positions(self.rows)
+
+    def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[BoostNode, list[_Leaf]]:
+        """The round's tree and its final leaves, which partition the rows."""
+        self.g, self.h = g, h
+        self.leaves: list[_Leaf] = []
+        if self.preset == "lgbm":
+            root = self._grow_leafwise(self.params["num_leaves"])
+        else:
+            root = self._grow_levelwise(self.params["max_depth"])
+        return root, [leaf for leaf in self.leaves if leaf.node.is_leaf]
+
+    def _positions(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _split_positions(self.codes_t[:, idx], self.params["min_child_samples"], self.last_bin, self.width)
+
+    def _search(self, idx: np.ndarray):
+        if idx.size < 2 * self.params["min_child_samples"]:
+            return None
+        if idx.size == self.rows.size:  # the root
+            flat, (counts, positions) = self.flat, self.root_positions
+        else:
+            flat, (counts, positions) = self.flat[:, idx], self._positions(idx)
+        if positions.size == 0:
+            return None
+        weights = np.empty(flat.shape)
+        weights[0] = self.g[idx, None]
+        weights[1] = self.h[idx, None]
+        _, _, p = flat.shape
+        hist = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * p * self.width)
+        return _gbdt_best_split(hist.reshape(2, p, self.width), counts, positions, self.params["reg_lambda"])
+
+    def _make_leaf(self, idx: np.ndarray, depth: int, can_split: bool) -> _Leaf:
+        pr = self.params
+        g_sum = float(self.g[idx].sum())
+        h_sum = float(self.h[idx].sum())
+        node = BoostNode(value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
+        leaf = _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
+        self.leaves.append(leaf)
+        return leaf
+
+    def _apply_split(self, leaf: _Leaf, can_split: bool) -> tuple[_Leaf, _Leaf]:
+        gain, feature, bin_ = leaf.split
+        node = leaf.node
+        go_left = self.codes[leaf.idx, feature] <= bin_
+        left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1, can_split)
+        right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1, can_split)
+        node.value = 0.0
+        node.feature = feature
+        node.bin = bin_
+        node.gain = gain
+        node.left = left.node
+        node.right = right.node
+        return left, right
+
+    def _grow_leafwise(self, num_leaves: int) -> BoostNode:
+        root = self._make_leaf(self.rows, 0, num_leaves > 1)
+        heap: list[tuple[float, int, _Leaf]] = []
+        counter = 0  # heap tie-break: earlier-created leaf first
+        if root.split:
+            heapq.heappush(heap, (-root.split[0], counter, root))
+        leaves = 1
+        while heap and leaves < num_leaves:
+            _, _, leaf = heapq.heappop(heap)
+            leaves += 1
+            left, right = self._apply_split(leaf, leaves < num_leaves)
+            for child in (left, right):
+                if child.split:
+                    counter += 1
+                    heapq.heappush(heap, (-child.split[0], counter, child))
+        return root.node
+
+    def _grow_levelwise(self, max_depth: int) -> BoostNode:
+        root = self._make_leaf(self.rows, 0, max_depth > 0)
+        level = [root]
+        while level:
+            next_level = []
+            for leaf in level:
+                if leaf.split:
+                    next_level.extend(self._apply_split(leaf, leaf.depth + 1 < max_depth))
+            level = next_level
+        return root.node
+
+
+def _predict_tree(node: BoostNode, codes: np.ndarray) -> np.ndarray:
+    out = np.empty(codes.shape[0], dtype=np.float64)
+    stack = [(node, np.arange(codes.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if nd.is_leaf:
+            out[idx] = nd.value
+            continue
+        go_left = codes[idx, nd.feature] <= nd.bin
+        stack.append((nd.left, idx[go_left]))
+        stack.append((nd.right, idx[~go_left]))
+    return out
+
+
+@dataclass
+class ReferenceGradientBoosting:
+    preset: str  # "lgbm" | "xgb"
+    base_score: float
+    binner: Binner
+    trees: list[BoostNode]
+    n_features: int
+    train_losses: list[float] = field(default_factory=list)
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        codes = self.binner.transform(X)
+        raw = np.full(codes.shape[0], self.base_score, dtype=np.float64)
+        for tree in self.trees:
+            raw += _predict_tree(tree, codes)
+        return raw
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid(self.decision_function(X))
+
+    def feature_gains(self) -> np.ndarray:
+        gains = np.zeros(self.n_features, dtype=np.float64)
+        stack = list(self.trees)
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                gains[node.feature] += node.gain
+                stack.append(node.left)
+                stack.append(node.right)
+        return gains
+
+
+def reference_train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) -> ReferenceGradientBoosting:
+    if preset not in ("lgbm", "xgb"):
+        raise DataError(f"unknown gbdt preset {preset!r}")
+    params = dict(DEFAULT_PARAMS)
+    params.update(overrides)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+
+    binner = fit_binner(X, max_bins=params["max_bins"])
+    grower = _ReferenceGrower(binner.transform(X), binner.n_bins, preset, params)
+
+    prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
+    base = float(np.log(prior / (1 - prior)))
+    raw = np.full(n, base, dtype=np.float64)
+    prob = sigmoid(raw)
+
+    trees: list[BoostNode] = []
+    losses = [log_loss(y, prob)]
+    # split searches divide by H + lambda, which is 0 when lambda is 0 and a side's hessians are 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(params["n_rounds"]):
+            tree, leaves = grower.grow(prob - y, prob * (1 - prob))
+            trees.append(tree)
+            for leaf in leaves:
+                raw[leaf.idx] += leaf.node.value
+            prob = sigmoid(raw)
+            losses.append(log_loss(y, prob))
+
+    return ReferenceGradientBoosting(
+        preset=preset, base_score=base, binner=binner, trees=trees, n_features=p, train_losses=losses
+    )
 
 
 def per_segment_features(values):

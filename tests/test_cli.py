@@ -156,6 +156,27 @@ class TestEvaluateCommand:
         )
         assert code == 0
 
+    def test_features_dir_with_scheme_file(self, corpus_file, tmp_path):
+        (tmp_path / "sch").mkdir()
+        (tmp_path / "sch" / "dn.yaml").write_text(
+            "name: dn\nsegments:\n  - name: night\n    windows: ['20:00-24:00', '00:00-08:00']\n"
+            "  - name: day\n    windows: ['08:00-20:00']\n"
+        )
+        scheme_file = str(tmp_path / "sch" / "dn.yaml")
+        feat_dir = tmp_path / "features"
+        assert main(["featurize", "--corpus", str(corpus_file), "--schemes", scheme_file, "--out-dir", str(feat_dir)]) == 0
+        assert (feat_dir / "features_dn.csv").exists()
+        cells = ["--models", "knn", "--k", "3"]
+        assert main(["evaluate", "--corpus", str(corpus_file), "--schemes", scheme_file, *cells,
+                     "--out-dir", str(tmp_path / "corpus")]) == 0
+        for scheme in (scheme_file, "dn"):
+            out = tmp_path / ("file" if scheme == scheme_file else "name")
+            assert main(["evaluate", "--features-dir", str(feat_dir), "--schemes", scheme, *cells,
+                         "--out-dir", str(out)]) == 0, scheme
+            assert (out / "report.csv").read_text().splitlines()[1].startswith("dn,knn,")
+            for name in ("report.csv", "folds.csv", "roc_points.csv"):
+                assert (out / name).read_bytes() == (tmp_path / "corpus" / name).read_bytes(), (scheme, name)
+
     def test_features_dir_with_workers_matches_corpus(self, corpus_file, tmp_path):
         schemes = ["--schemes", "parts2", "all_days"]
         cells = ["--models", "knn", "decision_tree", "logistic_regression", "--k", "3", "--seed", "4"]
@@ -265,6 +286,9 @@ class TestConfigErrors:
             ("model_params: {knn: 3}", []),
             ("model_params: {knn: {C: 1}}", []),
             ("model_params: {knn: {k: x}}", []),
+            ("model_params: {lightgbm: {max_depth: 1}}", []),
+            ("model_params: {xgboost: {num_leaves: 4}}", []),
+            ("model_params: {lightgmb: {n_rounds: 1}}", []),
         ],
     )
     def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
@@ -318,6 +342,25 @@ class TestConfigErrors:
         assert main(["--config", "config.yaml", command, *flags]) == 2
         assert f"config error: {key} must be " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ("model_params: {lightgbm: {max_depth: 1}}", ("'max_depth'", "preset lgbm")),
+            ("model_params: {xgboost: {num_leaves: 4}}", ("'num_leaves'", "preset xgb")),
+            ("model_params: {lightgmb: {n_rounds: 1}}", ("'lightgmb'",)),
+        ],
+    )
+    def test_model_params_error_names_key(self, corpus_file, tmp_path, capsys, config, named):
+        # checked although the importance model is another one
+        path = tmp_path / "config.yaml"
+        path.write_text(config + "\n")
+        code = main(["--config", str(path), "importance", "--corpus", str(corpus_file), "--model", "decision_tree",
+                     "--out", str(tmp_path / "imp.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+        assert not (tmp_path / "imp.csv").exists()
 
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -1,6 +1,8 @@
-"""The vectorized split searches, the lockstep tree builder, the block feature
-kernel and the logistic fit against their references, and golden digests of a
-small full matrix recorded before the searches were vectorized."""
+"""The vectorized split searches, the lockstep tree builder, the boosting
+engine, the block feature kernel and the logistic fit against their
+references, and golden digests of a small full matrix recorded before the
+searches were vectorized and of the tree presets' gain importance recorded
+before the three tree families shared one node type."""
 
 import hashlib
 
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 from chronoseg.cli import DEFAULT_SCHEMES
 from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
-from chronoseg.models import ModelSpec, default_model_specs
+from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
 from chronoseg.models.forest import build_forest
-from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner
+from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner, train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import _best_splits, _partition, _ranks, _search_key, build_cart
@@ -28,6 +30,7 @@ from oracles import (
     per_segment_features,
     reference_build_cart,
     reference_build_forest,
+    reference_train_gbdt,
     reference_train_logistic,
 )
 
@@ -185,9 +188,78 @@ class TestGbdtSplit:
         reg_lambda = data.draw(st.sampled_from([0.0, 1.0]))
 
         params = dict(DEFAULT_PARAMS, min_child_samples=min_child, reg_lambda=reg_lambda)
-        grower = _TreeGrower(codes, n_bins, "lgbm", params)
+        grower = _TreeGrower(X, binner, "lgbm", params)
         grower.g, grower.h = g, h
         assert grower._search(idx) == dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child)
+
+
+def leaf_counts(roots):
+    """Leaf count of each tree."""
+    counts = []
+    for root in roots:
+        count, stack = 0, [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                count += 1
+            else:
+                stack += [node.left, node.right]
+        counts.append(count)
+    return counts
+
+
+class TestBoostingTrees:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_loop_bin_code_engine(self, data):
+        # scaled so that boundaries are also inexact midpoints and huge values
+        X = data.draw(tie_heavy_matrix(max_rows=40)) * data.draw(st.sampled_from([1.0, 0.1, -1e300]))
+        n, p = X.shape
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
+        preset = data.draw(st.sampled_from(["lgbm", "xgb"]))
+        params = {
+            "preset": preset,
+            "n_rounds": data.draw(st.integers(1, 5)),
+            "min_child_samples": data.draw(st.integers(1, 5)),
+            "reg_lambda": data.draw(st.sampled_from([0.0, 1.0])),
+        }
+        if preset == "lgbm":
+            params["num_leaves"] = data.draw(st.integers(2, 8))
+        else:
+            params["max_depth"] = data.draw(st.integers(1, 4))
+        got, want = train_gbdt(X, y, **params), reference_train_gbdt(X, y, **params)
+        assert leaf_counts(got.trees) == leaf_counts(want.trees)
+        assert got.feature_gains().tobytes() == want.feature_gains().tobytes()
+        # every bin boundary and its two float neighbours, column by column
+        columns = [np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-np.inf, np.inf]])
+                   for b in want.binner.boundaries]
+        edges = np.column_stack([np.resize(c, max(c.size for c in columns)) for c in columns])
+        for Z in (X, edges, np.full((1, p), -np.inf), np.full((1, p), np.inf)):
+            assert got.predict_proba(Z).tobytes() == want.predict_proba(Z).tobytes()
+
+    def test_tied_leaves_split_in_creation_order(self):
+        # the root splits on column 0 into label-flipped halves, whose best splits
+        # on column 1 tie; a third leaf goes to the earlier-created left half
+        X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [1, 1], [1, 1]], dtype=float)
+        y = np.array([0, 0, 1, 1, 0, 1, 1, 0, 0, 1], dtype=float)
+        got = train_gbdt(X, y, n_rounds=1, num_leaves=3, min_child_samples=1)
+        want = reference_train_gbdt(X, y, n_rounds=1, num_leaves=3, min_child_samples=1)
+        assert got.trees[0].feature == 0 and got.trees[0].right.is_leaf and not got.trees[0].left.is_leaf
+        assert got.predict_proba(X).tobytes() == want.predict_proba(X).tobytes()
+
+    def test_equal_boundaries_of_adjacent_floats(self):
+        # the midpoints of 1-eps/2 | 1 and of 1 | 1+eps both round onto 1.0, so
+        # bins 0 and 1 share a boundary and bin 1 is empty
+        lo, hi = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        X = np.array([[lo], [lo], [1.0], [1.0], [hi], [hi]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        for preset in ("lgbm", "xgb"):
+            got = train_gbdt(X, y, preset=preset, n_rounds=2, min_child_samples=1)
+            want = reference_train_gbdt(X, y, preset=preset, n_rounds=2, min_child_samples=1)
+            assert want.binner.boundaries[0].tolist() == [1.0, 1.0]
+            assert got.trees[0].threshold == lo
+            Z = np.array([[lo], [1.0], [hi], [np.nextafter(lo, 0.0)]])
+            assert got.predict_proba(Z).tobytes() == want.predict_proba(Z).tobytes()
 
 
 class TestLogisticFit:
@@ -245,3 +317,31 @@ def test_small_matrix_matches_golden_digests(tmp_path):
     write_roc_csv(reports, tmp_path / "roc_points.csv")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN}
     assert digests == GOLDEN
+
+
+# sha256 of "scheme,feature,gain" lines of each tree preset's gain importance,
+# recorded while boosting had its own node type and bin-code predict walk
+GOLDEN_IMPORTANCE = {
+    "lightgbm": "7324603d3994b2f3f2cbc4b4ec776cbd21cc279337d770c16e71f715fb4591f5",
+    "xgboost": "7324603d3994b2f3f2cbc4b4ec776cbd21cc279337d770c16e71f715fb4591f5",
+    "random_forest": "fc248754d77548bfb5a24fe2949796d9435be91e28a4ccccead1ac666404724a",
+    "decision_tree": "60872d5b789c2200be09245bfdb577aa90789422994bec02d177a48951331873",
+}
+
+
+def test_gain_importance_matches_golden_digests():
+    corpus = gen_corpus(10, 10, 2, seed=0)
+    specs = default_model_specs(seed=0)
+    for name in ("lightgbm", "xgboost"):
+        spec = specs[name]
+        specs[name] = ModelSpec(spec.family, {**spec.params, "min_child_samples": 5}, spec.seed)
+    tables = [featurize_corpus(corpus, resolve_scheme(s)) for s in ("parts12", "parts2")]
+    digests = {}
+    for name in GOLDEN_IMPORTANCE:
+        text = "".join(
+            f"{table.scheme},{feature},{gain:.17g}\n"
+            for table in tables
+            for feature, gain in gain_importance(train(specs[name], table.X, table.labels, table.columns))
+        )
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN_IMPORTANCE

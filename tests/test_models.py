@@ -55,6 +55,14 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match="unknown hyperparameter 'C' for family knn"):
             ModelSpec("knn", {"C": 1})
 
+    def test_limit_of_other_boosting_preset(self):
+        with pytest.raises(ConfigError, match="'max_depth' has no effect on gbdt preset lgbm"):
+            ModelSpec("gbdt", {"max_depth": 3})
+        with pytest.raises(ConfigError, match="'num_leaves' has no effect on gbdt preset xgb"):
+            ModelSpec("gbdt", {"preset": "xgb", "num_leaves": 8})
+        ModelSpec("gbdt", {"preset": "xgb", "max_depth": 3})
+        ModelSpec("gbdt", {"num_leaves": 8})
+
     @pytest.mark.parametrize(
         "family, params",
         [
