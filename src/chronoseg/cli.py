@@ -13,14 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
-import yaml
-
 from .errors import ChronosegError, ConfigError, DataError
 from .evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, train, TREE_FAMILIES
-from .segmentation import resolve_scheme
+from .segmentation import read_yaml, resolve_scheme
 from .synth import gen_corpus
 
 # Table II ordering: finest segmentation first, whole-record last
@@ -34,7 +32,7 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path} does not exist")
-    doc = yaml.safe_load(p.read_text(encoding="utf-8"))
+    doc = read_yaml(p)
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -88,9 +86,11 @@ def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str,
     if not isinstance(model_params, dict) or not all(isinstance(v, dict) for v in model_params.values()):
         raise ConfigError(f"model_params must map model names to hyperparameter mappings, got {model_params!r}")
     available = default_model_specs(seed=seed)
-    for name in model_params:
+    for name, params in model_params.items():
         if name not in available:
             raise ConfigError(f"model_params key {name!r} names no model; choose from {list(available)}")
+        if "preset" in params:
+            raise ConfigError(f"model_params key 'preset' of {name!r} is fixed by the model name; remove it")
     # every model_params entry is checked, whether or not its model runs
     resolved = {
         name: ModelSpec(base.family, {**base.params, **model_params.get(name, {})}, seed)

@@ -8,7 +8,7 @@ classes poorly and is dropped from the set.
 
 All sixteen are computed along ``axis=1`` of a block of equal-length rows
 (:func:`block_features`); :func:`extract_features` is its one-row case. A
-per-day table gathers each segment's minutes (``segment_minutes``) out of
+per-day table gathers each segment's minutes (``scheme.minutes``) out of
 :data:`FEATURE_CHUNK_ROWS` rows of the corpus day matrix at a time, and the
 all_days table takes one subject's contiguous rows per block. That bounds the
 kernel's temporaries (about ten arrays of the block's size), and with them
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import Corpus
-from .segmentation import SegmentationScheme, segment_day, segment_minutes, validate_scheme  # noqa: F401 (kept importable here)
+from .segmentation import SegmentationScheme, segment_day, validate_scheme  # noqa: F401 (kept importable here)
 
 FEATURE_NAMES = (
     "mean",
@@ -186,7 +186,7 @@ def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable
     """
     if not corpus.dates:
         raise DataError("cannot featurize an empty corpus")
-    gathers = segment_minutes(scheme)
+    gathers = scheme.minutes
     columns = tuple(f"{seg}_{feat}" for seg in scheme.segment_names() for feat in FEATURE_NAMES)
 
     if scheme.per_subject:

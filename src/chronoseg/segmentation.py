@@ -6,15 +6,18 @@ single calendar day as [0,480) U [1200,1440). Presets cover the standard
 divisions (full day, 2/3/4/6/8/12 parts) plus the all_days sentinel where
 features are computed once over a subject's whole record.
 
-A segment's minutes have one definition, :func:`segment_minutes`: the
-minutes of its windows in start order, as an index into a day's 1440 counts.
-Feature tables gather each segment from the corpus day matrix with that
-index, and :func:`segment_day` is its one-day view.
+A scheme is valid by construction. Building a :class:`SegmentationScheme`
+checks its names and runs :func:`validate_scheme` once, then stores each
+segment's minutes as ``scheme.minutes``: its windows in start order, as an
+index into a day's 1440 counts. Presets and scheme files go through that one
+constructor. Feature tables gather each segment from the corpus day matrix
+with that index, and :func:`segment_day` is its one-day view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,23 @@ import yaml
 from .errors import ConfigError
 from .ingest import MINUTES_PER_DAY
 
-PRESET_NAMES = ("full_day", "parts2", "parts3", "parts4", "parts6", "parts8", "parts12", "all_days")
+_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def read_yaml(path: str | Path):
+    """The document of a YAML file, a scheme file or a config file; a file that
+    cannot be read, decoded or parsed is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read YAML file {path}: {exc}") from None
+
+
+def _check_name(kind: str, name: str) -> None:
+    # names reach file names and unquoted CSV cells
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ConfigError(f"{kind} name {name!r} must be non-empty and use only letters, digits, '_' and '-'")
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,7 @@ class SegmentDef:
     windows: tuple[MinuteWindow, ...]
 
     def __post_init__(self):
+        _check_name("segment", self.name)
         if not self.windows:
             raise ConfigError(f"segment {self.name!r} has no windows")
 
@@ -53,111 +73,85 @@ class SegmentationScheme:
     name: str
     segments: tuple[SegmentDef, ...]
     per_subject: bool = False  # all_days sentinel: one row per subject
+    # each segment's minutes of the day (int64), its windows in start order
+    minutes: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_name("scheme", self.name)
+        validate_scheme(self)
+        object.__setattr__(self, "minutes", tuple(
+            np.concatenate([np.arange(w.start, w.end, dtype=np.int64)
+                            for w in sorted(seg.windows, key=lambda w: w.start)])
+            for seg in self.segments
+        ))
 
     def segment_names(self) -> list[str]:
         return [s.name for s in self.segments]
 
 
-@dataclass(frozen=True)
-class SchemeViolation:
-    kind: str  # "overlap" | "gap" | "duplicate_name"
-    detail: str
-    start: int = 0
-    end: int = 0
-
-
-def _uniform_parts(n: int) -> tuple[SegmentDef, ...]:
-    width = MINUTES_PER_DAY // n
-    return tuple(
-        SegmentDef(name=f"seg{i:02d}", windows=(MinuteWindow(i * width, (i + 1) * width),))
-        for i in range(n)
-    )
-
-
-def builtin_scheme(pattern: str) -> SegmentationScheme:
-    """Return one of the preset schemes by name."""
-    if pattern == "full_day":
-        return SegmentationScheme("full_day", (SegmentDef("day24h", (MinuteWindow(0, MINUTES_PER_DAY),)),))
-    if pattern == "parts2":
-        # day 08:00-20:00, night 20:00-08:00 realized as within-day union
-        return SegmentationScheme(
-            "parts2",
-            (
-                SegmentDef("day", (MinuteWindow(480, 1200),)),
-                SegmentDef("night", (MinuteWindow(0, 480), MinuteWindow(1200, MINUTES_PER_DAY))),
-            ),
-        )
-    if pattern == "parts4":
-        names = ("night", "morning", "afternoon", "evening")
-        return SegmentationScheme(
-            "parts4",
-            tuple(SegmentDef(names[i], (MinuteWindow(i * 360, (i + 1) * 360),)) for i in range(4)),
-        )
-    if pattern == "parts3":
-        return SegmentationScheme("parts3", _uniform_parts(3))
-    if pattern == "parts6":
-        return SegmentationScheme("parts6", _uniform_parts(6))
-    if pattern == "parts8":
-        return SegmentationScheme("parts8", _uniform_parts(8))
-    if pattern == "parts12":
-        return SegmentationScheme("parts12", _uniform_parts(12))
-    if pattern == "all_days":
-        return SegmentationScheme(
-            "all_days", (SegmentDef("all", (MinuteWindow(0, MINUTES_PER_DAY),)),), per_subject=True
-        )
-    raise ConfigError(f"unknown scheme preset {pattern!r}; choose from {PRESET_NAMES}")
-
-
-def validate_scheme(scheme: SegmentationScheme) -> list[SchemeViolation]:
-    """Check disjointness and exact cover of [0, 1440); empty list means ok."""
-    violations: list[SchemeViolation] = []
+def validate_scheme(scheme: SegmentationScheme) -> None:
+    """Raise a ConfigError unless segment names are unique and the windows
+    cover [0, 1440) exactly once; it names duplicate names first, then the
+    first overlapping run of minutes, then the first uncovered run."""
     names = scheme.segment_names()
     if len(set(names)) != len(names):
-        violations.append(SchemeViolation("duplicate_name", f"segment names not unique: {names}"))
-
+        raise ConfigError(f"scheme {scheme.name!r} invalid: segment names not unique: {names}")
     coverage = np.zeros(MINUTES_PER_DAY, dtype=np.int32)
     for seg in scheme.segments:
         for w in seg.windows:
             coverage[w.start:w.end] += 1
-
     for kind, mask in (("overlap", coverage > 1), ("gap", coverage == 0)):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            # report the first contiguous run only
-            start = int(idx[0])
-            end = start
-            while end < MINUTES_PER_DAY and mask[end]:
-                end += 1
-            violations.append(SchemeViolation(kind, f"{kind} over minutes [{start}, {end})", start, end))
-    return violations
-
-
-def segment_minutes(scheme: SegmentationScheme) -> list[np.ndarray]:
-    """Each segment's minutes of the day, its windows in start order, in
-    scheme order; a scheme that is not an exact partition is a ConfigError."""
-    violations = validate_scheme(scheme)
-    if violations:
-        raise ConfigError(f"scheme {scheme.name!r} invalid: {violations[0].detail}")
-    return [
-        np.concatenate([np.arange(w.start, w.end) for w in sorted(seg.windows, key=lambda w: w.start)])
-        for seg in scheme.segments
-    ]
+        if mask.any():
+            start = int(np.argmax(mask))
+            end = start + int(np.argmin(np.append(mask[start:], False)))
+            raise ConfigError(f"scheme {scheme.name!r} invalid: {kind} over minutes [{start}, {end})")
 
 
 def segment_day(values: np.ndarray, scheme: SegmentationScheme) -> dict[str, np.ndarray]:
     """One day's 1440 counts cut into the scheme's segments, by segment name."""
     values = np.asarray(values)
-    return {seg.name: values[minutes] for seg, minutes in zip(scheme.segments, segment_minutes(scheme))}
+    return {seg.name: values[minutes] for seg, minutes in zip(scheme.segments, scheme.minutes)}
 
 
-def _parse_range(text: str) -> MinuteWindow:
+def _uniform(n: int, names: tuple[str, ...] | None = None) -> list:
+    width = MINUTES_PER_DAY // n
+    return [(names[i] if names else f"seg{i:02d}", [(i * width, (i + 1) * width)]) for i in range(n)]
+
+
+# each preset's segments as (name, [(start, end) minute windows])
+PRESET_SEGMENTS = {
+    "full_day": [("day24h", [(0, MINUTES_PER_DAY)])],
+    # day 08:00-20:00, night 20:00-08:00 realized as within-day union
+    "parts2": [("day", [(480, 1200)]), ("night", [(0, 480), (1200, MINUTES_PER_DAY)])],
+    "parts3": _uniform(3),
+    "parts4": _uniform(4, ("night", "morning", "afternoon", "evening")),
+    "parts6": _uniform(6),
+    "parts8": _uniform(8),
+    "parts12": _uniform(12),
+    "all_days": [("all", [(0, MINUTES_PER_DAY)])],
+}
+PRESET_NAMES = tuple(PRESET_SEGMENTS)
+
+
+def builtin_scheme(pattern: str) -> SegmentationScheme:
+    """Return one of the preset schemes by name."""
+    if pattern not in PRESET_SEGMENTS:
+        raise ConfigError(f"unknown scheme preset {pattern!r}; choose from {PRESET_NAMES}")
+    segments = tuple(SegmentDef(name, tuple(MinuteWindow(*w) for w in windows))
+                     for name, windows in PRESET_SEGMENTS[pattern])
+    return SegmentationScheme(pattern, segments, per_subject=pattern == "all_days")
+
+
+def _parse_range(text) -> MinuteWindow:
     """Parse a half-open 'HH:MM-HH:MM' range; '24:00' means end of day."""
     try:
-        lo, hi = text.split("-")
-        h1, m1 = (int(x) for x in lo.strip().split(":"))
-        h2, m2 = (int(x) for x in hi.strip().split(":"))
+        lo, hi = str(text).split("-")
+        h1, m1 = (int(x) for x in lo.split(":"))
+        h2, m2 = (int(x) for x in hi.split(":"))
     except ValueError:
         raise ConfigError(f"cannot parse time range {text!r}, expected 'HH:MM-HH:MM'")
+    if not (0 <= m1 < 60 and 0 <= m2 < 60):
+        raise ConfigError(f"time range {text!r} has a minute outside 00-59")
     return MinuteWindow(h1 * 60 + m1, h2 * 60 + m2)
 
 
@@ -173,22 +167,17 @@ def scheme_from_config(source: str | Path | dict) -> SegmentationScheme:
           - name: day
             windows: ["08:00-20:00"]
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    else:
-        doc = source
+    doc = read_yaml(source) if isinstance(source, (str, Path)) else source
     if not isinstance(doc, dict) or "name" not in doc or "segments" not in doc:
         raise ConfigError("scheme config needs 'name' and 'segments' keys")
-    segments = []
-    for entry in doc["segments"]:
-        windows = tuple(_parse_range(r) for r in entry["windows"])
-        segments.append(SegmentDef(name=str(entry["name"]), windows=windows))
-    scheme = SegmentationScheme(name=str(doc["name"]), segments=tuple(segments))
-    violations = validate_scheme(scheme)
-    if violations:
-        raise ConfigError(f"scheme {scheme.name!r} invalid: {violations[0].detail}")
-    return scheme
+    entries = doc["segments"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "name" in e and isinstance(e.get("windows"), list) for e in entries
+    ):
+        raise ConfigError(f"scheme config 'segments' must list mappings with 'name' and a 'windows' list, "
+                          f"got {entries!r}")
+    segments = tuple(SegmentDef(str(e["name"]), tuple(_parse_range(r) for r in e["windows"])) for e in entries)
+    return SegmentationScheme(name=str(doc["name"]), segments=segments)
 
 
 def resolve_scheme(name_or_path: str) -> SegmentationScheme:

@@ -16,7 +16,10 @@ implementations, kept so that the block feature kernel and the columnar
 parser can be required to give the very same bytes and errors. So is the
 per-minute interchange writer, for the bulk writer. The earlier
 Nesterov-accelerated logistic fit is kept as a baseline objective that the
-Newton fit must reach.
+Newton fit must reach. The earlier scheme check, which listed every violation
+and ran again for every segment lookup, is kept with the unchecked scheme it
+took, so that a scheme's constructor can be required to store the very same
+minutes or raise the very same message.
 """
 
 import csv
@@ -30,6 +33,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
+from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.models.forest import RandomForest
 from chronoseg.models.gbdt import DEFAULT_PARAMS, Binner, _best_split as _gbdt_best_split, _split_positions, fit_binner
 from chronoseg.models.gbdt import log_loss, sigmoid
@@ -753,3 +757,60 @@ def reference_train_logistic(X, y, l2=1.0, tol=1e-6, max_iter=1000):
         if grad_norm <= tol:
             break
     return LogisticModel(weights=w, intercept=b, n_iter=n_iter, grad_norm=grad_norm)
+
+
+@dataclass(frozen=True)
+class UncheckedScheme:
+    """A segmentation scheme as the earlier ``SegmentationScheme`` held it,
+    with no check on construction."""
+
+    name: str
+    segments: tuple
+    per_subject: bool = False
+
+    def segment_names(self) -> list[str]:
+        return [s.name for s in self.segments]
+
+
+@dataclass(frozen=True)
+class SchemeViolation:
+    kind: str  # "overlap" | "gap" | "duplicate_name"
+    detail: str
+    start: int = 0
+    end: int = 0
+
+
+def reference_validate_scheme(scheme) -> list[SchemeViolation]:
+    """Check disjointness and exact cover of [0, 1440); empty list means ok."""
+    violations: list[SchemeViolation] = []
+    names = scheme.segment_names()
+    if len(set(names)) != len(names):
+        violations.append(SchemeViolation("duplicate_name", f"segment names not unique: {names}"))
+
+    coverage = np.zeros(MINUTES_PER_DAY, dtype=np.int32)
+    for seg in scheme.segments:
+        for w in seg.windows:
+            coverage[w.start:w.end] += 1
+
+    for kind, mask in (("overlap", coverage > 1), ("gap", coverage == 0)):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            # report the first contiguous run only
+            start = int(idx[0])
+            end = start
+            while end < MINUTES_PER_DAY and mask[end]:
+                end += 1
+            violations.append(SchemeViolation(kind, f"{kind} over minutes [{start}, {end})", start, end))
+    return violations
+
+
+def reference_segment_minutes(scheme) -> list[np.ndarray]:
+    """Each segment's minutes of the day, its windows in start order, in
+    scheme order; a scheme that is not an exact partition is a ConfigError."""
+    violations = reference_validate_scheme(scheme)
+    if violations:
+        raise ConfigError(f"scheme {scheme.name!r} invalid: {violations[0].detail}")
+    return [
+        np.concatenate([np.arange(w.start, w.end) for w in sorted(seg.windows, key=lambda w: w.start)])
+        for seg in scheme.segments
+    ]

@@ -289,6 +289,7 @@ class TestConfigErrors:
             ("model_params: {lightgbm: {max_depth: 1}}", []),
             ("model_params: {xgboost: {num_leaves: 4}}", []),
             ("model_params: {lightgmb: {n_rounds: 1}}", []),
+            ("model_params: {lightgbm: {preset: xgb}}", []),
         ],
     )
     def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
@@ -349,6 +350,7 @@ class TestConfigErrors:
             ("model_params: {lightgbm: {max_depth: 1}}", ("'max_depth'", "preset lgbm")),
             ("model_params: {xgboost: {num_leaves: 4}}", ("'num_leaves'", "preset xgb")),
             ("model_params: {lightgmb: {n_rounds: 1}}", ("'lightgmb'",)),
+            ("model_params: {lightgbm: {preset: xgb}}", ("'preset'", "'lightgbm'")),
         ],
     )
     def test_model_params_error_names_key(self, corpus_file, tmp_path, capsys, config, named):
@@ -361,6 +363,63 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
         assert not (tmp_path / "imp.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param("a: [1\n", id="invalid-yaml"),
+            pytest.param(b"seed: \xff\n", id="not-utf8"),
+            pytest.param(None, id="directory"),
+        ],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.yaml"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main(["--config", str(path), "synth", "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "config.yaml" in err, err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            pytest.param("name: s\nsegments: 5\n", "'segments'", id="segments-not-a-list"),
+            pytest.param("name: s\nsegments:\n  - name: a\n", "'windows'", id="no-windows"),
+            pytest.param("name: s\nsegments:\n  - windows: ['00:00-24:00']\n", "'name'", id="no-segment-name"),
+            pytest.param("name: s\nsegments:\n  - name: a\n    windows: [800]\n", "800", id="window-not-text"),
+            pytest.param("name: s\nsegments: [\n", "scheme.yaml", id="invalid-yaml"),
+            pytest.param(b"name: s\xff\n", "scheme.yaml", id="not-utf8"),
+            pytest.param(None, "scheme.yaml", id="directory"),
+            pytest.param("name: a/b\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "'a/b'",
+                         id="scheme-name-with-slash"),
+            pytest.param("name: a,b\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "'a,b'",
+                         id="scheme-name-with-comma"),
+            pytest.param("name: ''\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "name ''",
+                         id="empty-scheme-name"),
+            pytest.param("name: s\nsegments:\n  - name: a,b\n    windows: ['00:00-24:00']\n", "'a,b'",
+                         id="segment-name-with-comma"),
+            pytest.param("name: s\nsegments:\n  - name: a\n    windows: ['00:00-08:70', '08:70-24:00']\n",
+                         "'00:00-08:70'", id="minute-over-59"),
+        ],
+    )
+    def test_bad_scheme_file_exits_2(self, corpus_file, tmp_path, capsys, content, named):
+        path = tmp_path / "scheme.yaml"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        out = tmp_path / "out"
+        assert main(["featurize", "--corpus", str(corpus_file), "--schemes", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and named in err, err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

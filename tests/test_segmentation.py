@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from chronoseg.segmentation import (
     segment_day,
     validate_scheme,
 )
+
+from oracles import UncheckedScheme, reference_segment_minutes
 
 
 class TestPresets:
@@ -41,7 +45,9 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_all_presets_validate(self, name):
-        assert validate_scheme(builtin_scheme(name)) == []
+        scheme = builtin_scheme(name)  # an invalid scheme raises on construction
+        assert validate_scheme(scheme) is None
+        np.testing.assert_array_equal(np.sort(np.concatenate(scheme.minutes)), np.arange(MINUTES_PER_DAY))
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -51,38 +57,99 @@ class TestPresets:
         assert builtin_scheme("all_days").per_subject
 
 
+@st.composite
+def segment_lists(draw):
+    """(names, windows) of a random exact partition of the day, cut at random
+    points and dealt to segments, then perhaps broken by an extra window (an
+    overlap), a shortened window (a gap) or a repeated name."""
+    n_pieces = draw(st.integers(1, 12))
+    cuts = draw(st.sets(st.integers(1, MINUTES_PER_DAY - 1), min_size=n_pieces - 1, max_size=n_pieces - 1))
+    bounds = [0, *sorted(cuts), MINUTES_PER_DAY]
+    n_segments = draw(st.integers(1, n_pieces))
+    extra = n_pieces - n_segments
+    rest = draw(st.lists(st.integers(0, n_segments - 1), min_size=extra, max_size=extra))
+    owners = draw(st.permutations([*range(n_segments), *rest]))
+    windows = [[] for _ in range(n_segments)]
+    for i, owner in enumerate(owners):
+        windows[owner].append([bounds[i], bounds[i + 1]])
+    names = [f"s{i}" for i in range(n_segments)]
+    for fault in draw(st.lists(st.sampled_from(["overlap", "gap", "duplicate_name"]), max_size=2)):
+        s = draw(st.integers(0, n_segments - 1))
+        if fault == "overlap":
+            start = draw(st.integers(0, MINUTES_PER_DAY - 1))
+            windows[s].append([start, draw(st.integers(start + 1, MINUTES_PER_DAY))])
+        elif fault == "gap":
+            w = draw(st.sampled_from(windows[s]))
+            if w[1] - w[0] > 1:
+                w[draw(st.integers(0, 1))] = draw(st.integers(w[0] + 1, w[1] - 1))
+        else:
+            names[s] = names[draw(st.integers(0, n_segments - 1))]
+    return names, [draw(st.permutations(ws)) for ws in windows]
+
+
 class TestValidateScheme:
     def test_overlap_reported(self):
-        scheme = SegmentationScheme(
-            "bad",
-            (
-                SegmentDef("a", (MinuteWindow(0, 720),)),
-                SegmentDef("b", (MinuteWindow(700, 1440),)),
-            ),
-        )
-        violations = validate_scheme(scheme)
-        assert any(v.kind == "overlap" and (v.start, v.end) == (700, 720) for v in violations)
+        with pytest.raises(ConfigError, match=re.escape("scheme 'bad' invalid: overlap over minutes [700, 720)")):
+            SegmentationScheme(
+                "bad",
+                (
+                    SegmentDef("a", (MinuteWindow(0, 720),)),
+                    SegmentDef("b", (MinuteWindow(700, 1440),)),
+                ),
+            )
 
     def test_gap_reported(self):
-        scheme = SegmentationScheme(
-            "bad",
-            (
-                SegmentDef("a", (MinuteWindow(0, 700),)),
-                SegmentDef("b", (MinuteWindow(720, 1440),)),
-            ),
-        )
-        violations = validate_scheme(scheme)
-        assert any(v.kind == "gap" and (v.start, v.end) == (700, 720) for v in violations)
+        with pytest.raises(ConfigError, match=re.escape("scheme 'bad' invalid: gap over minutes [700, 720)")):
+            SegmentationScheme(
+                "bad",
+                (
+                    SegmentDef("a", (MinuteWindow(0, 700),)),
+                    SegmentDef("b", (MinuteWindow(720, 1440),)),
+                ),
+            )
 
     def test_duplicate_names_reported(self):
-        scheme = SegmentationScheme(
-            "bad",
-            (
-                SegmentDef("a", (MinuteWindow(0, 720),)),
-                SegmentDef("a", (MinuteWindow(720, 1440),)),
-            ),
-        )
-        assert any(v.kind == "duplicate_name" for v in validate_scheme(scheme))
+        with pytest.raises(ConfigError, match=re.escape("scheme 'bad' invalid: segment names not unique: ['a', 'a']")):
+            SegmentationScheme(
+                "bad",
+                (
+                    SegmentDef("a", (MinuteWindow(0, 720),)),
+                    SegmentDef("a", (MinuteWindow(720, 1440),)),
+                ),
+            )
+
+    @given(segment_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_matches_reference(self, case):
+        # the stored minutes, or the error, of the earlier list-returning check
+        names, windows = case
+        segments = tuple(SegmentDef(n, tuple(MinuteWindow(*w) for w in ws)) for n, ws in zip(names, windows))
+        try:
+            expected = reference_segment_minutes(UncheckedScheme("random", segments))
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as raised:
+                SegmentationScheme("random", segments)
+            assert str(raised.value) == str(exc)
+            return
+        minutes = SegmentationScheme("random", segments).minutes
+        assert len(minutes) == len(expected)
+        for got, want in zip(minutes, expected):
+            assert got.dtype == np.int64 and want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_minutes_do_not_enter_equality(self):
+        a, b = builtin_scheme("parts2"), builtin_scheme("parts2")
+        assert a.minutes is not b.minutes
+        assert a == b and hash(a) == hash(b)
+        assert a != builtin_scheme("parts3")
+
+    @pytest.mark.parametrize("name", ["", "a/b", "a,b", "a b", "a\n"])
+    def test_names_limited_to_file_safe_characters(self, name):
+        whole_day = (MinuteWindow(0, MINUTES_PER_DAY),)
+        with pytest.raises(ConfigError, match=f"segment name {re.escape(repr(name))} must be non-empty"):
+            SegmentDef(name, whole_day)
+        with pytest.raises(ConfigError, match=f"scheme name {re.escape(repr(name))} must be non-empty"):
+            SegmentationScheme(name, (SegmentDef("all", whole_day),))
 
 
 class TestSegmentDay:
@@ -112,9 +179,8 @@ class TestSegmentDay:
         np.testing.assert_array_equal(segment, values)
 
     def test_invalid_scheme_raises(self):
-        scheme = SegmentationScheme("bad", (SegmentDef("a", (MinuteWindow(0, 700),)),))
-        with pytest.raises(ConfigError):
-            segment_day(np.zeros(1440), scheme)
+        with pytest.raises(ConfigError, match=re.escape("scheme 'bad' invalid: gap over minutes [700, 1440)")):
+            SegmentationScheme("bad", (SegmentDef("a", (MinuteWindow(0, 700),)),))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([p for p in PRESET_NAMES if p != "all_days"]))
     @settings(max_examples=60, deadline=None)
@@ -137,7 +203,7 @@ class TestCustomSchemes:
             ],
         }
         scheme = scheme_from_config(doc)
-        assert validate_scheme(scheme) == []
+        np.testing.assert_array_equal(scheme.minutes[0], np.r_[np.arange(480), np.arange(1200, 1440)])
         night = scheme.segments[0]
         assert night.windows == (MinuteWindow(1200, 1440), MinuteWindow(0, 480))
 
