@@ -3,7 +3,7 @@
 from .errors import ChronosegError, ConfigError, DataError
 from .evaluation import CVReport, cross_validate, run_matrix, stratified_kfold
 from .features import FEATURE_NAMES, FeatureTable, extract_features, featurize_corpus
-from .ingest import Corpus, LabeledSeries, load_corpus, load_interchange, save_corpus
+from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, predict_proba, train
 from .segmentation import SegmentationScheme, builtin_scheme, resolve_scheme, segment_day, validate_scheme
 from .synth import SubjectProfile, gen_corpus
@@ -29,7 +29,6 @@ __all__ = [
     "extract_features",
     "featurize_corpus",
     "Corpus",
-    "LabeledSeries",
     "load_corpus",
     "load_interchange",
     "save_corpus",

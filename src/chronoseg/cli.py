@@ -121,10 +121,10 @@ def cmd_featurize(args, config: dict) -> int:
     metadata = _str_setting(args, config, "metadata")
     scheme_names = _str_list_setting(args, config, "schemes", DEFAULT_SCHEMES)
     out_dir = Path(_str_setting(args, config, "out_dir", "."))
+    schemes = [resolve_scheme(name) for name in scheme_names]
     corpus = _load_any_corpus(corpus_path, metadata)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in scheme_names:
-        scheme = resolve_scheme(name)
+    for scheme in schemes:
         table = featurize_corpus(corpus, scheme)
         path = out_dir / f"features_{scheme.name}.csv"
         write_feature_table(table, path)

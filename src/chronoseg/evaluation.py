@@ -145,19 +145,11 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
         raise DataError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < y.size:
-        j = i
-        while j < y.size and s[j] == s[i]:
-            j += 1
-        tp += int(y[i:j].sum())
-        fp += (j - i) - int(y[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    return points
+    # the last index of each run of equal scores
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), s.size - 1)
+    tp = np.cumsum(labels[order])[ends]
+    fp = ends + 1 - tp
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 def config_digest(payload: dict) -> str:

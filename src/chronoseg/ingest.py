@@ -1,9 +1,14 @@
 """Loading and cleaning of per-minute motor activity recordings.
 
-Raw recordings are delimited text files with one row per minute. Subjects are
-split into calendar days (midnight to midnight on the file's naive clock) and
-only days with all 1440 minutes present are retained. Missing minutes are
-never imputed; incomplete days are discarded and counted.
+Raw recordings are delimited text files with one row per minute, one file
+per subject. The header must name a ``timestamp`` and an ``activity``
+column; any other column, such as the ``date`` of the PSYKOSE layout
+(``timestamp,date,activity``), is ignored. A recording holds no label: the
+class comes only from its ``patient/`` or ``control/`` directory or from a
+metadata table. Subjects are split into calendar days (midnight to midnight
+on the file's naive clock) and only days with all 1440 minutes present are
+retained. Missing minutes are never imputed; incomplete days are discarded
+and counted.
 
 Parsing is columnar. The ``csv`` module splits a file into rows, which are
 converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
@@ -58,8 +63,6 @@ MINUTES_PER_DAY = 1440
 # and raise peak RSS; 1024 rows of Python row objects are about 0.3 MB.
 READ_CHUNK_ROWS = 1024
 
-DEFAULT_COLUMNS = {"timestamp": "timestamp", "activity": "activity"}
-
 TIMESTAMP_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M")
 
 EPOCH = datetime(1970, 1, 1)
@@ -74,42 +77,6 @@ _STAMP_SEPARATORS = np.flatnonzero(_STAMP_TEMPLATE[:16] != ord("0"))
 
 def _clock(minute: int) -> datetime:
     return EPOCH + int(minute) * MINUTE
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledSeries:
-    """A subject's full recording with its binary class label (1=patient).
-
-    ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
-    clock, strictly increasing; ``activity`` holds each minute's count.
-    """
-
-    subject_id: str
-    label: int
-    minutes: np.ndarray
-    activity: np.ndarray
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {self.label}")
-        minutes = np.asarray(self.minutes, dtype=np.int64)
-        activity = np.asarray(self.activity, dtype=np.int64)
-        if minutes.ndim != 1 or minutes.shape != activity.shape:
-            raise DataError(f"series {self.subject_id} has {minutes.shape} minutes but {activity.shape} counts")
-        negative = np.flatnonzero(activity < 0)
-        if negative.size:
-            i = negative[0]
-            raise DataError(f"negative activity {activity[i]} at {_clock(minutes[i])}")
-        step = np.flatnonzero(np.diff(minutes) <= 0)
-        if step.size:
-            i = step[0]
-            raise DataError(
-                f"samples not strictly increasing for {self.subject_id}: "
-                f"{_clock(minutes[i])} followed by {_clock(minutes[i + 1])}"
-            )
-        for name, values in (("minutes", minutes), ("activity", activity)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,11 +194,11 @@ def _column(rows: list[list[str]], index: int) -> list[str]:
         return [row[index] if index < len(row) else "" for row in rows]
 
 
-def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int, label_idx: int | None):
+def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int):
     """One row the bulk conversion did not accept, parsed on its own.
 
-    Returns None for a blank row, else (minute, activity, label or None);
-    raises DataError naming the line for a malformed row.
+    Returns None for a blank row, else (minute, activity); raises DataError
+    naming the line for a malformed row.
     """
     if not row or all(not cell.strip() for cell in row):
         return None
@@ -250,60 +217,38 @@ def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int, label_idx
         raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
     if activity >= MAX_COUNT:
         raise DataError(f"malformed row at line {lineno}: activity {raw!r} out of range")
-    label = None
-    if label_idx is not None:
-        try:
-            label = int(row[label_idx])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"malformed row at line {lineno}: {exc}")
-    return (ts - EPOCH) // MINUTE, activity, label
+    return (ts - EPOCH) // MINUTE, activity
 
 
-def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int, label_idx: int | None):
+def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int):
     """(minutes, activity) of the non-blank rows of one chunk whose first row
-    is on line ``lineno``, and the label of the last of them (None without a
-    label column or such a row). Columns are converted in bulk; only the rows
-    the bulk conversion rejects are parsed one by one."""
+    is on line ``lineno``. Columns are converted in bulk; only the rows the
+    bulk conversion rejects are parsed one by one."""
     minutes, ok = _canonical_minutes(_column(rows, ts_idx))
     counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
     ok &= (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))
     activity = np.where(ok, counts, 0).astype(np.int64)
-    labels = [None] * len(rows)
-    if label_idx is not None:
-        labels = _convert(_column(rows, label_idx), int, None)
-        ok &= np.array([v is not None for v in labels], dtype=bool)
 
     for i in np.flatnonzero(~ok).tolist():
-        parsed = _parse_row(rows[i], lineno + i, ts_idx, act_idx, label_idx)
+        parsed = _parse_row(rows[i], lineno + i, ts_idx, act_idx)
         if parsed is not None:
-            minutes[i], activity[i], labels[i] = parsed
+            minutes[i], activity[i] = parsed
             ok[i] = True
-    kept = np.flatnonzero(ok)
-    return minutes[kept], activity[kept], labels[kept[-1]] if kept.size else None
+    return minutes[ok], activity[ok]
 
 
-def parse_subject_file(
-    stream: TextIO,
-    column_map: Mapping[str, str] | None = None,
-    subject_id: str = "",
-    label: int = 0,
-) -> LabeledSeries:
-    """Parse one subject's delimited activity file into a LabeledSeries.
+def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
+    """One subject's recording as (minutes, activity), two int64 arrays.
 
-    ``column_map`` maps logical names ("timestamp", "activity", optionally
-    "label") to header names in the file. When no "label" column is mapped
-    the ``label`` argument is used (labels normally come from metadata, not
-    file content); otherwise the label of the last row wins. Blank rows are
-    skipped; a malformed row is a DataError naming its line. Rows are read
-    :data:`READ_CHUNK_ROWS` at a time.
+    ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
+    clock, strictly increasing; ``activity`` holds each minute's count. The
+    header must name a ``timestamp`` and an ``activity`` column; other
+    columns are ignored. Blank rows are skipped; a malformed row is a
+    DataError naming its line. Rows are read :data:`READ_CHUNK_ROWS` at a
+    time.
     """
-    columns = dict(DEFAULT_COLUMNS)
-    if column_map:
-        columns.update(column_map)
-
     reader = csv.reader(stream)
     minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    file_label = None
     try:
         try:
             header = next(reader)
@@ -311,18 +256,16 @@ def parse_subject_file(
             raise DataError("empty file: no header row")
         header = [h.strip() for h in header]
         try:
-            ts_idx = header.index(columns["timestamp"])
-            act_idx = header.index(columns["activity"])
+            ts_idx = header.index("timestamp")
+            act_idx = header.index("activity")
         except ValueError as exc:
-            raise ConfigError(f"mapped column missing from header {header}: {exc}")
-        label_idx = header.index(columns["label"]) if "label" in columns and columns["label"] in header else None
+            raise ConfigError(f"column missing from header {header}: {exc}")
 
         lineno = 2
         while rows := list(islice(reader, READ_CHUNK_ROWS)):
-            chunk_minutes, chunk_activity, chunk_label = _parse_rows(rows, lineno, ts_idx, act_idx, label_idx)
+            chunk_minutes, chunk_activity = _parse_rows(rows, lineno, ts_idx, act_idx)
             minutes.append(chunk_minutes)
             activity.append(chunk_activity)
-            file_label = chunk_label if chunk_minutes.size else file_label
             lineno += len(rows)
     except csv.Error as exc:
         raise DataError(f"malformed row at line {reader.line_num}: {exc}")
@@ -337,27 +280,21 @@ def parse_subject_file(
             f"non-monotonic timestamps: {_clock(minutes[i])} followed by "
             f"{_clock(minutes[i + 1])} (samples {i} and {i + 1})"
         )
-
-    return LabeledSeries(
-        subject_id=subject_id,
-        label=file_label if file_label is not None else label,
-        minutes=minutes,
-        activity=activity,
-    )
+    return minutes, activity
 
 
-def filter_complete_days(series: LabeledSeries) -> tuple[list[date], np.ndarray, int]:
+def filter_complete_days(minutes: np.ndarray, activity: np.ndarray) -> tuple[list[date], np.ndarray, int]:
     """The dates and the (n_kept, 1440) counts of the days with all 1440
     minutes present, and the number of days discarded.
 
     Minutes are strictly increasing, so a day with 1440 samples holds every
     minute of that day, in order.
     """
-    day = series.minutes // MINUTES_PER_DAY
+    day = minutes // MINUTES_PER_DAY
     days, first, count = np.unique(day, return_index=True, return_counts=True)
     complete = count == MINUTES_PER_DAY
     kept = [EPOCH.date() + timedelta(days=d) for d in days[complete].tolist()]
-    values = series.activity[first[complete][:, None] + np.arange(MINUTES_PER_DAY)]
+    values = activity[first[complete][:, None] + np.arange(MINUTES_PER_DAY)]
     return kept, values, int(np.count_nonzero(~complete))
 
 
@@ -393,13 +330,13 @@ def _metadata_label(row: dict, path: Path) -> int:
 def load_corpus(
     root: str | Path,
     metadata: str | Path | Mapping[str, int] | None = None,
-    column_map: Mapping[str, str] | None = None,
 ) -> Corpus:
     """Load every subject file under ``root`` and keep all complete days.
 
     Labels come either from ``patient/`` and ``control/`` subdirectories or
     from a metadata table mapping subject_id -> label. File stems are the
-    subject ids.
+    subject ids. A DataError or ConfigError from one recording names its
+    file.
     """
     root = Path(root)
     if not root.is_dir():
@@ -429,9 +366,12 @@ def load_corpus(
             label = label_table[subject_id]
         else:
             raise ConfigError(f"subject {subject_id} has no label (no class directory, not in metadata)")
-        with open(path, newline="", encoding="utf-8") as fh:
-            series = parse_subject_file(fh, column_map=column_map, subject_id=subject_id, label=label)
-        dates, values, discarded = filter_complete_days(series)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                minutes, activity = parse_subject_file(fh)
+        except (DataError, ConfigError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        dates, values, discarded = filter_complete_days(minutes, activity)
         stats[label][0] += len(dates)
         stats[label][1] += discarded
         kept.append((subject_id, label, dates, values))

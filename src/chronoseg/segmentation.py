@@ -176,8 +176,8 @@ def scheme_from_config(source: str | Path | dict) -> SegmentationScheme:
     ):
         raise ConfigError(f"scheme config 'segments' must list mappings with 'name' and a 'windows' list, "
                           f"got {entries!r}")
-    segments = tuple(SegmentDef(str(e["name"]), tuple(_parse_range(r) for r in e["windows"])) for e in entries)
-    return SegmentationScheme(name=str(doc["name"]), segments=segments)
+    segments = tuple(SegmentDef(e["name"], tuple(_parse_range(r) for r in e["windows"])) for e in entries)
+    return SegmentationScheme(name=doc["name"], segments=segments)
 
 
 def resolve_scheme(name_or_path: str) -> SegmentationScheme:

@@ -143,6 +143,29 @@ def naive_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def loop_roc_points(scores, labels):
+    """Stepwise ROC points, one tie group at a time from the highest score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < y.size:
+        j = i
+        while j < y.size and s[j] == s[i]:
+            j += 1
+        tp += int(y[i:j].sum())
+        fp += (j - i) - int(y[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    return points
+
+
 def naive_f1(scores, labels, threshold=0.5):
     tp = sum(1 for s, y in zip(scores, labels) if s >= threshold and y == 1)
     fp = sum(1 for s, y in zip(scores, labels) if s >= threshold and y == 0)
@@ -646,13 +669,12 @@ def _parse_timestamp(text):
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
-def per_row_days(text, column_map=None, label=0):
+def per_row_days(text):
     """Parse one recording row by row and keep its complete days.
 
-    Returns (label, [(date, values)], n_discarded) with values a list of 1440
+    Returns ([(date, values)], n_discarded) with values a list of 1440
     counts, or raises the DataError or ConfigError the per-row parser raised.
     """
-    columns = {"timestamp": "timestamp", "activity": "activity", **(column_map or {})}
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -660,14 +682,12 @@ def per_row_days(text, column_map=None, label=0):
         raise DataError("empty file: no header row")
     header = [h.strip() for h in header]
     try:
-        ts_idx = header.index(columns["timestamp"])
-        act_idx = header.index(columns["activity"])
+        ts_idx = header.index("timestamp")
+        act_idx = header.index("activity")
     except ValueError as exc:
-        raise ConfigError(f"mapped column missing from header {header}: {exc}")
-    label_idx = header.index(columns["label"]) if "label" in columns and columns["label"] in header else None
+        raise ConfigError(f"column missing from header {header}: {exc}")
 
     samples = []
-    file_label = None
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -683,11 +703,6 @@ def per_row_days(text, column_map=None, label=0):
             raise DataError(f"malformed row at line {lineno}: {exc}")
         if activity < 0:
             raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
-        if label_idx is not None:
-            try:
-                file_label = int(row[label_idx])
-            except ValueError as exc:
-                raise DataError(f"malformed row at line {lineno}: {exc}")
         samples.append((ts, activity))
 
     for i, (prev, cur) in enumerate(zip(samples, samples[1:])):
@@ -695,15 +710,11 @@ def per_row_days(text, column_map=None, label=0):
             raise DataError(
                 f"non-monotonic timestamps: {prev[0]} followed by {cur[0]} (samples {i} and {i + 1})"
             )
-    label = file_label if file_label is not None else label
-    if label not in (0, 1):
-        raise DataError(f"label must be 0 or 1, got {label}")
-
     groups = {}
     for ts, activity in samples:
         groups.setdefault(ts.date(), {})[ts.hour * 60 + ts.minute] = activity
     kept = [(d, [minutes[m] for m in range(1440)]) for d, minutes in sorted(groups.items()) if len(minutes) == 1440]
-    return label, kept, len(groups) - len(kept)
+    return kept, len(groups) - len(kept)
 
 
 def per_minute_save_corpus(corpus, path):

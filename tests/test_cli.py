@@ -250,6 +250,16 @@ class TestDataErrors:
         assert code == 3
         assert "line 2: non-finite activity" in capsys.readouterr().err
 
+    def test_malformed_recording_names_file(self, tmp_path, capsys):
+        for sub, name, count in (("patient", "p1", "3"), ("control", "c1", "x")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / f"{name}.csv").write_text(f"timestamp,activity\n2004-05-07 12:00:00,{count}\n")
+        code = main(["featurize", "--corpus", str(tmp_path), "--schemes", "parts2", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "c1.csv" in err and "line 2" in err, err
+        assert not (tmp_path / "out").exists()
+
     def _evaluate_table(self, tmp_path, bad_row):
         rows = [f"s{i},2020-03-0{i},{i % 2},{i}.5,{i}" for i in range(1, 5)]
         rows.insert(2, bad_row)
@@ -405,6 +415,18 @@ class TestConfigErrors:
                          id="segment-name-with-comma"),
             pytest.param("name: s\nsegments:\n  - name: a\n    windows: ['00:00-08:70', '08:70-24:00']\n",
                          "'00:00-08:70'", id="minute-over-59"),
+            pytest.param("name: 5\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "scheme name 5",
+                         id="scheme-name-int"),
+            pytest.param("name: null\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "scheme name None",
+                         id="scheme-name-null"),
+            pytest.param("name: true\nsegments:\n  - name: a\n    windows: ['00:00-24:00']\n", "scheme name True",
+                         id="scheme-name-bool"),
+            pytest.param("name: s\nsegments:\n  - name: 5\n    windows: ['00:00-24:00']\n", "segment name 5",
+                         id="segment-name-int"),
+            pytest.param("name: s\nsegments:\n  - name: null\n    windows: ['00:00-24:00']\n", "segment name None",
+                         id="segment-name-null"),
+            pytest.param("name: s\nsegments:\n  - name: true\n    windows: ['00:00-24:00']\n", "segment name True",
+                         id="segment-name-bool"),
         ],
     )
     def test_bad_scheme_file_exits_2(self, corpus_file, tmp_path, capsys, content, named):
@@ -419,7 +441,16 @@ class TestConfigErrors:
         assert main(["featurize", "--corpus", str(corpus_file), "--schemes", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and named in err, err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_bad_scheme_after_good_one_writes_nothing(self, corpus_file, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: bad\nsegments:\n  - name: a\n    windows: [800]\n")
+        out = tmp_path / "out"
+        code = main(["featurize", "--corpus", str(corpus_file), "--schemes", "parts2", str(path), "--out-dir", str(out)])
+        assert code == 2
+        assert "800" in capsys.readouterr().err
+        assert not (out / "features_parts2.csv").exists() and not out.exists()
 
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

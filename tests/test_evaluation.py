@@ -18,7 +18,7 @@ from chronoseg.features import FeatureTable, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs
 from chronoseg.segmentation import builtin_scheme
 
-from oracles import naive_auc, naive_f1
+from oracles import loop_roc_points, naive_auc, naive_f1
 
 
 def make_table(X, y, subjects=None):
@@ -87,6 +87,15 @@ class TestAuc:
             (x2 - x1) * (y1 + y2) / 2 for (x1, y1), (x2, y2) in zip(pts, pts[1:])
         )
         assert auc_roc(scores, labels) == pytest.approx(area, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 5, 20, 1000]))
+    @settings(max_examples=100, deadline=None)
+    def test_roc_points_match_tie_group_loop(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        scores = rng.integers(0, levels, n) / levels  # few levels force long tie runs
+        labels = rng.permutation(np.r_[rng.integers(0, 2, n - 2), 0, 1])
+        assert roc_points(scores, labels) == loop_roc_points(scores, labels)
 
 
 class TestF1:

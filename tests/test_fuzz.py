@@ -67,7 +67,7 @@ def _only_documented_errors(run):
 @given(mutated(RAW))
 @settings(max_examples=200, deadline=None)
 def test_parse_subject_file(text):
-    _only_documented_errors(lambda: filter_complete_days(parse_subject_file(io.StringIO(text, newline=""))))
+    _only_documented_errors(lambda: filter_complete_days(*parse_subject_file(io.StringIO(text, newline=""))))
 
 
 @given(text=mutated(INTERCHANGE))

@@ -10,7 +10,6 @@ from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import (
     MINUTES_PER_DAY,
     Corpus,
-    LabeledSeries,
     filter_complete_days,
     load_corpus,
     load_interchange,
@@ -22,10 +21,10 @@ from chronoseg.synth import gen_corpus
 from oracles import per_minute_save_corpus, per_row_days
 
 
-def make_series(minutes, start="2004-05-07", subject="s1", label=0):
+def make_series(minutes, start="2004-05-07"):
     base = minute_of(datetime.fromisoformat(start))
     minutes = base + np.asarray(list(minutes), dtype=np.int64)
-    return LabeledSeries(subject_id=subject, label=label, minutes=minutes, activity=np.full(minutes.size, 5))
+    return minutes, np.full(minutes.size, 5, dtype=np.int64)
 
 
 def minute_of(ts):
@@ -36,14 +35,14 @@ def minute_of(ts):
 class TestParseSubjectFile:
     def test_single_row(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:00,2004-05-07,143\n"
-        series = parse_subject_file(io.StringIO(body))
-        assert series.minutes.size == 1
-        assert series.minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
-        assert series.activity[0] == 143
+        minutes, activity = parse_subject_file(io.StringIO(body))
+        assert minutes.size == 1
+        assert minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
+        assert activity[0] == 143
 
     def test_empty_body(self):
-        series = parse_subject_file(io.StringIO("timestamp,date,activity\n"))
-        assert series.minutes.size == 0 and series.activity.size == 0
+        minutes, activity = parse_subject_file(io.StringIO("timestamp,date,activity\n"))
+        assert minutes.size == 0 and activity.size == 0
 
     def test_negative_activity_names_line(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:00,2004-05-07,143\n2004-05-07 12:01:00,2004-05-07,-3\n"
@@ -66,11 +65,6 @@ class TestParseSubjectFile:
         with pytest.raises(ConfigError):
             parse_subject_file(io.StringIO(body))
 
-    def test_custom_column_map(self):
-        body = "ts,count\n2004-05-07 12:00:00,9\n"
-        series = parse_subject_file(io.StringIO(body), column_map={"timestamp": "ts", "activity": "count"})
-        assert series.activity[0] == 9
-
     def test_non_monotonic_rejected(self):
         body = (
             "timestamp,date,activity\n"
@@ -82,30 +76,29 @@ class TestParseSubjectFile:
 
     def test_seconds_truncated_to_minute(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:30,2004-05-07,4\n"
-        series = parse_subject_file(io.StringIO(body))
-        assert series.minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
+        minutes, _ = parse_subject_file(io.StringIO(body))
+        assert minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
 
 
 class TestFilterCompleteDays:
     def test_keeps_only_complete(self):
-        series = make_series(range(1500))
-        dates, values, discarded = filter_complete_days(series)
+        dates, values, discarded = filter_complete_days(*make_series(range(1500)))
         assert len(dates) == 1
         assert discarded == 1
         assert values.shape == (1, MINUTES_PER_DAY)
 
     def test_both_days_complete(self):
-        dates, values, discarded = filter_complete_days(make_series(range(2880)))
+        dates, values, discarded = filter_complete_days(*make_series(range(2880)))
         assert len(dates) == 2 and values.shape == (2, MINUTES_PER_DAY)
         assert discarded == 0
 
     def test_partial_day_is_discarded(self):
-        dates, values, discarded = filter_complete_days(make_series(range(600, 720)))
+        dates, values, discarded = filter_complete_days(*make_series(range(600, 720)))
         assert dates == [] and values.shape == (0, MINUTES_PER_DAY) and discarded == 1
 
     def test_single_missing_minute_discards_day(self):
         minutes = [m for m in range(1440) if m != 777]
-        dates, _, discarded = filter_complete_days(make_series(minutes))
+        dates, _, discarded = filter_complete_days(*make_series(minutes))
         assert dates == []
         assert discarded == 1
 
@@ -113,7 +106,7 @@ class TestFilterCompleteDays:
     @settings(max_examples=50, deadline=None)
     def test_random_missing_masks(self, missing):
         minutes = [m for m in range(1440) if m not in missing]
-        dates, _, discarded = filter_complete_days(make_series(minutes))
+        dates, _, discarded = filter_complete_days(*make_series(minutes))
         if missing:
             assert dates == [] and discarded == 1
         else:
@@ -377,18 +370,14 @@ class TestAgainstPerRowParser:
     @settings(max_examples=60, deadline=None)
     def test_same_days_or_same_error(self, text):
         def columnar():
-            series = parse_subject_file(io.StringIO(text))
-            dates, values, discarded = filter_complete_days(series)
-            return series.label, list(zip(dates, values.tolist())), discarded
+            dates, values, discarded = filter_complete_days(*parse_subject_file(io.StringIO(text)))
+            return list(zip(dates, values.tolist())), discarded
 
         assert _outcome(columnar) == _outcome(lambda: per_row_days(text))
 
-    def test_label_column_and_extra_columns(self):
+    def test_extra_columns(self):
         day = [f"2004-05-07 {m // 60:02d}:{m % 60:02d},2004-05-07,{m % 7},{1 - m % 2}" for m in range(1440)]
         text = "\n".join(["timestamp,date,activity,group", *day, "2004-05-08 00:00,2004-05-08,3,0"]) + "\n"
-        columns = {"label": "group"}
-        series = parse_subject_file(io.StringIO(text), column_map=columns, label=1)
-        dates, values, discarded = filter_complete_days(series)
-        assert (series.label, list(zip(dates, values.tolist())), discarded) == per_row_days(
-            text, column_map=columns, label=1)
-        assert series.label == 0 and len(dates) == 1 and discarded == 1
+        dates, values, discarded = filter_complete_days(*parse_subject_file(io.StringIO(text)))
+        assert (list(zip(dates, values.tolist())), discarded) == per_row_days(text)
+        assert len(dates) == 1 and discarded == 1
