@@ -3,8 +3,10 @@
 Logistic regression minimizes mean log-loss plus an L2 penalty on the weights
 (intercept unpenalized) by damped Newton steps on the design [X 1]. Each step
 solves the (p+1)-square Hessian system directly; when the Hessian is singular,
-which with l2=0 happens once the fitted probabilities saturate, the step is the
-least-squares solution instead. The step is halved until the objective does not
+which with l2=0 happens once the fitted probabilities saturate or when the
+columns of [X 1] are dependent, the direct solve may fail or return a step that
+does not reproduce the gradient, and the step is the least-squares solution
+instead. The step is halved until the objective does not
 increase, and the fit stops when the gradient norm is at most tol, after
 max_iter steps, or when no halving of the step keeps the objective from
 rising. The fitted model records the Newton steps taken and the gradient norm
@@ -25,6 +27,9 @@ from .gbdt import sigmoid
 
 # a step halved this often is below the rounding of the weights
 MAX_HALVINGS = 53
+# a direct Newton step whose residual exceeds this share of the gradient norm
+# came from a numerically singular Hessian
+STEP_RESIDUAL = 1e-8
 
 
 def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
@@ -75,7 +80,10 @@ def train_logistic(
         grad = np.append(gw, gb)
         try:
             step = np.linalg.solve(hessian, grad)
+            solved = np.linalg.norm(hessian @ step - grad) <= STEP_RESIDUAL * np.linalg.norm(grad)
         except np.linalg.LinAlgError:
+            solved = False
+        if not solved:
             step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         for halving in range(MAX_HALVINGS):
             scale = 0.5**halving

@@ -292,6 +292,14 @@ class TestLogisticFit:
             assert (logistic_objective(best.weights, best.intercept, X, y, 1.0)[0]
                     <= logistic_objective(want.weights, want.intercept, X, y, 1.0)[0] + 1e-12)
 
+    def test_numerically_singular_hessian_takes_least_squares_step(self):
+        # four rows and five design columns: with l2=0 the Hessian is singular, yet
+        # the direct solve returns a step of order 1e16 instead of failing
+        X = np.array([[0, 0, 2, 1], [0, 0, 0, 0], [1, 0, 0, 2], [0, 1, 1, 0]], dtype=float)
+        X = fit_scaler(X).transform(X)
+        got = train_logistic(X, np.zeros(4), l2=0.0, tol=1e-6, max_iter=60)
+        assert got.n_iter < 60 and got.grad_norm <= 1e-6
+
 
 # sha256 of the three CSVs, recorded before the CART, GBDT and logistic fit
 # loops were vectorized; every fitted model must stay the same to the bit
