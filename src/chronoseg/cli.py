@@ -1,9 +1,11 @@
 """Command-line pipeline: synth -> featurize -> evaluate -> importance.
 
 Every run is driven by an optional YAML config file; command-line flags
-override config keys. Outputs are plain CSV/text files with fixed numeric
-formatting so reruns with the same config are byte-identical. Exit codes:
-0 ok, 2 config/usage error, 3 data error, 4 internal failure.
+override config keys. Each setting is declared once, in SETTINGS: its config
+key, which also names its flag, its kind, its default and, for an integer,
+its minimum. Outputs are plain CSV/text files with fixed
+numeric formatting so reruns with the same config are byte-identical. Exit
+codes: 0 ok, 2 config/usage error, 3 data error, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import ChronosegError, ConfigError, DataError
-from .evaluation import run_matrix, write_fold_csv, write_report_csv, write_roc_csv
+from .errors import ConfigError, DataError
+from .evaluation import CV_MODES, run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, train, TREE_FAMILIES
@@ -24,6 +27,42 @@ from .synth import gen_corpus
 # Table II ordering: finest segmentation first, whole-record last
 DEFAULT_SCHEMES = ["parts12", "parts8", "parts6", "parts4", "parts3", "parts2", "full_day", "all_days"]
 DEFAULT_MODELS = list(default_model_specs())
+
+
+class Setting(NamedTuple):
+    """One setting of a command, read from its flag or its config key.
+
+    ``kind`` is ``int``, ``str``, ``list`` (of strings) or a tuple of the
+    allowed strings, and an integer has a ``minimum``. A ``default`` of None
+    lets the setting be unset (YAML null); every other setting rejects null
+    as a wrong kind.
+    """
+
+    kind: type | tuple[str, ...]
+    default: object
+    minimum: int | None = None
+    help: str | None = None
+
+
+_CORPUS = Setting(str, None)
+_METADATA = Setting(str, None, help="subject_id,label table for directory corpora")
+_SCHEMES = Setting(list, DEFAULT_SCHEMES, help="preset names or scheme files")
+_SEED = Setting(int, 0, minimum=0)
+_OUT_DIR = Setting(str, ".")
+
+# every setting of each command, in --help order; model_params is config-only
+SETTINGS = {
+    "synth": dict(patients=Setting(int, 10, minimum=1), controls=Setting(int, 10, minimum=1),
+                  days=Setting(int, 14, minimum=1), seed=_SEED, out=Setting(str, "corpus.csv")),
+    "featurize": dict(corpus=_CORPUS, metadata=_METADATA, schemes=_SCHEMES, out_dir=_OUT_DIR),
+    "evaluate": dict(corpus=_CORPUS, metadata=_METADATA, features_dir=Setting(str, None), schemes=_SCHEMES,
+                     models=Setting(list, DEFAULT_MODELS), k=Setting(int, 10, minimum=2), seed=_SEED,
+                     cv_mode=Setting(CV_MODES, "row_stratified"), workers=Setting(int, 1, minimum=1),
+                     out_dir=_OUT_DIR),
+    "importance": dict(corpus=_CORPUS, metadata=_METADATA, scheme=Setting(str, "parts2"),
+                       model=Setting(str, "lightgbm"), seed=_SEED, out=Setting(str, "importance.csv")),
+}
+CONFIG_KEYS = {key for table in SETTINGS.values() for key in table} | {"model_params"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -40,36 +79,41 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _setting(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return config.get(key, default)
-
-
-def _int_setting(args, config: dict, key: str, default: int, minimum: int | None = None) -> int:
-    value = _setting(args, config, key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _str_setting(args, config: dict, key: str, default: str | None = None) -> str | None:
-    value = _setting(args, config, key, default)
-    if value is not None and not isinstance(value, str):
+def _checked(key: str, setting: Setting, value):
+    if value is None and setting.default is None:
+        return None
+    if setting.kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if value < setting.minimum:
+            raise ConfigError(f"{key} must be >= {setting.minimum}, got {value}")
+    elif setting.kind is list:
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ConfigError(f"{key} must be a list of strings, got {value!r}")
+        return value or setting.default
+    elif isinstance(setting.kind, tuple):
+        if value not in setting.kind:
+            raise ConfigError(f"{key} must be one of {list(setting.kind)}, got {value!r}")
+    elif not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _str_list_setting(args, config: dict, key: str, default: list[str]) -> list[str]:
-    value = _setting(args, config, key)
-    if value is None:
-        return default
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigError(f"{key} must be a list of strings, got {value!r}")
-    return value or default
+def resolve_settings(command: str, args: argparse.Namespace, config: dict) -> dict:
+    """Each setting of ``command``: its flag, else its config key, else its default.
+
+    A config value is checked also where a flag overrides it. Keys that only
+    other commands read are allowed, so that one config file serves them all.
+    """
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; choose from {sorted(CONFIG_KEYS)}")
+    resolved = {}
+    for key, setting in SETTINGS[command].items():
+        flag = getattr(args, key)
+        value = _checked(key, setting, config.get(key, setting.default))
+        resolved[key] = value if flag is None else _checked(key, setting, flag)
+    return resolved
 
 
 def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
@@ -102,27 +146,21 @@ def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str,
     return {name: resolved[name] for name in model_names}
 
 
-def cmd_synth(args, config: dict) -> int:
-    patients = _int_setting(args, config, "patients", 10)
-    controls = _int_setting(args, config, "controls", 10)
-    days = _int_setting(args, config, "days", 14)
-    seed = _int_setting(args, config, "seed", 0, minimum=0)
-    out = _str_setting(args, config, "out", "corpus.csv")
-    corpus = gen_corpus(patients, controls, days, seed=seed)
-    save_corpus(corpus, out)
-    print(f"wrote {out}: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
+def cmd_synth(settings: dict, config: dict) -> int:
+    """generate a synthetic corpus file"""
+    corpus = gen_corpus(settings["patients"], settings["controls"], settings["days"], seed=settings["seed"])
+    save_corpus(corpus, settings["out"])
+    print(f"wrote {settings['out']}: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
     return 0
 
 
-def cmd_featurize(args, config: dict) -> int:
-    corpus_path = _str_setting(args, config, "corpus")
-    if not corpus_path:
+def cmd_featurize(settings: dict, config: dict) -> int:
+    """write one feature table per scheme"""
+    if not settings["corpus"]:
         raise ConfigError("featurize needs a corpus path (--corpus or config key 'corpus')")
-    metadata = _str_setting(args, config, "metadata")
-    scheme_names = _str_list_setting(args, config, "schemes", DEFAULT_SCHEMES)
-    out_dir = Path(_str_setting(args, config, "out_dir", "."))
-    schemes = [resolve_scheme(name) for name in scheme_names]
-    corpus = _load_any_corpus(corpus_path, metadata)
+    out_dir = Path(settings["out_dir"])
+    schemes = [resolve_scheme(name) for name in settings["schemes"]]
+    corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in schemes:
         table = featurize_corpus(corpus, scheme)
@@ -132,37 +170,29 @@ def cmd_featurize(args, config: dict) -> int:
     return 0
 
 
-def cmd_evaluate(args, config: dict) -> int:
-    k = _int_setting(args, config, "k", 10)
-    seed = _int_setting(args, config, "seed", 0, minimum=0)
-    mode = _str_setting(args, config, "cv_mode", "row_stratified")
-    workers = _int_setting(args, config, "workers", 1)
-    out_dir = Path(_str_setting(args, config, "out_dir", "."))
-    scheme_names = _str_list_setting(args, config, "schemes", DEFAULT_SCHEMES)
-    model_names = _str_list_setting(args, config, "models", DEFAULT_MODELS)
-    specs = _resolve_specs(model_names, config, seed)
-
-    corpus_path = _str_setting(args, config, "corpus")
-    features_dir = _str_setting(args, config, "features_dir")
-    metadata = _str_setting(args, config, "metadata")
-    if corpus_path:
-        corpus = _load_any_corpus(corpus_path, metadata)
-        schemes = [resolve_scheme(name) for name in scheme_names]
+def cmd_evaluate(settings: dict, config: dict) -> int:
+    """run the scheme x model CV matrix"""
+    specs = _resolve_specs(settings["models"], config, settings["seed"])
+    if settings["corpus"]:
+        corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
+        schemes = [resolve_scheme(name) for name in settings["schemes"]]
         tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
-    elif features_dir:
+    elif settings["features_dir"]:
         tables = []
-        for name in scheme_names:
+        for name in settings["schemes"]:
             # featurize files a scheme file's table under the scheme's name
             if Path(name).is_file():
                 name = resolve_scheme(name).name
-            path = Path(features_dir) / f"features_{name}.csv"
+            path = Path(settings["features_dir"]) / f"features_{name}.csv"
             if not path.exists():
                 raise ConfigError(f"feature table {path} does not exist")
             tables.append(read_feature_table(path, scheme=name))
     else:
         raise ConfigError("evaluate needs --corpus or --features-dir (or config keys)")
-    reports, grid = run_matrix(tables, specs, k=k, seed=seed, mode=mode, workers=workers)
+    reports, grid = run_matrix(tables, specs, k=settings["k"], seed=settings["seed"], mode=settings["cv_mode"],
+                               workers=settings["workers"])
 
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(reports, out_dir / "report.csv")
     write_fold_csv(reports, out_dir / "folds.csv")
@@ -171,73 +201,24 @@ def cmd_evaluate(args, config: dict) -> int:
     return 0
 
 
-def cmd_importance(args, config: dict) -> int:
-    corpus_path = _str_setting(args, config, "corpus")
-    if not corpus_path:
+def cmd_importance(settings: dict, config: dict) -> int:
+    """gain-importance ranking for a tree model"""
+    if not settings["corpus"]:
         raise ConfigError("importance needs a corpus path")
-    scheme_name = _str_setting(args, config, "scheme", "parts2")
-    model_name = _str_setting(args, config, "model", "lightgbm")
-    seed = _int_setting(args, config, "seed", 0, minimum=0)
-    out = _str_setting(args, config, "out", "importance.csv")
-    metadata = _str_setting(args, config, "metadata")
-
-    specs = _resolve_specs([model_name], config, seed)
-    spec = specs[model_name]
+    spec = _resolve_specs([settings["model"]], config, settings["seed"])[settings["model"]]
     if spec.family not in TREE_FAMILIES:
-        raise ConfigError(f"model {model_name} is not a tree family; gain importance undefined")
+        raise ConfigError(f"model {settings['model']} is not a tree family; gain importance undefined")
 
-    corpus = _load_any_corpus(corpus_path, metadata)
-    table = featurize_corpus(corpus, resolve_scheme(scheme_name))
+    corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
+    table = featurize_corpus(corpus, resolve_scheme(settings["scheme"]))
     model = train(spec, table.X, table.labels, feature_names=table.columns)
     ranking = gain_importance(model)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with open(settings["out"], "w", encoding="utf-8", newline="") as fh:
         fh.write("feature,gain\n")
         for feature, gain in ranking:
             fh.write(f"{feature},{gain:.17g}\n")
-    print(f"wrote {out}: top feature {ranking[0][0]}")
+    print(f"wrote {settings['out']}: top feature {ranking[0][0]}")
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chronoseg", description=__doc__)
-    parser.add_argument("--config", help="YAML config file; flags override its keys")
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus file")
-    p_synth.add_argument("--patients", type=int)
-    p_synth.add_argument("--controls", type=int)
-    p_synth.add_argument("--days", type=int)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--out")
-
-    p_feat = sub.add_parser("featurize", help="write one feature table per scheme")
-    p_feat.add_argument("--corpus")
-    p_feat.add_argument("--metadata", help="subject_id,label table for directory corpora")
-    p_feat.add_argument("--schemes", nargs="+", help="preset names or scheme files")
-    p_feat.add_argument("--out-dir", dest="out_dir")
-
-    p_eval = sub.add_parser("evaluate", help="run the scheme x model CV matrix")
-    p_eval.add_argument("--corpus")
-    p_eval.add_argument("--metadata")
-    p_eval.add_argument("--features-dir", dest="features_dir")
-    p_eval.add_argument("--schemes", nargs="+")
-    p_eval.add_argument("--models", nargs="+")
-    p_eval.add_argument("--k", type=int)
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--cv-mode", dest="cv_mode", choices=["row_stratified", "subject_grouped"])
-    p_eval.add_argument("--workers", type=int)
-    p_eval.add_argument("--out-dir", dest="out_dir")
-
-    p_imp = sub.add_parser("importance", help="gain-importance ranking for a tree model")
-    p_imp.add_argument("--corpus")
-    p_imp.add_argument("--metadata")
-    p_imp.add_argument("--scheme")
-    p_imp.add_argument("--model")
-    p_imp.add_argument("--seed", type=int)
-    p_imp.add_argument("--out")
-
-    return parser
 
 
 COMMANDS = {
@@ -246,6 +227,21 @@ COMMANDS = {
     "evaluate": cmd_evaluate,
     "importance": cmd_importance,
 }
+# how argparse reads each kind of setting; a tuple kind becomes choices
+FLAG_KIND = {int: {"type": int}, str: {}, list: {"nargs": "+"}}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="chronoseg", description=__doc__)
+    parser.add_argument("--config", help="YAML config file; flags override its keys")
+    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=run.__doc__)
+        for key, setting in SETTINGS[command].items():
+            kind = FLAG_KIND.get(setting.kind, {"choices": setting.kind})
+            p_cmd.add_argument("--" + key.replace("_", "-"), help=setting.help, **kind)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -254,16 +250,18 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         config = _load_config(args.config)
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](resolve_settings(args.command, args, config), config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ChronosegError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except OSError as exc:
+        # a path that cannot be opened or created is bad input; the message names it
+        named = exc.filename is not None
+        print(f"{'config' if named else 'internal'} error: {exc}", file=sys.stderr)
+        return 2 if named else 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

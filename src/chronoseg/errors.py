@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-anything else -> 4.
+anything else -> 4, except that an OSError naming a path that cannot be
+opened or created is a configuration error (2).
 """
 
 

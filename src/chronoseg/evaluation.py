@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import FeatureTable, featurize_corpus  # noqa: F401 (kept importable here)
+from .features import FeatureTable
 from .models import ModelSpec, predict_proba, train
 
 logger = logging.getLogger(__name__)
@@ -228,7 +228,7 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVRe
 
 def _run_cell(args) -> CVReport:
     table, spec, k, seed, mode = args
-    groups = table.group_ids if mode == "subject_grouped" else None
+    groups = table.subject_ids if mode == "subject_grouped" else None
     plan = stratified_kfold(table.labels, k=k, seed=seed, mode=mode, groups=groups)
     return cross_validate(table, spec, plan)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import Corpus
-from .segmentation import SegmentationScheme, segment_day, validate_scheme  # noqa: F401 (kept importable here)
+from .segmentation import SegmentationScheme, segment_day  # noqa: F401 (bench/trace.py wraps it here)
 
 FEATURE_NAMES = (
     "mean",
@@ -149,12 +149,11 @@ class FeatureTable:
     """Rectangular feature matrix with row identity and labels.
 
     Rows are (subject_id, date) for per-day schemes or (subject_id, "all")
-    for the all_days scheme. group_id equals subject_id and is what
-    subject-grouped cross-validation folds on.
+    for the all_days scheme. Subject-grouped cross-validation folds on
+    subject_ids.
     """
 
     scheme: str
-    unit: str  # "per_day" | "per_subject"
     columns: tuple[str, ...]
     subject_ids: tuple[str, ...]
     dates: tuple[str, ...]
@@ -170,10 +169,6 @@ class FeatureTable:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def group_ids(self) -> tuple[str, ...]:
-        return self.subject_ids
 
 
 def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable:
@@ -212,7 +207,6 @@ def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable
 
     return FeatureTable(
         scheme=scheme.name,
-        unit="per_subject" if scheme.per_subject else "per_day",
         columns=columns,
         subject_ids=subject_ids,
         dates=dates,
@@ -267,10 +261,8 @@ def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:
             raise DataError(f"feature table {path} is not UTF-8 text: {exc}")
     if not rows:
         raise DataError(f"feature table {path} has no rows")
-    unit = "per_subject" if all(d == "all" for d in dates) else "per_day"
     return FeatureTable(
         scheme=scheme or Path(path).stem.removeprefix("features_"),
-        unit=unit,
         columns=columns,
         subject_ids=tuple(subject_ids),
         dates=tuple(dates),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chronoseg.cli import DEFAULT_SCHEMES, main
+from chronoseg.cli import DEFAULT_SCHEMES, SETTINGS, build_parser, main, resolve_settings
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +300,10 @@ class TestConfigErrors:
             ("model_params: {xgboost: {num_leaves: 4}}", []),
             ("model_params: {lightgmb: {n_rounds: 1}}", []),
             ("model_params: {lightgbm: {preset: xgb}}", []),
+            ("wrokers: 2", []),
+            ("workers: 0", []),
+            ("k: 1", []),
+            ("out_dir:", []),
         ],
     )
     def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
@@ -313,7 +317,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "config, flags",
-        [("patients: lots", []), ("seed: -1", []), ("", ["--seed", "-1"]), ("days: 1.5", [])],
+        [("patients: lots", []), ("seed: -1", []), ("", ["--seed", "-1"]), ("days: 1.5", []), ("patients: 0", [])],
     )
     def test_bad_synth_setting_exits_2(self, tmp_path, capsys, config, flags):
         path = tmp_path / "config.yaml"
@@ -342,6 +346,7 @@ class TestConfigErrors:
             ("importance", "scheme: 7", ["--corpus", "CORPUS", "--model", "decision_tree"], "scheme"),
             ("importance", "model: [1]", ["--corpus", "CORPUS"], "model"),
             ("importance", "out: 5", ["--corpus", "CORPUS", "--model", "decision_tree"], "out"),
+            ("synth", "out:", [], "out"),
         ],
     )
     def test_non_string_setting_exits_2(self, corpus_file, tmp_path, monkeypatch, capsys, command, config, flags, key):
@@ -452,6 +457,42 @@ class TestConfigErrors:
         assert "800" in capsys.readouterr().err
         assert not (out / "features_parts2.csv").exists() and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["featurize", "--corpus", "raw_dir", "--schemes", "parts2", "--out-dir", "out"], "c1.csv",
+                         id="recording-is-directory"),
+            pytest.param(["featurize", "--corpus", "raw", "--metadata", "nope.csv", "--schemes", "parts2",
+                          "--out-dir", "out"], "nope.csv", id="metadata-missing"),
+            pytest.param(["featurize", "--corpus", "raw", "--metadata", "empty", "--schemes", "parts2",
+                          "--out-dir", "out"], "empty", id="metadata-is-directory"),
+            pytest.param(["evaluate", "--features-dir", "fd", "--schemes", "parts2", "--models", "knn",
+                          "--out-dir", "out"], "features_parts2.csv", id="feature-table-is-directory"),
+            pytest.param(["synth", "--patients", "1", "--controls", "1", "--days", "1", "--out", "empty"], "empty",
+                         id="synth-out-is-directory"),
+            pytest.param(["featurize", "--corpus", "CORPUS", "--schemes", "parts2", "--out-dir", "file.txt"],
+                         "file.txt", id="out-dir-is-file"),
+        ],
+    )
+    def test_unusable_path_exits_2(self, corpus_file, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        recording = "timestamp,activity\n2004-05-07 12:00:00,3\n"
+        for corpus in ("raw", "raw_dir"):
+            (tmp_path / corpus / "patient").mkdir(parents=True)
+            (tmp_path / corpus / "patient" / "p1.csv").write_text(recording)
+            (tmp_path / corpus / "control").mkdir()
+        (tmp_path / "raw" / "control" / "c1.csv").write_text(recording)
+        (tmp_path / "raw_dir" / "control" / "c1.csv").mkdir()
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "fd" / "features_parts2.csv").mkdir(parents=True)
+        (tmp_path / "file.txt").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(corpus_file) if arg == "CORPUS" else arg for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and named in err, err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file.txt").read_text() == ""
+
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -462,6 +503,19 @@ class TestConfigErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "meta.csv" in err and "subject 's1' has label 'patient'" in err
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in SETTINGS for key in SETTINGS[command]])
+def test_flag_and_config_key_agree(command, key):
+    setting = SETTINGS[command][key]
+    samples = {int: 3, str: "x", list: ["a", "b"]}
+    value = setting.kind[-1] if isinstance(setting.kind, tuple) else samples[setting.kind]
+    flag = ["--" + key.replace("_", "-"), *map(str, value if isinstance(value, list) else [value])]
+    parser = build_parser()
+    by_flag = resolve_settings(command, parser.parse_args([command, *flag]), {})
+    by_config = resolve_settings(command, parser.parse_args([command]), {key: value})
+    assert by_flag == by_config
+    assert by_flag[key] == value
 
 
 class TestUsageErrors:

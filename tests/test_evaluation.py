@@ -26,7 +26,6 @@ def make_table(X, y, subjects=None):
     subjects = subjects or [f"s{i}" for i in range(n)]
     return FeatureTable(
         scheme="test",
-        unit="per_day",
         columns=tuple(f"f{i}" for i in range(X.shape[1])),
         subject_ids=tuple(subjects),
         dates=tuple("2020-01-01" for _ in range(n)),

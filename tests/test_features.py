@@ -126,7 +126,6 @@ class TestFeaturizeCorpus:
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
         assert table.X.shape == (len(tiny_corpus.dates), 32)
         assert table.columns[:2] == ("day_mean", "day_median")
-        assert table.unit == "per_day"
 
     def test_parts12_has_192_columns(self, tiny_corpus):
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts12"))
@@ -136,7 +135,6 @@ class TestFeaturizeCorpus:
         table = featurize_corpus(tiny_corpus, builtin_scheme("all_days"))
         assert table.n_rows == len(tiny_corpus.subjects)
         assert len(table.columns) == 16
-        assert table.unit == "per_subject"
         assert all(d == "all" for d in table.dates)
 
     def test_row_order_independent_of_input_order(self, tiny_corpus):
