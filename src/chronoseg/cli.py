@@ -88,9 +88,8 @@ def _checked(key: str, setting: Setting, value):
         if value < setting.minimum:
             raise ConfigError(f"{key} must be >= {setting.minimum}, got {value}")
     elif setting.kind is list:
-        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-            raise ConfigError(f"{key} must be a list of strings, got {value!r}")
-        return value or setting.default
+        if not value or not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ConfigError(f"{key} must be a non-empty list of strings, got {value!r}")
     elif isinstance(setting.kind, tuple):
         if value not in setting.kind:
             raise ConfigError(f"{key} must be one of {list(setting.kind)}, got {value!r}")
@@ -114,6 +113,25 @@ def resolve_settings(command: str, args: argparse.Namespace, config: dict) -> di
         value = _checked(key, setting, config.get(key, setting.default))
         resolved[key] = value if flag is None else _checked(key, setting, flag)
     return resolved
+
+
+def _check_output(path: str, is_dir: bool) -> None:
+    """Raise ConfigError, before any input is read, when path cannot be written.
+
+    An output directory is created with its missing parents, so its nearest
+    existing ancestor must be a directory. An output file is opened in its
+    directory, which must exist, and must not be a directory itself.
+    """
+    p = Path(path)
+    if is_dir:
+        while not p.exists() and p != p.parent:
+            p = p.parent
+        if not p.is_dir():
+            raise ConfigError(f"cannot create output directory {path}: {p} is not a directory")
+    elif p.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+    elif not p.parent.is_dir():
+        raise ConfigError(f"cannot write output file {path}: {p.parent} is not a directory")
 
 
 def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
@@ -148,6 +166,7 @@ def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str,
 
 def cmd_synth(settings: dict, config: dict) -> int:
     """generate a synthetic corpus file"""
+    _check_output(settings["out"], is_dir=False)
     corpus = gen_corpus(settings["patients"], settings["controls"], settings["days"], seed=settings["seed"])
     save_corpus(corpus, settings["out"])
     print(f"wrote {settings['out']}: {len(corpus.subjects)} subjects, {len(corpus.dates)} days")
@@ -156,6 +175,7 @@ def cmd_synth(settings: dict, config: dict) -> int:
 
 def cmd_featurize(settings: dict, config: dict) -> int:
     """write one feature table per scheme"""
+    _check_output(settings["out_dir"], is_dir=True)
     if not settings["corpus"]:
         raise ConfigError("featurize needs a corpus path (--corpus or config key 'corpus')")
     out_dir = Path(settings["out_dir"])
@@ -172,6 +192,7 @@ def cmd_featurize(settings: dict, config: dict) -> int:
 
 def cmd_evaluate(settings: dict, config: dict) -> int:
     """run the scheme x model CV matrix"""
+    _check_output(settings["out_dir"], is_dir=True)
     specs = _resolve_specs(settings["models"], config, settings["seed"])
     if settings["corpus"]:
         corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
@@ -203,6 +224,7 @@ def cmd_evaluate(settings: dict, config: dict) -> int:
 
 def cmd_importance(settings: dict, config: dict) -> int:
     """gain-importance ranking for a tree model"""
+    _check_output(settings["out"], is_dir=False)
     if not settings["corpus"]:
         raise ConfigError("importance needs a corpus path")
     spec = _resolve_specs([settings["model"]], config, settings["seed"])[settings["model"]]

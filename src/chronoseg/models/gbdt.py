@@ -8,17 +8,26 @@ depth limit, or any leaf once the leaf budget is spent, is never searched.
 Without a leaf budget every searched leaf with a split is split, so the order
 of the splits cannot change an "xgb" tree.
 
-Features are pre-binned (at most 255 bins per feature) once per fit; the flat
-histogram codes and the root's split candidates, which do not depend on the
-gradients, are built once per fit too. For every leaf searched, the candidate
-splits (bins that leave min_child_samples rows on each side and that some row
-occupies) come from the sorted bin codes of its rows; one weighted bincount
-fills a stacked (2, p, width) gradient/hessian histogram, one cumulative sum
-runs over it and the gain is computed only at the candidates, in row-major
-order so ties break on lowest feature, then lowest bin (Ke et al., section
-3). Leaf values are Newton steps -G/(H+lambda) with the learning rate folded
-in; each round adds them to the training scores through the final leaf
-partition and takes one sigmoid for both the loss and the next gradients.
+Features are pre-binned (at most 255 bins per feature) once per fit, from
+one sort of every column: a feature's distinct values start its runs of equal
+sorted values, and its boundaries are the midpoints between them. The flat
+histogram codes, the root's split candidates, which do not depend on the
+gradients, and the scratch arrays that every split search writes into are
+built once per fit too, so a search allocates little more than bincount's
+result. For every leaf searched, the candidate splits (bins that leave
+min_child_samples rows on each side and that some row occupies) come from the
+sorted bin codes of its rows, each with its feature index. One weighted
+bincount fills a (p, width, 2) histogram that interleaves the gradient and
+hessian sums of every bin, so it reads as one complex g + ih per bin. Complex
+addition adds the real and the imaginary parts separately, so one complex
+cumulative sum, run up to the node's last candidate bin, gives the very floats
+of two; the feature totals are sums over each plane's stride-2 view, which
+NumPy groups pairwise as it does contiguous rows. The gain is computed only at
+the candidates, in row-major order so ties break on lowest feature, then
+lowest bin (Ke et al., section 3). Leaf values are Newton steps
+-G/(H+lambda) with the learning rate folded in; each round adds them to the
+training scores through the final leaf partition and takes one sigmoid for
+both the loss and the next gradients.
 
 The trees are ``TreeNode`` trees in feature space, predicted and summed by the
 same walks as CART. A split at bin b of feature f sends a row left when its
@@ -68,68 +77,118 @@ class Binner:
 
 def fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
     """Boundaries at midpoints of distinct values, or at quantiles when a
-    feature has more than max_bins distinct values."""
+    feature has more than max_bins distinct values.
+
+    One sort of every column at once: a sorted value starts a run when it
+    differs from the value before it, the test np.unique makes, so the run
+    starts are the feature's distinct values and each boundary is the
+    midpoint of a run's last value and the next run's first. The values of
+    a run are equal, so this midpoint is the one of the two distinct values
+    (of two zeros only the sign can differ, and the other operand is not
+    zero). X is finite, as ``train`` checks: each NaN would start a run.
+    """
     X = np.asarray(X, dtype=np.float64)
-    boundaries = []
-    for f in range(X.shape[1]):
-        uniq = np.unique(X[:, f])
-        if uniq.size <= max_bins:
-            bounds = (uniq[:-1] + uniq[1:]) / 2.0
-        else:
-            qs = np.quantile(uniq, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
-            bounds = np.unique(qs)
-        boundaries.append(bounds)
+    ordered = np.sort(X.T, axis=1)
+    starts = ordered[:, 1:] != ordered[:, :-1]
+    counts = starts.sum(axis=1)
+    mids = ((ordered[:, :-1] + ordered[:, 1:]) / 2.0)[starts]
+    boundaries = np.split(mids, np.cumsum(counts)[:-1])
+    for f in np.flatnonzero(counts >= max_bins):
+        uniq = ordered[f, np.concatenate([[True], starts[f]])]
+        qs = np.quantile(uniq, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+        boundaries[f] = np.unique(qs)
     return Binner(boundaries=boundaries)
 
 
 def _split_positions(
     codes_t: np.ndarray, min_child: int, last_bin: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, positions) of the splits of one node worth evaluating.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, positions, stop) of the splits of one node worth evaluating.
 
-    codes_t holds the node's bin codes feature-major, (p, m). A row goes left
-    when its bin is <= the split bin, so bin b of feature f leaves min_child
-    rows on each side exactly when the min_child-th smallest code of f is
-    <= b and b is below the min_child-th largest; b must also be at most
-    last_bin[f] (n_bins - 2). Of those bins only the ones some row occupies
-    are kept: an empty bin adds nothing to the cumulative sums, so its gain
-    ties with the occupied bin before it, which argmax meets first. positions
-    are flat indices feature * width + bin, feature-major with bins
-    ascending (the row-major order of a dense (p, width) gain array), and
-    counts[f] is how many of them belong to feature f. min_child must be >= 1.
+    codes_t holds the node's bin codes feature-major, (p, m), and is sorted
+    along its rows in place. A row goes left when its bin is <= the split
+    bin, so bin b of feature f leaves min_child rows on each side exactly
+    when the min_child-th smallest code of f is <= b and b is below the
+    min_child-th largest; b must also be at most last_bin[f] (n_bins - 2).
+    Of those bins only the ones some row occupies are kept: an empty bin adds
+    nothing to the cumulative sums, so its gain ties with the occupied bin
+    before it, which argmax meets first. positions are flat indices
+    feature * width + bin, feature-major with bins ascending (the row-major
+    order of a dense (p, width) gain array), features[j] is the feature of
+    positions[j] and stop is one past the highest bin among them.
+    min_child must be >= 1.
     """
     p, m = codes_t.shape
     if m < 2 * min_child:
-        return np.zeros(p, dtype=np.int64), np.empty(0, dtype=np.int64)
-    window = np.sort(codes_t, axis=1)[:, min_child - 1 : m - min_child + 1]
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    codes_t.sort(axis=1)
+    window = codes_t[:, min_child - 1 : m - min_child + 1]
     hi = np.minimum(window[:, -1] - 1, last_bin)
     keep = window <= hi[:, None]
     keep[:, 1:] &= window[:, 1:] != window[:, :-1]
-    return keep.sum(axis=1), (window + (np.arange(p) * width)[:, None])[keep]
+    bins = window[keep]
+    features = np.repeat(np.arange(p), keep.sum(axis=1))
+    return features, features * width + bins, int(bins.max(initial=-1)) + 1
 
 
-def _best_split(hist: np.ndarray, counts: np.ndarray, positions: np.ndarray, reg_lambda: float):
+def _best_split(
+    hist: np.ndarray, candidates: tuple[np.ndarray, np.ndarray, int], reg_lambda: float, scratch: "_Scratch"
+):
     """Best (gain, feature, bin) among the flat split positions, or None.
 
-    hist stacks the (p, width) gradient and hessian histograms; counts and
-    positions come from _split_positions.
+    hist is the (p, width, 2) histogram, gradient and hessian interleaved
+    per bin; candidates come from _split_positions. Every array of the
+    candidates' size or the histogram's is written into scratch.
     """
+    features, positions, stop = candidates
     if positions.size == 0:
         return None
-    G, H = hist.sum(axis=2)
-    parent = np.repeat((G**2) / (H + reg_lambda), counts)
-    G = np.repeat(G, counts)
-    H = np.repeat(H, counts)
-    GL, HL = np.cumsum(hist, axis=2).reshape(2, -1)[:, positions]
-    GR = G - GL
-    HR = H - HL
-    gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
+    width = hist.shape[1]
+    # per-plane sums over a stride-2 view group like sums over contiguous rows
+    totals = scratch.totals  # G + iH of each feature
+    hist[:, :, 0].sum(axis=1, out=totals.real)
+    hist[:, :, 1].sum(axis=1, out=totals.imag)
+    parent = totals.real**2 / (totals.imag + reg_lambda)
+    # complex addition and subtraction act on the two parts separately: one
+    # cumulative sum for both planes, up to the last bin that is a candidate
+    np.cumsum(hist.view(np.complex128)[:, :stop, 0], axis=1, out=scratch.cum[:, :stop])
+    # indices are in range; take buffers its output under the default mode="raise"
+    n = positions.size
+    left = np.take(scratch.cum.reshape(-1), positions, out=scratch.left[:n], mode="clip")
+    right = np.take(totals, features, out=scratch.right[:n], mode="clip")
+    np.subtract(right, left, out=right)
+    a, b, gains = scratch.a[:n], scratch.b[:n], scratch.gains[:n]
+    np.add(right.imag, reg_lambda, out=b)
+    np.square(right.real, out=a)
+    np.divide(a, b, out=a)  # GR**2 / (HR + lambda)
+    np.add(left.imag, reg_lambda, out=b)
+    np.square(left.real, out=gains)
+    np.divide(gains, b, out=gains)  # GL**2 / (HL + lambda)
+    np.add(gains, a, out=gains)
+    np.subtract(gains, np.take(parent, features, out=a, mode="clip"), out=gains)
+    np.multiply(gains, 0.5, out=gains)
     k = int(np.argmax(gains))
     gain = float(gains[k])
     if not np.isfinite(gain) or gain <= 1e-12:
         return None
-    feature, bin_ = divmod(int(positions[k]), hist.shape[2])
-    return gain, feature, bin_
+    feature = int(features[k])
+    return gain, feature, int(positions[k]) - feature * width
+
+
+class _Scratch:
+    """Arrays written by every split search of one fit, sized for its largest node."""
+
+    def __init__(self, n: int, p: int, width: int):
+        self.flat = np.empty(n * p * 2, dtype=np.int64)
+        self.weights = np.empty(n * p, dtype=np.complex128)
+        self.codes = np.empty(p * n, dtype=np.int32)
+        self.cum = np.empty((p, width), dtype=np.complex128)
+        self.totals = np.empty(p, dtype=np.complex128)
+        self.left = np.empty(p * width, dtype=np.complex128)
+        self.right = np.empty(p * width, dtype=np.complex128)
+        self.a = np.empty(p * width)
+        self.b = np.empty(p * width)
+        self.gains = np.empty(p * width)
 
 
 @dataclass
@@ -159,14 +218,17 @@ class _TreeGrower:
         self.first_boundary = np.cumsum(n_bins - 1) - (n_bins - 1)
         self.width = width
         self.last_bin = n_bins - 2
-        # flat[k, i, f]: cell of row i, feature f in block k (gradient, hessian)
-        # of the flattened (2, p, width) histogram
-        flat = codes + np.arange(p) * width
-        self.flat = np.stack([flat, flat + p * width])
+        # flat[i, f, k]: cell of row i, feature f, plane k (gradient, hessian) of
+        # the flattened (p, width, 2) histogram
+        cell = 2 * (codes + np.arange(p) * width)
+        self.flat = np.stack([cell, cell + 1], axis=2)
         # feature-major for the per-node sorts; NumPy sorts int32 several
         # times faster than int64 or uint8
         self.codes_t = np.ascontiguousarray(codes.T, dtype=np.int32)
-        self.root_positions = self._positions(self.rows)
+        self.scratch = _Scratch(n, p, width)
+        # g + ih of each row: its two weights, side by side as in the histogram
+        self.gh = np.empty(n, dtype=np.complex128)
+        self.root_candidates = self._candidates(self.rows)
 
     def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[TreeNode, list[_Leaf]]:
         """The round's tree and its final leaves, which partition the rows.
@@ -174,7 +236,7 @@ class _TreeGrower:
         Best first: the open leaf of highest gain is split next, the
         earlier-created one on ties.
         """
-        self.g, self.h = g, h
+        self.gh.real, self.gh.imag = g, h
         root = self._make_leaf(self.rows, 0, 1)
         nodes, heap, n_leaves = [root], [], 1
         if root.split:
@@ -188,30 +250,32 @@ class _TreeGrower:
                     heapq.heappush(heap, (-child.split[0], len(nodes), child))
         return root.node, [leaf for leaf in nodes if leaf.node.is_leaf]
 
-    def _positions(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _split_positions(self.codes_t[:, idx], self.params["min_child_samples"], self.last_bin, self.width)
+    def _candidates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        p, m = self.codes_t.shape[0], idx.size
+        codes_t = np.take(self.codes_t, idx, axis=1, out=self.scratch.codes[: p * m].reshape(p, m), mode="clip")
+        return _split_positions(codes_t, self.params["min_child_samples"], self.last_bin, self.width)
 
     def _search(self, idx: np.ndarray):
         if idx.size < 2 * self.params["min_child_samples"]:
             return None
-        if idx.size == self.rows.size:  # the root
-            flat, (counts, positions) = self.flat, self.root_positions
+        s, m, p = self.scratch, idx.size, self.codes_t.shape[0]
+        if m == self.rows.size:  # the root
+            flat, candidates = self.flat, self.root_candidates
         else:
-            flat, (counts, positions) = self.flat[:, idx], self._positions(idx)
-        if positions.size == 0:
+            flat = np.take(self.flat, idx, axis=0, out=s.flat[: m * p * 2].reshape(m, p, 2), mode="clip")
+            candidates = self._candidates(idx)
+        if candidates[1].size == 0:
             return None
-        weights = np.empty(flat.shape)
-        weights[0] = self.g[idx, None]
-        weights[1] = self.h[idx, None]
-        _, _, p = flat.shape
-        hist = np.bincount(flat.ravel(), weights.ravel(), minlength=2 * p * self.width)
-        return _best_split(hist.reshape(2, p, self.width), counts, positions, self.params["reg_lambda"])
+        weights = s.weights[: m * p].reshape(m, p)
+        weights[...] = self.gh[idx, None]
+        hist = np.bincount(flat.reshape(-1), weights.view(np.float64).reshape(-1), minlength=2 * p * self.width)
+        return _best_split(hist.reshape(p, self.width, 2), candidates, self.params["reg_lambda"], s)
 
     def _make_leaf(self, idx: np.ndarray, depth: int, n_leaves: int) -> _Leaf:
         """A new leaf at depth in a tree of n_leaves leaves, searched unless a limit binds."""
         pr = self.params
-        g_sum = float(self.g[idx].sum())
-        h_sum = float(self.h[idx].sum())
+        g_sum = float(self.gh.real[idx].sum())
+        h_sum = float(self.gh.imag[idx].sum())
         node = TreeNode(n=idx.size, value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
         can_split = n_leaves < self.max_leaves and depth < self.max_depth
         return _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)

@@ -10,7 +10,10 @@ they were, so that the lockstep builder can be required to grow the very same
 trees. The earlier boosting engine, with its own bin-code node type, predict
 walk, gains walk and separate leaf-wise and level-wise growth loops, is kept
 as it was, so that the one feature-space tree and growth loop can be required
-to give the very same predictions and gains. Likewise the
+to give the very same predictions and gains; its split search over a stacked
+(2, p, width) histogram and its per-feature np.unique binner are kept with
+it, so that the interleaved histogram search and the one-sort binner can be
+required to give the very same splits and boundaries. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
 parser can be required to give the very same bytes and errors. So is the
@@ -35,7 +38,7 @@ import numpy as np
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.models.forest import RandomForest
-from chronoseg.models.gbdt import DEFAULT_PARAMS, Binner, _best_split as _gbdt_best_split, _split_positions, fit_binner
+from chronoseg.models.gbdt import DEFAULT_PARAMS, Binner
 from chronoseg.models.gbdt import log_loss, sigmoid
 from chronoseg.models.linear import LogisticModel
 from chronoseg.models.tree import CartTree, TreeNode
@@ -370,6 +373,70 @@ def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):
     return gain, feature, bin_
 
 
+def reference_fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
+    """Boundaries at midpoints of distinct values, or at quantiles when a
+    feature has more than max_bins distinct values."""
+    X = np.asarray(X, dtype=np.float64)
+    boundaries = []
+    for f in range(X.shape[1]):
+        uniq = np.unique(X[:, f])
+        if uniq.size <= max_bins:
+            bounds = (uniq[:-1] + uniq[1:]) / 2.0
+        else:
+            qs = np.quantile(uniq, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+            bounds = np.unique(qs)
+        boundaries.append(bounds)
+    return Binner(boundaries=boundaries)
+
+
+def _split_positions(
+    codes_t: np.ndarray, min_child: int, last_bin: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, positions) of the splits of one node worth evaluating.
+
+    codes_t holds the node's bin codes feature-major, (p, m). A row goes left
+    when its bin is <= the split bin, so bin b of feature f leaves min_child
+    rows on each side exactly when the min_child-th smallest code of f is
+    <= b and b is below the min_child-th largest; b must also be at most
+    last_bin[f] (n_bins - 2). Of those bins only the ones some row occupies
+    are kept: an empty bin adds nothing to the cumulative sums, so its gain
+    ties with the occupied bin before it, which argmax meets first. positions
+    are flat indices feature * width + bin, feature-major with bins
+    ascending (the row-major order of a dense (p, width) gain array), and
+    counts[f] is how many of them belong to feature f. min_child must be >= 1.
+    """
+    p, m = codes_t.shape
+    if m < 2 * min_child:
+        return np.zeros(p, dtype=np.int64), np.empty(0, dtype=np.int64)
+    window = np.sort(codes_t, axis=1)[:, min_child - 1 : m - min_child + 1]
+    hi = np.minimum(window[:, -1] - 1, last_bin)
+    keep = window <= hi[:, None]
+    keep[:, 1:] &= window[:, 1:] != window[:, :-1]
+    return keep.sum(axis=1), (window + (np.arange(p) * width)[:, None])[keep]
+
+
+def _gbdt_best_split(hist: np.ndarray, counts: np.ndarray, positions: np.ndarray, reg_lambda: float):
+    """Best (gain, feature, bin) among the flat split positions, or None.
+
+    hist stacks the (p, width) gradient and hessian histograms; counts and
+    positions come from _split_positions.
+    """
+    if positions.size == 0:
+        return None
+    G, H = hist.sum(axis=2)
+    parent = np.repeat((G**2) / (H + reg_lambda), counts)
+    G = np.repeat(G, counts)
+    H = np.repeat(H, counts)
+    GL, HL = np.cumsum(hist, axis=2).reshape(2, -1)[:, positions]
+    GR = G - GL
+    HR = H - HL
+    gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - parent)
+    k = int(np.argmax(gains))
+    gain = float(gains[k])
+    if not np.isfinite(gain) or gain <= 1e-12:
+        return None
+    feature, bin_ = divmod(int(positions[k]), hist.shape[2])
+    return gain, feature, bin_
 
 
 @dataclass
@@ -553,7 +620,7 @@ def reference_train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **o
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
 
-    binner = fit_binner(X, max_bins=params["max_bins"])
+    binner = reference_fit_binner(X, max_bins=params["max_bins"])
     grower = _ReferenceGrower(binner.transform(X), binner.n_bins, preset, params)
 
     prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chronoseg import cli
 from chronoseg.cli import DEFAULT_SCHEMES, SETTINGS, build_parser, main, resolve_settings
 
 
@@ -304,6 +305,8 @@ class TestConfigErrors:
             ("workers: 0", []),
             ("k: 1", []),
             ("out_dir:", []),
+            ("schemes: []", []),
+            ("models: []", []),
         ],
     )
     def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
@@ -492,6 +495,37 @@ class TestConfigErrors:
         assert "config error:" in err and named in err, err
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "file.txt").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["evaluate", "--schemes", "parts2", "--out-dir", "file.txt"], "file.txt",
+                         id="evaluate-out-dir-is-file"),
+            pytest.param(["evaluate", "--schemes", "parts2", "--out-dir", "file.txt/sub"], "file.txt",
+                         id="evaluate-out-dir-under-file"),
+            pytest.param(["featurize", "--schemes", "parts2", "--out-dir", "file.txt"], "file.txt",
+                         id="featurize-out-dir-is-file"),
+            pytest.param(["importance", "--model", "decision_tree", "--out", "empty"], "empty",
+                         id="importance-out-is-directory"),
+            pytest.param(["importance", "--model", "decision_tree", "--out", "missing/imp.csv"], "missing",
+                         id="importance-out-in-missing-directory"),
+        ],
+    )
+    def test_unusable_output_exits_2_before_reading_input(self, corpus_file, tmp_path, monkeypatch, capsys, argv,
+                                                           named):
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the output path was checked")
+
+        for name in ("_load_any_corpus", "featurize_corpus", "run_matrix", "train"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([argv[0], "--corpus", str(corpus_file), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and named in err, err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_non_integer_metadata_label_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

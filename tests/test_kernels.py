@@ -30,6 +30,7 @@ from oracles import (
     per_segment_features,
     reference_build_cart,
     reference_build_forest,
+    reference_fit_binner,
     reference_train_gbdt,
     reference_train_logistic,
 )
@@ -171,26 +172,77 @@ class TestLockstepTrees:
         assert tree_nodes(cart) == tree_nodes(reference_build_cart(X, y, min_samples_split=5))
 
 
+@st.composite
+def wide_matrix(draw, max_cols=5):
+    """Float matrix of 129 to 300 rows whose columns take up to 300 distinct
+    values, so that a node's histogram can be wider than 128 bins."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(129, 300))
+    p = draw(st.integers(1, max_cols))
+    return rng.integers(0, draw(st.integers(2, 300)), size=(n, p)).astype(np.float64)
+
+
+@st.composite
+def binner_matrix(draw):
+    """Columns of tied values, signed zeros and subnormals, runs of adjacent
+    floats, or more distinct values than small bin limits allow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["ties", "zeros", "adjacent", "many"]), min_size=1, max_size=6)):
+        if kind == "ties":
+            col = rng.integers(0, draw(st.integers(1, 4)), n) * draw(st.sampled_from([1.0, 0.1, -1e300]))
+        elif kind == "zeros":
+            col = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1.0], n)
+        elif kind == "adjacent":
+            base = draw(st.sampled_from([1.0, -1.0, 0.1, 1e300, 5e-324, -0.0]))
+            col = (np.full(n, base).view(np.int64) + rng.integers(0, draw(st.integers(1, 6)), n)).view(np.float64)
+        else:
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+        columns.append(col)
+    return np.column_stack(columns)
+
+
 class TestGbdtSplit:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_dense_histogram_search(self, data):
-        X = data.draw(tie_heavy_matrix(max_rows=40, max_cols=5))
+        # wide nodes have over 128 bins, where NumPy's pairwise sums split into blocks
+        X = data.draw(st.one_of(tie_heavy_matrix(max_rows=40, max_cols=5), wide_matrix()))
         n = X.shape[0]
         binner = fit_binner(X)
         codes, n_bins = binner.transform(X), binner.n_bins
-        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
-        prob = np.array(data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=n, max_size=n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = rng.integers(0, 2, n).astype(np.float64)
+        # dyadic probabilities sum exactly and tie often, and 0 and 1 give zero
+        # hessians, whose gains are inf or NaN when lambda is 0; random ones round
+        if data.draw(st.booleans()):
+            prob = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
+        else:
+            prob = rng.random(n)
         g, h = prob - y, prob * (1 - prob)
-        in_node = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        idx = np.flatnonzero(in_node) if any(in_node) else np.arange(n)  # all rows: the root path
         min_child = data.draw(st.integers(1, n))
         reg_lambda = data.draw(st.sampled_from([0.0, 1.0]))
 
         params = dict(DEFAULT_PARAMS, min_child_samples=min_child, reg_lambda=reg_lambda)
         grower = _TreeGrower(X, binner, "lgbm", params)
-        grower.g, grower.h = g, h
-        assert grower._search(idx) == dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child)
+        grower.gh.real, grower.gh.imag = g, h
+        # nodes of several sizes in turn, so every search reuses the fit's scratch
+        # arrays; a share of 1 is the root path
+        for share in data.draw(st.lists(st.sampled_from([1.0, 0.9, 0.6, 0.3]), min_size=1, max_size=4)):
+            in_node = rng.random(n) < share
+            idx = np.flatnonzero(in_node) if share < 1 and in_node.any() else np.arange(n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child)
+                assert grower._search(idx) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(X=binner_matrix(), max_bins=st.sampled_from([255, 1, 2, 5, 17]))
+    def test_one_sort_binner_matches_per_feature_unique(self, X, max_bins):
+        got, want = fit_binner(X, max_bins=max_bins), reference_fit_binner(X, max_bins=max_bins)
+        assert len(got.boundaries) == len(want.boundaries) == X.shape[1]
+        for a, b in zip(got.boundaries, want.boundaries):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def leaf_counts(roots):
