@@ -92,7 +92,8 @@ def fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
     starts = ordered[:, 1:] != ordered[:, :-1]
     counts = starts.sum(axis=1)
     mids = ((ordered[:, :-1] + ordered[:, 1:]) / 2.0)[starts]
-    boundaries = np.split(mids, np.cumsum(counts)[:-1])
+    ends = np.cumsum(counts).tolist()
+    boundaries = [mids[end - count : end] for count, end in zip(counts.tolist(), ends)]
     for f in np.flatnonzero(counts >= max_bins):
         uniq = ordered[f, np.concatenate([[True], starts[f]])]
         qs = np.quantile(uniq, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
@@ -141,31 +142,31 @@ def _best_split(
     candidates' size or the histogram's is written into scratch.
     """
     features, positions, stop = candidates
-    if positions.size == 0:
+    n = positions.size
+    if n == 0:
         return None
-    width = hist.shape[1]
+    p, width, _ = hist.shape
+    # G + iH of every feature, then GL + iHL and GR + iHR of every candidate
+    sides = scratch.sides[: p + 2 * n]
+    totals, left, right = sides[:p], sides[p : p + n], sides[p + n :]
     # per-plane sums over a stride-2 view group like sums over contiguous rows
-    totals = scratch.totals  # G + iH of each feature
     hist[:, :, 0].sum(axis=1, out=totals.real)
     hist[:, :, 1].sum(axis=1, out=totals.imag)
-    parent = totals.real**2 / (totals.imag + reg_lambda)
     # complex addition and subtraction act on the two parts separately: one
     # cumulative sum for both planes, up to the last bin that is a candidate
     np.cumsum(hist.view(np.complex128)[:, :stop, 0], axis=1, out=scratch.cum[:, :stop])
     # indices are in range; take buffers its output under the default mode="raise"
-    n = positions.size
-    left = np.take(scratch.cum.reshape(-1), positions, out=scratch.left[:n], mode="clip")
-    right = np.take(totals, features, out=scratch.right[:n], mode="clip")
+    np.take(scratch.cum.reshape(-1), positions, out=left, mode="clip")
+    np.take(totals, features, out=right, mode="clip")
     np.subtract(right, left, out=right)
-    a, b, gains = scratch.a[:n], scratch.b[:n], scratch.gains[:n]
-    np.add(right.imag, reg_lambda, out=b)
-    np.square(right.real, out=a)
-    np.divide(a, b, out=a)  # GR**2 / (HR + lambda)
-    np.add(left.imag, reg_lambda, out=b)
-    np.square(left.real, out=gains)
-    np.divide(gains, b, out=gains)  # GL**2 / (HL + lambda)
-    np.add(gains, a, out=gains)
-    np.subtract(gains, np.take(parent, features, out=a, mode="clip"), out=gains)
+    # G**2 / (H + lambda) of every feature (the parent's score) and of both
+    # sides of every candidate
+    score, den = scratch.score[: p + 2 * n], scratch.den[: p + 2 * n]
+    np.square(sides.real, out=score)
+    np.add(sides.imag, reg_lambda, out=den)
+    np.divide(score, den, out=score)
+    gains = np.add(score[p : p + n], score[p + n :], out=scratch.gains[:n])
+    np.subtract(gains, np.take(score[:p], features, out=den[:n], mode="clip"), out=gains)
     np.multiply(gains, 0.5, out=gains)
     k = int(np.argmax(gains))
     gain = float(gains[k])
@@ -179,15 +180,13 @@ class _Scratch:
     """Arrays written by every split search of one fit, sized for its largest node."""
 
     def __init__(self, n: int, p: int, width: int):
-        self.flat = np.empty(n * p * 2, dtype=np.int64)
+        self.node_flat = np.empty(n * p * 2, dtype=np.int64)
         self.weights = np.empty(n * p, dtype=np.complex128)
-        self.codes = np.empty(p * n, dtype=np.int32)
+        self.node_codes = np.empty(p * n, dtype=np.int32)
         self.cum = np.empty((p, width), dtype=np.complex128)
-        self.totals = np.empty(p, dtype=np.complex128)
-        self.left = np.empty(p * width, dtype=np.complex128)
-        self.right = np.empty(p * width, dtype=np.complex128)
-        self.a = np.empty(p * width)
-        self.b = np.empty(p * width)
+        self.sides = np.empty(p + 2 * p * width, dtype=np.complex128)
+        self.score = np.empty(p + 2 * p * width)
+        self.den = np.empty(p + 2 * p * width)
         self.gains = np.empty(p * width)
 
 
@@ -252,7 +251,7 @@ class _TreeGrower:
 
     def _candidates(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         p, m = self.codes_t.shape[0], idx.size
-        codes_t = np.take(self.codes_t, idx, axis=1, out=self.scratch.codes[: p * m].reshape(p, m), mode="clip")
+        codes_t = np.take(self.codes_t, idx, axis=1, out=self.scratch.node_codes[: p * m].reshape(p, m), mode="clip")
         return _split_positions(codes_t, self.params["min_child_samples"], self.last_bin, self.width)
 
     def _search(self, idx: np.ndarray):
@@ -262,7 +261,7 @@ class _TreeGrower:
         if m == self.rows.size:  # the root
             flat, candidates = self.flat, self.root_candidates
         else:
-            flat = np.take(self.flat, idx, axis=0, out=s.flat[: m * p * 2].reshape(m, p, 2), mode="clip")
+            flat = np.take(self.flat, idx, axis=0, out=s.node_flat[: m * p * 2].reshape(m, p, 2), mode="clip")
             candidates = self._candidates(idx)
         if candidates[1].size == 0:
             return None
