@@ -210,9 +210,7 @@ class _TreeGrower:
         self.params = params
         self.max_leaves = params["num_leaves"] if preset == "lgbm" else math.inf
         self.max_depth = params["max_depth"] if preset == "xgb" else math.inf
-        # the threshold of every bin boundary, feature after feature; one array, as
-        # one small array per feature left the fit's large temporaries where
-        # malloc trims and page-faults them again on every split search
+        # the threshold of every bin boundary, feature after feature
         self.thresholds = np.nextafter(np.concatenate(binner.boundaries), -np.inf)
         self.first_boundary = np.cumsum(n_bins - 1) - (n_bins - 1)
         self.width = width
