@@ -20,12 +20,11 @@ from .errors import ConfigError, DataError
 from .evaluation import CV_MODES, run_matrix, write_fold_csv, write_report_csv, write_roc_csv
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
-from .models import ModelSpec, default_model_specs, gain_importance, train, TREE_FAMILIES
-from .segmentation import read_yaml, resolve_scheme
+from .models import FAMILIES, ModelSpec, default_model_specs, gain_importance, train
+from .segmentation import PRESET_NAMES, read_yaml, resolve_scheme
 from .synth import gen_corpus
 
-# Table II ordering: finest segmentation first, whole-record last
-DEFAULT_SCHEMES = ["parts12", "parts8", "parts6", "parts4", "parts3", "parts2", "full_day", "all_days"]
+DEFAULT_SCHEMES = list(PRESET_NAMES)
 DEFAULT_MODELS = list(default_model_specs())
 
 
@@ -228,7 +227,7 @@ def cmd_importance(settings: dict, config: dict) -> int:
     if not settings["corpus"]:
         raise ConfigError("importance needs a corpus path")
     spec = _resolve_specs([settings["model"]], config, settings["seed"])[settings["model"]]
-    if spec.family not in TREE_FAMILIES:
+    if not FAMILIES[spec.family].tree:
         raise ConfigError(f"model {settings['model']} is not a tree family; gain importance undefined")
 
     corpus = _load_any_corpus(settings["corpus"], settings["metadata"])

@@ -1,36 +1,51 @@
 """Classifier families behind one train/predict interface.
 
-Seven model presets map onto six families (the two boosting presets share one
-engine). Distance/margin/gradient families standardize features internally;
-tree families consume raw features. All training is deterministic given
-(spec, data, seed).
+FAMILIES declares every family once, in reporting order: its trainer and
+whether it grows trees on raw features (the others train on standardized
+features). A family's hyperparameters, with their defaults, are its trainer's
+keyword parameters but seed, which the trainers that take it get from the spec;
+PARAM_CHECKS checks each value. The two boosting presets of ``gbdt.PRESETS``
+share one family, so seven model presets map onto six families. All training
+is deterministic given (spec, data, seed).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 from .forest import build_forest
-from .gbdt import DEFAULT_PARAMS, train_gbdt
+from .gbdt import PRESETS, train_gbdt
 from .linear import train_knn, train_linear_svm, train_logistic
 from .scaler import StandardScaler, fit_scaler
 from .tree import build_cart
 
-# the hyperparameters each family accepts; the defaults live in the trainers' signatures
-FAMILY_PARAMS = {
-    "gbdt": ("preset", *DEFAULT_PARAMS),
-    "random_forest": ("n_trees", "max_features", "bootstrap", "min_samples_split"),
-    "decision_tree": ("min_samples_split",),
-    "logistic_regression": ("l2", "tol", "max_iter"),
-    "knn": ("k",),
-    "linear_svm": ("C", "epochs"),
+
+class Family(NamedTuple):
+    trainer: Callable
+    tree: bool  # trains on raw features; the other families on standardized ones
+    params: dict  # hyperparameter name -> default: the trainer's keyword parameters but seed
+    seeded: bool  # the trainer takes the spec's seed
+
+
+def _family(trainer: Callable, tree: bool = False) -> Family:
+    signature = inspect.signature(trainer).parameters
+    params = {name: p.default for name, p in signature.items() if p.default is not p.empty and name != "seed"}
+    return Family(trainer, tree, params, "seed" in signature)
+
+
+FAMILIES = {
+    "gbdt": _family(train_gbdt, tree=True),
+    "random_forest": _family(build_forest, tree=True),
+    "logistic_regression": _family(train_logistic),
+    "linear_svm": _family(train_linear_svm),
+    "knn": _family(train_knn),
+    "decision_tree": _family(build_cart, tree=True),
 }
-FAMILIES = tuple(FAMILY_PARAMS)
-TREE_FAMILIES = ("gbdt", "random_forest", "decision_tree")
-STANDARDIZED_FAMILIES = ("logistic_regression", "knn", "linear_svm")
 
 
 def _number(kind, ok):
@@ -39,7 +54,8 @@ def _number(kind, ok):
 
 
 PARAM_CHECKS = {
-    "preset": lambda v: v in ("lgbm", "xgb"),
+    # a list is unhashable, so the type is checked before the lookup
+    "preset": lambda v: isinstance(v, str) and v in PRESETS,
     "n_rounds": _number(int, lambda v: v >= 0),
     "n_trees": _number(int, lambda v: v >= 1),
     "learning_rate": _number((int, float), lambda v: 0 < v <= 1),
@@ -68,40 +84,43 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown model family {self.family!r}; choose from {FAMILIES}")
+            raise ConfigError(f"unknown model family {self.family!r}; choose from {tuple(FAMILIES)}")
+        accepted = tuple(FAMILIES[self.family].params)
         for key, value in self.params.items():
-            if key not in FAMILY_PARAMS[self.family]:
-                raise ConfigError(
-                    f"unknown hyperparameter {key!r} for family {self.family}; "
-                    f"choose from {FAMILY_PARAMS[self.family]}"
-                )
+            if key not in accepted:
+                raise ConfigError(f"unknown hyperparameter {key!r} for family {self.family}; choose from {accepted}")
             if not PARAM_CHECKS[key](value):
                 raise ConfigError(f"invalid hyperparameter {key}={value!r} for family {self.family}")
-        if self.family == "gbdt":
-            # each preset is stopped by one limit and ignores the other's
-            preset = self.params.get("preset", "lgbm")
-            ignored = {"lgbm": "max_depth", "xgb": "num_leaves"}[preset]
-            if ignored in self.params:
-                raise ConfigError(f"hyperparameter {ignored!r} has no effect on gbdt preset {preset} ({self.name})")
+        preset = self.preset
+        if preset is not None:
+            # each preset is stopped by its own limit and ignores the others'
+            limit = PRESETS[preset].limit
+            for other in PRESETS.values():
+                if other.limit != limit and other.limit in self.params:
+                    raise ConfigError(
+                        f"hyperparameter {other.limit!r} has no effect on gbdt preset {preset} ({self.name})")
+
+    @property
+    def preset(self) -> str | None:
+        """The boosting preset, for a family that has presets; else None."""
+        defaults = FAMILIES[self.family].params
+        return self.params.get("preset", defaults["preset"]) if "preset" in defaults else None
 
     @property
     def name(self) -> str:
-        if self.family == "gbdt":
-            return {"lgbm": "lightgbm", "xgb": "xgboost"}[self.params.get("preset", "lgbm")]
-        return self.family
+        preset = self.preset
+        return self.family if preset is None else PRESETS[preset].name
 
 
 def default_model_specs(seed: int = 0) -> dict[str, ModelSpec]:
-    """The seven presets in reporting order."""
-    return {
-        "lightgbm": ModelSpec("gbdt", {"preset": "lgbm"}, seed),
-        "xgboost": ModelSpec("gbdt", {"preset": "xgb"}, seed),
-        "random_forest": ModelSpec("random_forest", {}, seed),
-        "logistic_regression": ModelSpec("logistic_regression", {}, seed),
-        "linear_svm": ModelSpec("linear_svm", {}, seed),
-        "knn": ModelSpec("knn", {}, seed),
-        "decision_tree": ModelSpec("decision_tree", {}, seed),
-    }
+    """The seven presets in reporting order: one per family, one per boosting preset."""
+    specs = {}
+    for family, row in FAMILIES.items():
+        param_sets = [{"preset": preset} for preset in PRESETS] if "preset" in row.params else [{}]
+        for params in param_sets:
+            spec = ModelSpec(family, params, seed)
+            specs[spec.name] = spec
+    return specs
 
 
 @dataclass
@@ -110,10 +129,6 @@ class TrainedModel:
     feature_names: tuple[str, ...]
     scaler: StandardScaler | None
     core: object
-
-    @property
-    def family(self) -> str:
-        return self.spec.family
 
     @property
     def n_features(self) -> int:
@@ -135,24 +150,13 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None) -> 
     if len(feature_names) != X.shape[1]:
         raise DataError("feature_names length does not match columns")
 
+    family = FAMILIES[spec.family]
     scaler = None
-    if spec.family in STANDARDIZED_FAMILIES:
+    if not family.tree:
         scaler = fit_scaler(X)
         X = scaler.transform(X)
-
-    p = spec.params
-    if spec.family == "gbdt":
-        core = train_gbdt(X, y, **p)
-    elif spec.family == "random_forest":
-        core = build_forest(X, y, seed=spec.seed, **p)
-    elif spec.family == "decision_tree":
-        core = build_cart(X, y, **p)
-    elif spec.family == "logistic_regression":
-        core = train_logistic(X, y, **p)
-    elif spec.family == "linear_svm":
-        core = train_linear_svm(X, y, seed=spec.seed, **p)
-    else:
-        core = train_knn(X, y, **p)
+    seed = {"seed": spec.seed} if family.seeded else {}
+    core = family.trainer(X, y, **spec.params, **seed)
     return TrainedModel(spec=spec, feature_names=feature_names, scaler=scaler, core=core)
 
 
@@ -168,8 +172,8 @@ def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 def gain_importance(model: TrainedModel) -> list[tuple[str, float]]:
     """Per-feature total split gain, descending; tree families only."""
-    if model.family not in TREE_FAMILIES:
-        raise ConfigError(f"gain importance is only defined for tree families, not {model.family}")
+    if not FAMILIES[model.spec.family].tree:
+        raise ConfigError(f"gain importance is only defined for tree families, not {model.spec.family}")
     gains = model.core.feature_gains()
     order = sorted(range(len(gains)), key=lambda i: (-gains[i], i))
     return [(model.feature_names[i], float(gains[i])) for i in order]

@@ -3,14 +3,17 @@
 One engine, one growth loop, two presets that differ only in which limit
 stops a tree: "lgbm" at num_leaves leaves (leaf-wise, Ke et al., LightGBM,
 NeurIPS 2017), "xgb" at max_depth (level-wise, Chen & Guestrin, XGBoost, KDD
-2016). The loop splits the open leaf of highest gain first. A leaf at the
-depth limit, or any leaf once the leaf budget is spent, is never searched.
-Without a leaf budget every searched leaf with a split is split, so the order
-of the splits cannot change an "xgb" tree.
+2016). PRESETS declares each preset's model name and limit once, and every
+hyperparameter's default is a keyword default of ``train_gbdt``. The loop
+splits the open leaf of highest gain first. A leaf at the depth limit, or any
+leaf once the leaf budget is spent, is never searched. Without a leaf budget
+every searched leaf with a split is split, so the order of the splits cannot
+change an "xgb" tree.
 
 Features are pre-binned (at most 255 bins per feature) once per fit, from
 one sort of every column: a feature's distinct values start its runs of equal
-sorted values, and its boundaries are the midpoints between them. The flat
+sorted values, and its boundaries are the midpoints between them. The bin
+codes are kept once, feature-major, one searchsorted per row of X.T. The flat
 histogram codes, the root's split candidates, which do not depend on the
 gradients, and the scratch arrays that every split search writes into are
 built once per fit too, so a search allocates little more than bincount's
@@ -41,6 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +70,6 @@ class Binner:
     @property
     def n_bins(self) -> np.ndarray:
         return np.array([b.size + 1 for b in self.boundaries])
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape, dtype=np.int64)
-        for f, bounds in enumerate(self.boundaries):
-            out[:, f] = np.searchsorted(bounds, X[:, f], side="right")
-        return out
 
 
 def fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
@@ -202,26 +199,31 @@ class _TreeGrower:
     """Grows one tree per boosting round over bin codes fixed for the fit."""
 
     def __init__(self, X: np.ndarray, binner: Binner, preset: str, params: dict):
-        codes, n_bins = binner.transform(X), binner.n_bins
-        n, p = codes.shape
+        n_bins = binner.n_bins
+        n, p = X.shape
         width = int(n_bins.max())
-        self.codes = codes
+        # the bin codes, feature-major for the per-node sorts and the row
+        # partitions; NumPy sorts int32 several times faster than int64 or uint8
+        X_t = np.ascontiguousarray(X.T)
+        self.codes_t = np.empty((p, n), dtype=np.int32)
+        for f, bounds in enumerate(binner.boundaries):
+            self.codes_t[f] = np.searchsorted(bounds, X_t[f], side="right")
         self.rows = np.arange(n)
         self.params = params
-        self.max_leaves = params["num_leaves"] if preset == "lgbm" else math.inf
-        self.max_depth = params["max_depth"] if preset == "xgb" else math.inf
+        # the preset's limit stops the tree; the other one never binds
+        limit = PRESETS[preset].limit
+        self.max_leaves = params["num_leaves"] if limit == "num_leaves" else math.inf
+        self.max_depth = params["max_depth"] if limit == "max_depth" else math.inf
         # the threshold of every bin boundary, feature after feature
         self.thresholds = np.nextafter(np.concatenate(binner.boundaries), -np.inf)
         self.first_boundary = np.cumsum(n_bins - 1) - (n_bins - 1)
         self.width = width
         self.last_bin = n_bins - 2
         # flat[i, f, k]: cell of row i, feature f, plane k (gradient, hessian) of
-        # the flattened (p, width, 2) histogram
-        cell = 2 * (codes + np.arange(p) * width)
+        # the flattened (p, width, 2) histogram; row-major, so that a search
+        # reshapes it without a copy
+        cell = 2 * np.add(self.codes_t.T, np.arange(p) * width, order="C")
         self.flat = np.stack([cell, cell + 1], axis=2)
-        # feature-major for the per-node sorts; NumPy sorts int32 several
-        # times faster than int64 or uint8
-        self.codes_t = np.ascontiguousarray(codes.T, dtype=np.int32)
         self.scratch = _Scratch(n, p, width)
         # g + ih of each row: its two weights, side by side as in the histogram
         self.gh = np.empty(n, dtype=np.complex128)
@@ -279,7 +281,7 @@ class _TreeGrower:
 
     def _apply_split(self, leaf: _Leaf, n_leaves: int) -> tuple[_Leaf, _Leaf]:
         gain, feature, bin_ = leaf.split
-        go_left = self.codes[leaf.idx, feature] <= bin_
+        go_left = self.codes_t[feature, leaf.idx] <= bin_
         left = self._make_leaf(leaf.idx[go_left], leaf.depth + 1, n_leaves)
         right = self._make_leaf(leaf.idx[~go_left], leaf.depth + 1, n_leaves)
         node = leaf.node
@@ -288,20 +290,19 @@ class _TreeGrower:
         return left, right
 
 
-DEFAULT_PARAMS = {
-    "n_rounds": 100,
-    "learning_rate": 0.1,
-    "max_bins": 255,
-    "min_child_samples": 20,
-    "reg_lambda": 1.0,
-    "num_leaves": 31,  # leaf-wise preset
-    "max_depth": 6,  # level-wise preset
-}
+class Preset(NamedTuple):
+    name: str  # the model name it is reported under
+    limit: str  # the hyperparameter that stops its trees
+
+
+# each boosting preset's model name and the one limit that stops its trees;
+# the other preset's limit has no effect on it
+PRESETS = {"lgbm": Preset("lightgbm", "num_leaves"), "xgb": Preset("xgboost", "max_depth")}
 
 
 @dataclass
 class GradientBoosting:
-    preset: str  # "lgbm" | "xgb"
+    preset: str  # a key of PRESETS
     base_score: float
     trees: list[TreeNode]
     n_features: int
@@ -321,16 +322,19 @@ class GradientBoosting:
         return sum_gains(self.trees, self.n_features)
 
 
-def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) -> GradientBoosting:
-    if preset not in ("lgbm", "xgb"):
+def train_gbdt(
+    X: np.ndarray, y: np.ndarray, preset: str = "lgbm", n_rounds: int = 100, learning_rate: float = 0.1,
+    max_bins: int = 255, min_child_samples: int = 20, reg_lambda: float = 1.0, num_leaves: int = 31, max_depth: int = 6,
+) -> GradientBoosting:
+    if preset not in PRESETS:
         raise DataError(f"unknown gbdt preset {preset!r}")
-    params = dict(DEFAULT_PARAMS)
-    params.update(overrides)
+    params = dict(learning_rate=learning_rate, min_child_samples=min_child_samples, reg_lambda=reg_lambda,
+                  num_leaves=num_leaves, max_depth=max_depth)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
 
-    grower = _TreeGrower(X, fit_binner(X, max_bins=params["max_bins"]), preset, params)
+    grower = _TreeGrower(X, fit_binner(X, max_bins=max_bins), preset, params)
 
     prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
     base = float(np.log(prior / (1 - prior)))
@@ -341,7 +345,7 @@ def train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **overrides) 
     losses = [log_loss(y, prob)]
     # split searches divide by H + lambda, which is 0 when lambda is 0 and a side's hessians are 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(params["n_rounds"]):
+        for _ in range(n_rounds):
             tree, leaves = grower.grow(prob - y, prob * (1 - prob))
             trees.append(tree)
             for leaf in leaves:

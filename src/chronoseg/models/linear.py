@@ -32,6 +32,20 @@ MAX_HALVINGS = 53
 STEP_RESIDUAL = 1e-8
 
 
+@dataclass
+class LinearModel:
+    """A linear margin X @ weights + intercept; its probability is the margin's sigmoid."""
+
+    weights: np.ndarray
+    intercept: float
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid(self.decision_function(X))
+
+
 def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
     """Mean log-loss + (l2 / 2n)||w||^2 and its gradient d(obj)/d[w, b]."""
     n = X.shape[0]
@@ -44,17 +58,9 @@ def logistic_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2
 
 
 @dataclass
-class LogisticModel:
-    weights: np.ndarray
-    intercept: float
+class LogisticModel(LinearModel):
     n_iter: int  # Newton steps taken
     grad_norm: float  # gradient norm at the returned weights; > tol when the fit stopped early
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
 
 
 def train_logistic(
@@ -99,25 +105,13 @@ def train_logistic(
     return LogisticModel(weights=w, intercept=b, n_iter=n_iter, grad_norm=grad_norm)
 
 
-@dataclass
-class LinearSvm:
-    weights: np.ndarray
-    intercept: float
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
-
-
 def train_linear_svm(
     X: np.ndarray,
     y: np.ndarray,
     C: float = 1.0,
     epochs: int = 20,
     seed: int = 0,
-) -> LinearSvm:
+) -> LinearModel:
     """Pegasos-style subgradient descent on (1/2n C)||w||^2 + mean hinge loss.
 
     Iterates from the second half of training are averaged for stability.
@@ -150,7 +144,7 @@ def train_linear_svm(
                 n_avg += 1
     if n_avg == 0:
         raise DataError("svm training ran zero averaging steps")
-    return LinearSvm(weights=w_avg / n_avg, intercept=b_avg / n_avg)
+    return LinearModel(weights=w_avg / n_avg, intercept=b_avg / n_avg)
 
 
 @dataclass

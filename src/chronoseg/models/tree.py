@@ -303,13 +303,7 @@ def _grow_chunk(X, y, ranks, chunk, feats, stacks, min_samples_split):
             stacks[t].append((node.right, part[start + nl:start + nl + nr], pr))
 
 
-def build_cart(
-    X: np.ndarray,
-    y: np.ndarray,
-    min_samples_split: int = 2,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> CartTree:
-    """Grow one CART tree on all rows of X (see grow_trees)."""
+def build_cart(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> CartTree:
+    """Grow one CART tree on all rows of X, with every feature a candidate (see grow_trees)."""
     n = np.asarray(X).shape[0]
-    return grow_trees(X, y, [np.arange(n)], min_samples_split, max_features, [rng])[0]
+    return grow_trees(X, y, [np.arange(n)], min_samples_split)[0]

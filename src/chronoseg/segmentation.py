@@ -118,16 +118,17 @@ def _uniform(n: int, names: tuple[str, ...] | None = None) -> list:
     return [(names[i] if names else f"seg{i:02d}", [(i * width, (i + 1) * width)]) for i in range(n)]
 
 
-# each preset's segments as (name, [(start, end) minute windows])
+# each preset's segments as (name, [(start, end) minute windows]), in Table II
+# order: finest segmentation first, whole-record last
 PRESET_SEGMENTS = {
-    "full_day": [("day24h", [(0, MINUTES_PER_DAY)])],
+    "parts12": _uniform(12),
+    "parts8": _uniform(8),
+    "parts6": _uniform(6),
+    "parts4": _uniform(4, ("night", "morning", "afternoon", "evening")),
+    "parts3": _uniform(3),
     # day 08:00-20:00, night 20:00-08:00 realized as within-day union
     "parts2": [("day", [(480, 1200)]), ("night", [(0, 480), (1200, MINUTES_PER_DAY)])],
-    "parts3": _uniform(3),
-    "parts4": _uniform(4, ("night", "morning", "afternoon", "evening")),
-    "parts6": _uniform(6),
-    "parts8": _uniform(8),
-    "parts12": _uniform(12),
+    "full_day": [("day24h", [(0, MINUTES_PER_DAY)])],
     "all_days": [("all", [(0, MINUTES_PER_DAY)])],
 }
 PRESET_NAMES = tuple(PRESET_SEGMENTS)

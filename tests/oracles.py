@@ -38,7 +38,7 @@ import numpy as np
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.models.forest import RandomForest
-from chronoseg.models.gbdt import DEFAULT_PARAMS, Binner
+from chronoseg.models.gbdt import Binner
 from chronoseg.models.gbdt import log_loss, sigmoid
 from chronoseg.models.linear import LogisticModel
 from chronoseg.models.tree import CartTree, TreeNode
@@ -373,6 +373,27 @@ def dense_gbdt_split(codes, n_bins, idx, g, h, reg_lambda, min_child):
     return gain, feature, bin_
 
 
+# the boosting defaults as one table, as train_gbdt's signature declares them
+DEFAULT_PARAMS = {
+    "n_rounds": 100,
+    "learning_rate": 0.1,
+    "max_bins": 255,
+    "min_child_samples": 20,
+    "reg_lambda": 1.0,
+    "num_leaves": 31,  # leaf-wise preset
+    "max_depth": 6,  # level-wise preset
+}
+
+
+def reference_bin_codes(binner: Binner, X: np.ndarray) -> np.ndarray:
+    """Row-major bin codes, bin(x) = searchsorted(boundaries, x, 'right'), one column at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape, dtype=np.int64)
+    for f, bounds in enumerate(binner.boundaries):
+        out[:, f] = np.searchsorted(bounds, X[:, f], side="right")
+    return out
+
+
 def reference_fit_binner(X: np.ndarray, max_bins: int = 255) -> Binner:
     """Boundaries at midpoints of distinct values, or at quantiles when a
     feature has more than max_bins distinct values."""
@@ -590,7 +611,7 @@ class ReferenceGradientBoosting:
     train_losses: list[float] = field(default_factory=list)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        codes = self.binner.transform(X)
+        codes = reference_bin_codes(self.binner, X)
         raw = np.full(codes.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             raw += _predict_tree(tree, codes)
@@ -621,7 +642,7 @@ def reference_train_gbdt(X: np.ndarray, y: np.ndarray, preset: str = "lgbm", **o
     n, p = X.shape
 
     binner = reference_fit_binner(X, max_bins=params["max_bins"])
-    grower = _ReferenceGrower(binner.transform(X), binner.n_bins, preset, params)
+    grower = _ReferenceGrower(reference_bin_codes(binner, X), binner.n_bins, preset, params)
 
     prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
     base = float(np.log(prior / (1 - prior)))

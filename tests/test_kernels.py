@@ -17,7 +17,7 @@ from chronoseg.features import FEATURE_NAMES, block_features, extract_features, 
 from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
 from chronoseg.models.forest import build_forest
-from chronoseg.models.gbdt import DEFAULT_PARAMS, _TreeGrower, fit_binner, train_gbdt
+from chronoseg.models.gbdt import _TreeGrower, fit_binner, train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import _best_splits, _partition, _ranks, _search_key, build_cart
@@ -25,10 +25,12 @@ from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
 from oracles import (
+    DEFAULT_PARAMS,
     dense_gbdt_split,
     loop_cart_split,
     per_segment_features,
     reference_build_cart,
+    reference_bin_codes,
     reference_build_forest,
     reference_fit_binner,
     reference_train_gbdt,
@@ -211,7 +213,7 @@ class TestGbdtSplit:
         X = data.draw(st.one_of(tie_heavy_matrix(max_rows=40, max_cols=5), wide_matrix()))
         n = X.shape[0]
         binner = fit_binner(X)
-        codes, n_bins = binner.transform(X), binner.n_bins
+        codes, n_bins = reference_bin_codes(binner, X), binner.n_bins
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         y = rng.integers(0, 2, n).astype(np.float64)
         # dyadic probabilities sum exactly and tie often, and 0 and 1 give zero

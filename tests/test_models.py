@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.evaluation import auc_roc
 from chronoseg.models import (
+    FAMILIES,
+    PARAM_CHECKS,
     ModelSpec,
     default_model_specs,
     gain_importance,
@@ -79,6 +83,19 @@ class TestModelSpec:
     def test_wrong_type_hyperparameter(self, family, params):
         with pytest.raises(ConfigError, match="invalid hyperparameter"):
             ModelSpec(family, params)
+
+    def test_every_hyperparameter_has_one_check(self):
+        declared = set()
+        for family, row in FAMILIES.items():
+            parameters = inspect.signature(row.trainer).parameters
+            keywords = [name for name, p in parameters.items() if p.default is not p.empty and name != "seed"]
+            assert list(row.params) == keywords, family
+            declared.update(keywords)
+        # every hyperparameter has a check, and every check is some family's hyperparameter
+        assert declared == set(PARAM_CHECKS)
+        # build_cart has no feature subsampling, unlike the forest
+        with pytest.raises(ConfigError, match="unknown hyperparameter 'max_features' for family decision_tree"):
+            ModelSpec("decision_tree", {"max_features": 2})
 
     def test_seven_presets(self):
         specs = default_model_specs()
