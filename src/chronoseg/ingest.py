@@ -479,13 +479,13 @@ def load_interchange(path: str | Path) -> Corpus:
                 raise DataError(
                     f"interchange file {path} has columns {header}, expected {INTERCHANGE_COLUMNS}"
                 )
-            lineno = 2  # line numbers count non-blank rows
+            lineno = 2  # line numbers count blank rows too
             while chunk := list(islice(reader, READ_CHUNK_ROWS)):
-                rows = [row for row in chunk if row]
-                if not _store_bulk(buffers, rows):
-                    for offset, row in enumerate(rows):
-                        _store_row(buffers, row, lineno + offset)
-                lineno += len(rows)
+                if not _store_bulk(buffers, [row for row in chunk if row]):
+                    for offset, row in enumerate(chunk):
+                        if row:
+                            _store_row(buffers, row, lineno + offset)
+                lineno += len(chunk)
         except csv.Error as exc:
             raise DataError(f"interchange file {path}: malformed line {reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:

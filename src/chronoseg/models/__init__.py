@@ -5,8 +5,9 @@ whether it grows trees on raw features (the others train on standardized
 features). A family's hyperparameters, with their defaults, are its trainer's
 keyword parameters but seed, which the trainers that take it get from the spec;
 PARAM_CHECKS checks each value. The two boosting presets of ``gbdt.PRESETS``
-share one family, so seven model presets map onto six families. All training
-is deterministic given (spec, data, seed).
+share one family, so seven model presets map onto six families. A decision
+tree is a random forest of one tree (see ``tree``), so both families fit a
+``tree.RandomForest``. All training is deterministic given (spec, data, seed).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .forest import build_forest
 from .gbdt import PRESETS, train_gbdt
 from .linear import train_knn, train_linear_svm, train_logistic
 from .scaler import StandardScaler, fit_scaler
-from .tree import build_cart
+from .tree import build_cart, build_forest
 
 
 class Family(NamedTuple):

@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DataError
 from .tree import TreeNode, predict_tree, sum_gains
 
 
@@ -326,8 +325,6 @@ def train_gbdt(
     X: np.ndarray, y: np.ndarray, preset: str = "lgbm", n_rounds: int = 100, learning_rate: float = 0.1,
     max_bins: int = 255, min_child_samples: int = 20, reg_lambda: float = 1.0, num_leaves: int = 31, max_depth: int = 6,
 ) -> GradientBoosting:
-    if preset not in PRESETS:
-        raise DataError(f"unknown gbdt preset {preset!r}")
     params = dict(learning_rate=learning_rate, min_child_samples=min_child_samples, reg_lambda=reg_lambda,
                   num_leaves=num_leaves, max_depth=max_depth)
     X = np.asarray(X, dtype=np.float64)

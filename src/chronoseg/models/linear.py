@@ -164,6 +164,4 @@ class KnnModel:
 def train_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
     return KnnModel(k=min(k, X.shape[0]), X_train=X, y_train=y)

@@ -1,23 +1,24 @@
-"""CART binary classification trees with Gini impurity, grown in lockstep.
+"""Random forests of CART trees with Gini impurity, grown in lockstep.
 
 ``TreeNode`` is the one node type of all three tree families: CART, the
 random forest and gradient boosting (whose nodes hold feature-space
 thresholds too, see ``gbdt``). ``predict_tree`` is the one walk that
 predicts with a tree and ``sum_gains`` the one walk that totals split gains
-per feature.
+per feature. A decision tree is a forest of one tree that draws neither
+bootstrap rows nor features, so ``RandomForest`` is the one fitted type and
+``build_forest`` the one trainer of both CART families.
 
 Splits maximize the total Gini decrease n*imp(parent) - nL*imp(L) - nR*imp(R)
 at midpoints between consecutive distinct values (rows with value <= threshold
 go left); ties break on the lowest feature index, then the lowest threshold.
 Every tree grows to purity (no depth cap).
 
-``grow_trees`` grows many trees together: the random forest hands it all of
-its bootstrap samples, the standalone decision tree one sample. Each step
-takes, from every tree, the next node of that tree's own depth-first order
-(right child before left) and draws that node's candidate features from that
-tree's own generator. So each generator is consumed in exactly the order of
-a builder that grows one tree, one node at a time, and every tree comes out
-the same to the bit. A tree that draws no features puts all of its open
+``grow_trees`` grows all of a forest's trees together. Each step takes, from
+every tree, the next node of that tree's own depth-first order (right child
+before left) and draws that node's candidate features from that tree's own
+generator. So each generator is consumed in exactly the order of a builder
+that grows one tree, one node at a time, and every tree comes out the same
+to the bit. A tree that draws no features puts all of its open
 nodes into one step: with no draws, node order cannot change the tree.
 
 One step's nodes share one split search. Each (node, candidate feature) pair
@@ -34,6 +35,7 @@ which bounds the search's temporaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -90,15 +92,21 @@ def sum_gains(roots: list[TreeNode], n_features: int) -> np.ndarray:
 
 
 @dataclass
-class CartTree:
-    root: TreeNode
+class RandomForest:
+    trees: list[TreeNode]
     n_features: int
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_tree(self.root, X)
+        scores = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
+        for tree in self.trees:
+            scores += predict_tree(tree, X)
+        return scores / len(self.trees)
 
     def feature_gains(self) -> np.ndarray:
-        return sum_gains([self.root], self.n_features)
+        gains = np.zeros(self.n_features, dtype=np.float64)
+        for tree in self.trees:
+            gains += sum_gains([tree], self.n_features)
+        return gains
 
 
 def _ranks(X: np.ndarray) -> np.ndarray:
@@ -217,14 +225,15 @@ def grow_trees(
     X: np.ndarray,
     y: np.ndarray,
     samples: list[np.ndarray],
-    min_samples_split: int = 2,
-    max_features: int | None = None,
-    rngs: list[np.random.Generator] | None = None,
-) -> list[CartTree]:
-    """Grow one tree per sample (row ids into X, repeats allowed) in lockstep.
+    min_samples_split: int,
+    max_features: int | None,
+    rngs: list[np.random.Generator],
+) -> list[TreeNode]:
+    """Grow one tree per sample (row ids into X, repeats allowed) in lockstep
+    and return their roots.
 
-    X is finite and y holds 0/1 labels. max_features enables per-split
-    feature subsampling (random forest mode) from rngs[t] for tree t; sampled
+    X is finite and y holds 0/1 labels. A max_features below X's column count
+    enables per-split feature subsampling from rngs[t] for tree t; sampled
     feature ids are sorted so the lowest-index tie-break is preserved within
     the sample.
     """
@@ -263,7 +272,7 @@ def grow_trees(
                 hi += 1
             _grow_chunk(X, y, ranks, step[lo:hi], None if feats is None else feats[lo:hi], stacks, min_samples_split)
             lo = hi
-    return [CartTree(root=root, n_features=p) for root in roots]
+    return roots
 
 
 def _is_open(n, n_pos, min_samples_split):
@@ -303,7 +312,32 @@ def _grow_chunk(X, y, ranks, chunk, feats, stacks, min_samples_split):
             stacks[t].append((node.right, part[start + nl:start + nl + nr], pr))
 
 
-def build_cart(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> CartTree:
-    """Grow one CART tree on all rows of X, with every feature a candidate (see grow_trees)."""
-    n = np.asarray(X).shape[0]
-    return grow_trees(X, y, [np.arange(n)], min_samples_split)[0]
+def build_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_trees: int = 100,
+    max_features: int | str | None = "sqrt",
+    bootstrap: bool = True,
+    min_samples_split: int = 2,
+    seed: int = 0,
+) -> RandomForest:
+    """Grow n_trees trees on bootstrap rows, drawing max_features candidate
+    features per split.
+
+    Each tree owns one generator, spawned from the seed, so tree i is stable
+    under n_trees changes. The generator draws the tree's bootstrap rows
+    first, then the candidate features of each split.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape
+    if max_features == "sqrt":
+        max_features = ceil(sqrt(p))
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    samples = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in rngs]
+    return RandomForest(grow_trees(X, y, samples, min_samples_split, max_features, rngs), p)
+
+
+def build_cart(X: np.ndarray, y: np.ndarray, min_samples_split: int = 2) -> RandomForest:
+    """Grow one CART tree on all rows of X, with every feature a candidate:
+    a forest of one tree without bootstrap or feature draws."""
+    return build_forest(X, y, n_trees=1, max_features=None, bootstrap=False, min_samples_split=min_samples_split)

@@ -37,11 +37,10 @@ import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import MINUTES_PER_DAY
-from chronoseg.models.forest import RandomForest
 from chronoseg.models.gbdt import Binner
 from chronoseg.models.gbdt import log_loss, sigmoid
 from chronoseg.models.linear import LogisticModel
-from chronoseg.models.tree import CartTree, TreeNode
+from chronoseg.models.tree import RandomForest, TreeNode
 
 
 def _median_sorted(sorted_vals):
@@ -259,8 +258,8 @@ def reference_build_cart(
     min_samples_split: int = 2,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
-) -> CartTree:
-    """Grow a CART tree to purity (no depth cap).
+) -> RandomForest:
+    """Grow a CART tree to purity (no depth cap), as a forest of one tree.
 
     max_features enables per-split feature subsampling (random forest mode);
     sampled feature ids are sorted so the lowest-index tie-break is preserved
@@ -299,7 +298,7 @@ def reference_build_cart(
         node.right = TreeNode(n=right_idx.size, value=float(y[right_idx].mean()))
         stack.append((node.left, left_idx))
         stack.append((node.right, right_idx))
-    return CartTree(root=root, n_features=p)
+    return RandomForest(trees=[root], n_features=p)
 
 
 def reference_build_forest(
@@ -327,7 +326,9 @@ def reference_build_forest(
         else:
             Xb, yb = X, y
         trees.append(
-            reference_build_cart(Xb, yb, min_samples_split=min_samples_split, max_features=max_features, rng=rng)
+            reference_build_cart(
+                Xb, yb, min_samples_split=min_samples_split, max_features=max_features, rng=rng
+            ).trees[0]
         )
     return RandomForest(trees=trees, n_features=p)
 

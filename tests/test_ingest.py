@@ -205,9 +205,10 @@ class TestInterchange:
     @pytest.mark.parametrize("blank_every", [None, 700])
     @pytest.mark.parametrize("at", [3, 2000])
     def test_malformed_row_names_line_across_chunks(self, tmp_path, at, blank_every):
-        # blank lines are skipped and do not count towards line numbers
+        # blank lines are skipped but count towards line numbers, as in the file
         path = self._two_days(tmp_path, {at: "s1,1,2004-05-08,five,3"}, blank_every)
-        with pytest.raises(DataError, match=f"malformed row at line {at + 2}: invalid literal"):
+        line = at + 2 + (at // blank_every if blank_every else 0)
+        with pytest.raises(DataError, match=f"malformed row at line {line}: invalid literal"):
             load_interchange(path)
 
     def test_duplicate_and_out_of_range_minutes(self, tmp_path):

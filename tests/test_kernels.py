@@ -16,11 +16,19 @@ from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, w
 from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
-from chronoseg.models.forest import build_forest
 from chronoseg.models.gbdt import _TreeGrower, fit_binner, train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
-from chronoseg.models.tree import _best_splits, _partition, _ranks, _search_key, build_cart
+from chronoseg.models.tree import (
+    _best_splits,
+    _partition,
+    _ranks,
+    _search_key,
+    build_cart,
+    build_forest,
+    predict_tree,
+    sum_gains,
+)
 from chronoseg.segmentation import resolve_scheme
 from chronoseg.synth import gen_corpus
 
@@ -126,9 +134,9 @@ class TestCartSplit:
         assert part.tolist() == np.concatenate(want).tolist()
 
 
-def tree_nodes(tree):
+def tree_nodes(root):
     """(feature, threshold, gain, value, n) of every node, in preorder."""
-    nodes, stack = [], [tree.root]
+    nodes, stack = [], [root]
     while stack:
         node = stack.pop()
         nodes.append((node.feature, node.threshold, node.gain, node.value, node.n))
@@ -161,7 +169,12 @@ class TestLockstepTrees:
             tree_module.SEARCH_CHUNK = saved
         want = reference_build_forest(X, y, **params)
         assert [tree_nodes(t) for t in forest.trees] == [tree_nodes(t) for t in want.trees]
-        assert tree_nodes(cart) == tree_nodes(reference_build_cart(X, y, min_samples_split=params["min_samples_split"]))
+        want_cart = reference_build_cart(X, y, min_samples_split=params["min_samples_split"])
+        assert [tree_nodes(t) for t in cart.trees] == [tree_nodes(t) for t in want_cart.trees]
+        # a decision tree is a forest of one tree: averaging one tree's scores and
+        # totalling one tree's gains from zero leave their bytes as they are
+        assert cart.predict_proba(X).tobytes() == predict_tree(cart.trees[0], X).tobytes()
+        assert cart.feature_gains().tobytes() == sum_gains(cart.trees, p).tobytes()
 
     def test_threshold_rounded_onto_next_value(self):
         # the midpoint of adjacent floats 1+eps and 1+2eps rounds up to 1+2eps, so
@@ -170,8 +183,9 @@ class TestLockstepTrees:
         X = np.array([[a], [a], [b], [b], [3.0]])
         y = np.array([0, 0, 1, 1, 1])
         cart = build_cart(X, y, min_samples_split=5)
-        assert cart.root.threshold == b and (cart.root.left.n, cart.root.right.n) == (4, 1)
-        assert tree_nodes(cart) == tree_nodes(reference_build_cart(X, y, min_samples_split=5))
+        root = cart.trees[0]
+        assert root.threshold == b and (root.left.n, root.right.n) == (4, 1)
+        assert tree_nodes(root) == tree_nodes(reference_build_cart(X, y, min_samples_split=5).trees[0])
 
 
 @st.composite
