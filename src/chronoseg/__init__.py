@@ -6,7 +6,7 @@ from .features import FEATURE_NAMES, FeatureTable, extract_features, featurize_c
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, predict_proba, train
 from .segmentation import SegmentationScheme, builtin_scheme, resolve_scheme, segment_day, validate_scheme
-from .synth import SubjectProfile, gen_corpus
+from .synth import gen_corpus
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "builtin_scheme",
     "segment_day",
     "validate_scheme",
-    "SubjectProfile",
     "gen_corpus",
     "__version__",
 ]

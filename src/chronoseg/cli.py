@@ -238,7 +238,11 @@ def cmd_importance(settings: dict, config: dict) -> int:
         fh.write("feature,gain\n")
         for feature, gain in ranking:
             fh.write(f"{feature},{gain:.17g}\n")
-    print(f"wrote {settings['out']}: top feature {ranking[0][0]}")
+    top_feature, top_gain = ranking[0]
+    if top_gain > 0:
+        print(f"wrote {settings['out']}: top feature {top_feature}")
+    else:
+        print(f"wrote {settings['out']}: the model made no split, so every gain is 0")
     return 0
 
 

@@ -169,7 +169,7 @@ class CVReport:
     f1_std: float
     seed: int
     digest: str
-    fold_curves: list = field(default_factory=list)  # per fold (labels, scores)
+    fold_curves: list = field(default_factory=list)  # per fold (labels, scores) arrays
 
 
 def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVReport:
@@ -194,7 +194,7 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVRe
         else:
             fold_aucs.append(auc_roc(scores, y_test))
         fold_f1s.append(f1(scores, y_test))
-        curves.append((y_test.tolist(), scores.tolist()))
+        curves.append((y_test, scores))
 
     present = [a for a in fold_aucs if a is not None]
     if not present:
@@ -226,11 +226,8 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVRe
     )
 
 
-def _run_cell(args) -> CVReport:
-    table, spec, k, seed, mode = args
-    groups = table.subject_ids if mode == "subject_grouped" else None
-    plan = stratified_kfold(table.labels, k=k, seed=seed, mode=mode, groups=groups)
-    return cross_validate(table, spec, plan)
+def _run_cell(job) -> CVReport:
+    return cross_validate(*job)
 
 
 def run_matrix(
@@ -244,13 +241,18 @@ def run_matrix(
     """One CVReport per (table, model) cell plus a rendered results grid.
 
     The tables come from ``featurize_corpus`` or ``read_feature_table``, one
-    per scheme. Cells are independent jobs; with workers > 1 they run in a
-    process pool of at most one process per cell and are still collected in
-    submission order, so output is deterministic.
+    per scheme. Each table's fold plan is drawn once and shared by its cells.
+    Cells are independent jobs; with workers > 1 they run in a process pool
+    of at most one process per cell and are still collected in submission
+    order, so output is deterministic.
     """
     if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")
-    jobs = [(table, spec, k, seed, mode) for table in tables for spec in specs.values()]
+    jobs = []
+    for table in tables:
+        groups = table.subject_ids if mode == "subject_grouped" else None
+        plan = stratified_kfold(table.labels, k=k, seed=seed, mode=mode, groups=groups)
+        jobs += [(table, spec, plan) for spec in specs.values()]
     # the fork start method starts every worker at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -294,9 +296,8 @@ def write_roc_csv(reports: list[CVReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("scheme,model,fold,fpr,tpr\n")
         for r in reports:
-            for fold, (labels, scores) in enumerate(r.fold_curves):
-                labels = np.asarray(labels)
-                if labels.min() == labels.max():
+            for fold, (auc, (labels, scores)) in enumerate(zip(r.fold_aucs, r.fold_curves)):
+                if auc is None:
                     continue
-                for fpr, tpr in roc_points(np.asarray(scores), labels):
+                for fpr, tpr in roc_points(scores, labels):
                     fh.write(f"{r.scheme},{r.model},{fold},{fpr:.17g},{tpr:.17g}\n")

@@ -299,7 +299,7 @@ def filter_complete_days(minutes: np.ndarray, activity: np.ndarray) -> tuple[lis
 
 
 def _read_metadata(path: Path) -> dict[str, int]:
-    """Metadata table: CSV with columns subject_id,label."""
+    """Metadata table: CSV with columns subject_id,label, one row per subject."""
     table: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -307,6 +307,9 @@ def _read_metadata(path: Path) -> dict[str, int]:
             if reader.fieldnames is None or "subject_id" not in reader.fieldnames or "label" not in reader.fieldnames:
                 raise ConfigError(f"metadata file {path} needs subject_id and label columns")
             for row in reader:
+                if row["subject_id"] in table:
+                    raise ConfigError(f"metadata file {path}: subject {row['subject_id']!r} listed again "
+                                      f"on line {reader.line_num}")
                 table[row["subject_id"]] = _metadata_label(row, path)
         except csv.Error as exc:
             raise ConfigError(f"metadata file {path}: malformed line {reader.reader.line_num}: {exc}")

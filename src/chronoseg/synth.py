@@ -7,13 +7,19 @@ around the intensity curve, so all values are non-negative integers and every
 generated day is complete. All numeric defaults are artifact choices tuned
 once for class separability; none come from the study being modeled.
 
-:func:`gen_corpus` writes each subject's days, in date order, straight into
-the corpus day matrix.
+Each subject's day rate is ``BASE_RATE`` and night rate ``NIGHT_RATE``, each
+times a lognormal jitter; a patient's burst probability is
+``PATIENT_BURST_PROB`` times a uniform jitter in (0.6, 1.4), and its morning
+intensity is multiplied by ``PATIENT_MORNING_DAMPING``. Bursts walk the
+night minutes in ``NIGHT_MINUTES`` order, 00:00-08:00 then 20:00-24:00, so a
+burst still running at 08:00 continues at 20:00.
+
+:func:`gen_corpus` builds each subject's diurnal curve once and writes the
+subject's days, in date order, straight into the corpus day matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -23,63 +29,40 @@ from .ingest import MINUTES_PER_DAY, Corpus
 
 DAY_START, DAY_END = 480, 1200  # 08:00-20:00
 MORNING_START, MORNING_END = 360, 720  # 06:00-12:00
+NIGHT_MINUTES = (*range(DAY_START), *range(DAY_END, MINUTES_PER_DAY))
+BASE_RATE = 300.0
+NIGHT_RATE = 5.0
+PATIENT_BURST_PROB = 0.15
+PATIENT_MORNING_DAMPING = 0.5
 BURST_MEAN_MINUTES = 8
 BURST_RATE_FACTOR = 0.5
 
 EPOCH = date(2020, 3, 1)
 
 
-@dataclass(frozen=True)
-class SubjectProfile:
-    is_patient: bool
-    base_rate: float = 300.0
-    night_rate: float = 5.0
-    burst_prob: float = 0.15
-    morning_damping: float = 0.5
-
-    def __post_init__(self):
-        if self.base_rate < 0 or self.night_rate < 0:
-            raise ConfigError("rates must be non-negative")
-        if not 0 <= self.burst_prob <= 1:
-            raise ConfigError("burst_prob must be in [0, 1]")
-        if not 0 < self.morning_damping <= 1:
-            raise ConfigError("morning_damping must be in (0, 1]")
-
-
-def control_profile() -> SubjectProfile:
-    return SubjectProfile(is_patient=False, burst_prob=0.0, morning_damping=1.0)
-
-
-def patient_profile() -> SubjectProfile:
-    return SubjectProfile(is_patient=True)
-
-
-def _diurnal_curve(profile: SubjectProfile) -> np.ndarray:
+def _diurnal_curve(base_rate: float, night_rate: float, morning_damping: float) -> np.ndarray:
     minutes = np.arange(MINUTES_PER_DAY)
-    intensity = np.full(MINUTES_PER_DAY, profile.night_rate, dtype=np.float64)
+    intensity = np.full(MINUTES_PER_DAY, night_rate, dtype=np.float64)
     day_mask = (minutes >= DAY_START) & (minutes < DAY_END)
     phase = (minutes[day_mask] - DAY_START) / (DAY_END - DAY_START)
-    intensity[day_mask] = profile.night_rate + profile.base_rate * (0.3 + 0.7 * np.sin(np.pi * phase))
-    if profile.is_patient:
-        morning = (minutes >= MORNING_START) & (minutes < MORNING_END)
-        intensity[morning] *= profile.morning_damping
+    intensity[day_mask] = night_rate + base_rate * (0.3 + 0.7 * np.sin(np.pi * phase))
+    intensity[(minutes >= MORNING_START) & (minutes < MORNING_END)] *= morning_damping
     return intensity
 
 
-def _gen_day_values(profile: SubjectProfile, rng: np.random.Generator) -> np.ndarray:
-    intensity = _diurnal_curve(profile).copy()
-    if profile.is_patient and profile.burst_prob > 0:
-        night = np.flatnonzero((np.arange(MINUTES_PER_DAY) < DAY_START) | (np.arange(MINUTES_PER_DAY) >= DAY_END))
-        remaining = 0
-        for m in night:
-            if remaining > 0:
-                intensity[m] += BURST_RATE_FACTOR * profile.base_rate
-                remaining -= 1
-            elif rng.random() < profile.burst_prob:
-                remaining = int(rng.geometric(1.0 / BURST_MEAN_MINUTES))
-                intensity[m] += BURST_RATE_FACTOR * profile.base_rate
-                remaining -= 1
-    return rng.poisson(intensity).astype(np.int64)
+def _add_bursts(intensity: np.ndarray, burst_prob: float, burst_rate: float, rng: np.random.Generator) -> None:
+    """One ``rng.random()`` per night minute outside a burst and one
+    ``rng.geometric`` per burst start; a burst adds ``burst_rate`` to each
+    minute it covers."""
+    remaining = 0
+    for m in NIGHT_MINUTES:
+        if remaining > 0:
+            intensity[m] += burst_rate
+            remaining -= 1
+        elif rng.random() < burst_prob:
+            remaining = int(rng.geometric(1.0 / BURST_MEAN_MINUTES))
+            intensity[m] += burst_rate
+            remaining -= 1
 
 
 def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Corpus:
@@ -96,16 +79,16 @@ def gen_corpus(n_patients: int, n_controls: int, days: int, seed: int = 0) -> Co
     values = np.empty((len(subject_ids) * days, MINUTES_PER_DAY), dtype=np.int64)
     for i, stream in enumerate(streams):
         is_patient = i < n_patients
-        base = patient_profile() if is_patient else control_profile()
-        profile = replace(
-            base,
-            base_rate=base.base_rate * jitter_rng.lognormal(0.0, 0.25),
-            night_rate=base.night_rate * jitter_rng.lognormal(0.0, 0.3),
-            burst_prob=min(1.0, base.burst_prob * jitter_rng.uniform(0.6, 1.4)) if is_patient else 0.0,
-        )
+        base_rate = BASE_RATE * jitter_rng.lognormal(0.0, 0.25)
+        night_rate = NIGHT_RATE * jitter_rng.lognormal(0.0, 0.3)
+        burst_prob = PATIENT_BURST_PROB * jitter_rng.uniform(0.6, 1.4) if is_patient else 0.0
+        curve = _diurnal_curve(base_rate, night_rate, PATIENT_MORNING_DAMPING if is_patient else 1.0)
         rng = np.random.default_rng(stream)
         for row in values[i * days:(i + 1) * days]:
-            row[:] = _gen_day_values(profile, rng)
+            intensity = curve.copy()
+            if is_patient:
+                _add_bursts(intensity, burst_prob, BURST_RATE_FACTOR * base_rate, rng)
+            row[:] = rng.poisson(intensity)
     return Corpus(
         values=values,
         subject_ids=[subject_id for subject_id in subject_ids for _ in range(days)],

@@ -235,6 +235,17 @@ class TestImportanceCommand:
         gains = [float(line.split(",")[1]) for line in lines[1:]]
         assert gains == sorted(gains, reverse=True)
 
+    def test_model_without_split_names_no_top_feature(self, corpus_file, tmp_path, capsys):
+        # 6 all_days rows are fewer than 2 * min_child_samples, so no split is possible
+        out = tmp_path / "imp.csv"
+        code = main(["importance", "--corpus", str(corpus_file), "--scheme", "all_days", "--model", "lightgbm",
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out}: the model made no split, so every gain is 0\n"
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 16
+        assert all(float(line.split(",")[1]) == 0 for line in lines[1:])
+
     def test_non_tree_model_exit_2(self, corpus_file, tmp_path):
         code = main(
             ["importance", "--corpus", str(corpus_file), "--scheme", "parts2", "--model", "knn",

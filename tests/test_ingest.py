@@ -151,7 +151,8 @@ class TestLoadCorpus:
     @pytest.mark.parametrize("content, message", [
         (b"subject_id,label\n\xff\xfe,1\n", "is not UTF-8 text"),
         (b"subject_id,label\ns1," + b"1" * 200_000 + b"\n", "malformed line 2: field larger than field limit"),
-    ], ids=["not_utf8", "oversized_field"])
+        (b"subject_id,label\ns1,1\ns2,0\ns1,0\n", r"meta\.csv: subject 's1' listed again on line 4"),
+    ], ids=["not_utf8", "oversized_field", "repeated_subject"])
     def test_unreadable_metadata_is_config_error(self, tmp_path, content, message):
         self._write_subject(tmp_path / "s1.csv", 1)
         (tmp_path.parent / "meta.csv").write_bytes(content)
