@@ -21,7 +21,7 @@ from .evaluation import CV_MODES, run_matrix, write_fold_csv, write_report_csv, 
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import FAMILIES, ModelSpec, default_model_specs, gain_importance, train
-from .segmentation import PRESET_NAMES, read_yaml, resolve_scheme
+from .segmentation import PRESET_NAMES, SegmentationScheme, read_yaml, resolve_scheme
 from .synth import gen_corpus
 
 DEFAULT_SCHEMES = list(PRESET_NAMES)
@@ -142,6 +142,20 @@ def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
     return load_interchange(p)
 
 
+def _distinct(names: list[str]) -> list[str]:
+    """A run's scheme names, each once: two schemes with one name would write one table twice."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"scheme {name!r} is given twice; each scheme of a run needs its own name")
+    return names
+
+
+def _resolve_schemes(names: list[str]) -> list[SegmentationScheme]:
+    schemes = [resolve_scheme(name) for name in names]
+    _distinct([scheme.name for scheme in schemes])
+    return schemes
+
+
 def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str, ModelSpec]:
     model_params = config.get("model_params", {})
     if not isinstance(model_params, dict) or not all(isinstance(v, dict) for v in model_params.values()):
@@ -178,7 +192,7 @@ def cmd_featurize(settings: dict, config: dict) -> int:
     if not settings["corpus"]:
         raise ConfigError("featurize needs a corpus path (--corpus or config key 'corpus')")
     out_dir = Path(settings["out_dir"])
-    schemes = [resolve_scheme(name) for name in settings["schemes"]]
+    schemes = _resolve_schemes(settings["schemes"])
     corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for scheme in schemes:
@@ -194,15 +208,15 @@ def cmd_evaluate(settings: dict, config: dict) -> int:
     _check_output(settings["out_dir"], is_dir=True)
     specs = _resolve_specs(settings["models"], config, settings["seed"])
     if settings["corpus"]:
+        schemes = _resolve_schemes(settings["schemes"])
         corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
-        schemes = [resolve_scheme(name) for name in settings["schemes"]]
         tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
     elif settings["features_dir"]:
+        # featurize files a scheme file's table under the scheme's name
+        names = _distinct([resolve_scheme(name).name if Path(name).is_file() else name
+                           for name in settings["schemes"]])
         tables = []
-        for name in settings["schemes"]:
-            # featurize files a scheme file's table under the scheme's name
-            if Path(name).is_file():
-                name = resolve_scheme(name).name
+        for name in names:
             path = Path(settings["features_dir"]) / f"features_{name}.csv"
             if not path.exists():
                 raise ConfigError(f"feature table {path} does not exist")

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,6 @@ class FoldPlan:
     assignments: np.ndarray  # row index -> fold id
     mode: str
     seed: int
-
-    def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        test = np.flatnonzero(self.assignments == fold)
-        train_ = np.flatnonzero(self.assignments != fold)
-        return train_, test
 
 
 def stratified_kfold(
@@ -157,48 +152,62 @@ def config_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CVReport:
+    """One (scheme, model) cell: its fold plan and every row's out-of-fold score.
+
+    ``scores[i]`` is row i's score from the model fitted on every fold but row
+    i's own. The constructor derives ``fold_aucs``, ``fold_f1s`` and their
+    means and standard deviations once: a fold whose test rows hold a single
+    class has AUC None, which the AUC mean and std leave out.
+    """
+
     scheme: str
     model: str
-    fold_aucs: list  # float | None per fold (None: single-class test fold)
-    fold_f1s: list[float]
-    auc_mean: float
-    auc_std: float
-    f1_mean: float
-    f1_std: float
-    seed: int
     digest: str
-    fold_curves: list = field(default_factory=list)  # per fold (labels, scores) arrays
+    plan: FoldPlan
+    labels: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self):
+        fold_aucs: list[float | None] = []
+        fold_f1s: list[float] = []
+        for fold, (labels, scores) in enumerate(self.folds()):
+            if labels.min() == labels.max():
+                logger.warning("fold %d of %s/%s has a single test class; AUC excluded from mean",
+                               fold, self.scheme, self.model)
+                fold_aucs.append(None)
+            else:
+                fold_aucs.append(auc_roc(scores, labels))
+            fold_f1s.append(f1(scores, labels))
+        present = [a for a in fold_aucs if a is not None]
+        if not present:
+            raise DataError("every fold had a single test class; cannot report AUC")
+        self.__dict__.update(  # derived once; a frozen instance takes them past __setattr__
+            fold_aucs=fold_aucs,
+            fold_f1s=fold_f1s,
+            auc_mean=float(np.mean(present)),
+            auc_std=float(np.std(present)),
+            f1_mean=float(np.mean(fold_f1s)),
+            f1_std=float(np.std(fold_f1s)),
+        )
+
+    def folds(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(labels, scores) of each fold's test rows, in row order."""
+        tests = (self.plan.assignments == fold for fold in range(self.plan.k))
+        return [(self.labels[test], self.scores[test]) for test in tests]
 
 
 def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVReport:
-    """Fit/score each fold; scaler and model see training rows only."""
+    """Score each fold's rows with a model whose scaler and fit see only the other folds."""
     if plan.assignments.size != table.n_rows:
         raise ConfigError("fold plan does not match table rows")
     X, y = table.X, table.labels
-    fold_aucs: list[float | None] = []
-    fold_f1s: list[float] = []
-    curves = []
+    scores = np.full(table.n_rows, np.nan)  # a row outside every fold keeps NaN
     for fold in range(plan.k):
-        train_idx, test_idx = plan.split(fold)
-        model = train(spec, X[train_idx], y[train_idx], feature_names=table.columns)
-        scores = predict_proba(model, X[test_idx])
-        y_test = y[test_idx]
-        if y_test.min() == y_test.max():
-            logger.warning(
-                "fold %d of %s/%s has a single test class; AUC excluded from mean",
-                fold, table.scheme, spec.name,
-            )
-            fold_aucs.append(None)
-        else:
-            fold_aucs.append(auc_roc(scores, y_test))
-        fold_f1s.append(f1(scores, y_test))
-        curves.append((y_test, scores))
-
-    present = [a for a in fold_aucs if a is not None]
-    if not present:
-        raise DataError("every fold had a single test class; cannot report AUC")
+        test = plan.assignments == fold
+        model = train(spec, X[~test], y[~test], feature_names=table.columns)
+        scores[test] = predict_proba(model, X[test])
     digest = config_digest(
         {
             "scheme": table.scheme,
@@ -211,19 +220,7 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVRe
             "cv_seed": plan.seed,
         }
     )
-    return CVReport(
-        scheme=table.scheme,
-        model=spec.name,
-        fold_aucs=fold_aucs,
-        fold_f1s=fold_f1s,
-        auc_mean=float(np.mean(present)),
-        auc_std=float(np.std(present)),
-        f1_mean=float(np.mean(fold_f1s)),
-        f1_std=float(np.std(fold_f1s)),
-        seed=plan.seed,
-        digest=digest,
-        fold_curves=curves,
-    )
+    return CVReport(table.scheme, spec.name, digest, plan, y, scores)
 
 
 def _run_cell(job) -> CVReport:
@@ -277,7 +274,7 @@ def write_report_csv(reports: list[CVReport], path) -> None:
         for r in reports:
             fh.write(
                 f"{r.scheme},{r.model},{r.auc_mean:.17g},{r.auc_std:.17g},"
-                f"{r.f1_mean:.17g},{r.f1_std:.17g},{r.seed},{r.digest}\n"
+                f"{r.f1_mean:.17g},{r.f1_std:.17g},{r.plan.seed},{r.digest}\n"
             )
 
 
@@ -296,7 +293,7 @@ def write_roc_csv(reports: list[CVReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("scheme,model,fold,fpr,tpr\n")
         for r in reports:
-            for fold, (auc, (labels, scores)) in enumerate(zip(r.fold_aucs, r.fold_curves)):
+            for fold, (auc, (labels, scores)) in enumerate(zip(r.fold_aucs, r.folds())):
                 if auc is None:
                     continue
                 for fpr, tpr in roc_points(scores, labels):

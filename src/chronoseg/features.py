@@ -229,15 +229,23 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
 
 def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:
     """Read a table written by write_feature_table; a malformed row is a
-    DataError naming its line."""
+    DataError naming its line.
+
+    As in a Corpus, each (subject_id, date) appears once and each subject has
+    one label; the header names at least one feature column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         subject_ids, dates, labels, rows = [], [], [], []
+        seen: set[tuple[str, str]] = set()
+        subject_labels: dict[str, int] = {}
         try:
             header = next(reader, None)
             if header is None or header[:3] != ["subject_id", "date", "label"]:
                 raise DataError(f"feature table {path} missing subject_id,date,label header")
             columns = tuple(header[3:])
+            if not columns:
+                raise DataError(f"feature table {path} has no feature columns")
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise DataError(
@@ -251,6 +259,14 @@ def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:
                     raise DataError(f"feature table {path}: malformed row at line {lineno}: {exc}")
                 if label not in (0, 1):
                     raise DataError(f"feature table {path}: malformed row at line {lineno}: label {label}")
+                if (row[0], row[1]) in seen:
+                    raise DataError(f"feature table {path}: subject {row[0]} repeats date {row[1]} at line {lineno}")
+                if subject_labels.setdefault(row[0], label) != label:
+                    raise DataError(
+                        f"feature table {path}: subject {row[0]} has label {label} at line {lineno}, "
+                        f"but {subject_labels[row[0]]} on an earlier line"
+                    )
+                seen.add((row[0], row[1]))
                 subject_ids.append(row[0])
                 dates.append(row[1])
                 labels.append(label)

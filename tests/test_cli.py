@@ -293,6 +293,27 @@ class TestDataErrors:
         assert self._evaluate_table(tmp_path, "s9,2020-03-09,1,high,3") == 3
         assert "line 4" in capsys.readouterr().err
 
+    def test_repeated_feature_row_exits_3(self, tmp_path, capsys):
+        # under row_stratified CV a copy could land in both train and test
+        assert self._evaluate_table(tmp_path, "s1,2020-03-01,1,1.5,1") == 3
+        err = capsys.readouterr().err
+        assert "features_full_day.csv" in err and "subject s1 repeats date 2020-03-01 at line 4" in err, err
+
+    def test_subject_with_two_labels_exits_3(self, tmp_path, capsys):
+        # subject_grouped CV would take the label of the subject's first row
+        assert self._evaluate_table(tmp_path, "s1,2020-03-09,0,3.5,3") == 3
+        err = capsys.readouterr().err
+        assert "features_full_day.csv" in err and "subject s1 has label 0 at line 4" in err, err
+
+    def test_feature_table_without_feature_columns_exits_3(self, tmp_path, capsys):
+        rows = [f"s{i},2020-03-0{i},{i % 2}" for i in range(1, 5)]
+        (tmp_path / "features_z.csv").write_text("\n".join(["subject_id,date,label", *rows]) + "\n")
+        code = main(["evaluate", "--features-dir", str(tmp_path), "--schemes", "z", "--k", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "features_z.csv has no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -460,6 +481,25 @@ class TestConfigErrors:
         assert main(["featurize", "--corpus", str(corpus_file), "--schemes", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, source, schemes",
+        [
+            ("featurize", "--corpus", ["parts2", "p.yaml"]),
+            ("evaluate", "--corpus", ["parts2", "parts2"]),
+            ("evaluate", "--features-dir", ["parts2", "p.yaml"]),
+        ],
+        ids=["featurize", "evaluate-corpus", "evaluate-features-dir"],
+    )
+    def test_repeated_scheme_name_writes_nothing(self, corpus_file, tmp_path, capsys, command, source, schemes):
+        # a scheme file named parts2 would write, or report, the parts2 table twice
+        (tmp_path / "p.yaml").write_text('name: parts2\nsegments:\n  - name: day\n    windows: ["00:00-24:00"]\n')
+        schemes = [str(tmp_path / name) if name.endswith(".yaml") else name for name in schemes]
+        inputs = str(corpus_file) if source == "--corpus" else str(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, source, inputs, "--schemes", *schemes, "--out-dir", str(out)]) == 2
+        assert "scheme 'parts2' is given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_scheme_after_good_one_writes_nothing(self, corpus_file, tmp_path, capsys):

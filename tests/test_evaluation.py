@@ -15,7 +15,7 @@ from chronoseg.evaluation import (
     write_report_csv,
 )
 from chronoseg.features import FeatureTable, featurize_corpus
-from chronoseg.models import ModelSpec, default_model_specs
+from chronoseg.models import ModelSpec, default_model_specs, predict_proba, train
 from chronoseg.segmentation import builtin_scheme
 
 from oracles import loop_roc_points, naive_auc, naive_f1
@@ -212,8 +212,6 @@ class TestCrossValidate:
         test_idx = np.flatnonzero(plan.assignments == 0)
         train_idx = np.flatnonzero(plan.assignments != 0)
 
-        from chronoseg.models import train
-
         spec = ModelSpec("logistic_regression")
         m1 = train(spec, X[train_idx], y[train_idx])
         X_mut = X.copy()
@@ -258,6 +256,11 @@ class TestRunMatrix:
         direct = cross_validate(table, spec, plan)
         assert reports[0].auc_mean == direct.auc_mean
         assert reports[0].fold_aucs == direct.fold_aucs
+        # each row's score comes from the model fitted on the other folds
+        for fold in range(3):
+            train_idx, test_idx = np.flatnonzero(plan.assignments != fold), np.flatnonzero(plan.assignments == fold)
+            model = train(spec, table.X[train_idx], table.labels[train_idx], feature_names=table.columns)
+            np.testing.assert_array_equal(reports[0].scores[test_idx], predict_proba(model, table.X[test_idx]))
 
     def test_empty_inputs_rejected(self, tiny_corpus):
         with pytest.raises(ConfigError):
@@ -282,6 +285,7 @@ class TestRunMatrix:
         for a, b in zip(serial, parallel):
             assert a.fold_aucs == b.fold_aucs
             assert a.digest == b.digest
+            np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_pool_capped_at_cell_count(self, tiny_corpus, monkeypatch):
         started = []
@@ -306,6 +310,8 @@ class TestRunMatrix:
         assert started == [2]
         serial, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=1)
         assert [r.fold_aucs for r in pooled] == [r.fold_aucs for r in serial]
+        for a, b in zip(pooled, serial):
+            np.testing.assert_array_equal(a.scores, b.scores)
         run_matrix(tables(tiny_corpus, schemes), {"knn": ModelSpec("knn")}, k=3, seed=0, workers=10_000)
         assert started == [2]  # one cell runs serially
 
