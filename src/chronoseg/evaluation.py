@@ -1,5 +1,7 @@
 """Stratified cross-validation, ranking metrics, and the experiment matrix.
 
+Both CV modes deal each class's groups of rows (a row, or a subject's rows)
+largest first, each to the fold with the fewest rows of that class.
 AUC-ROC is the Mann-Whitney pair statistic computed from tie-averaged ranks
 (ties count half), identical to the trapezoidal area under the ROC curve. F1
 uses a fixed 0.5 probability threshold. Per-fold metrics are averaged, not
@@ -41,12 +43,13 @@ def stratified_kfold(
     mode: str = "row_stratified",
     groups=None,
 ) -> FoldPlan:
-    """Deterministic fold assignment.
+    """Deterministic fold assignment: one dealer for both modes.
 
-    row_stratified deals each class round-robin after a seeded shuffle, so
-    per-fold class counts are within 1 of proportional. subject_grouped keeps
-    all rows of a subject together, greedily balancing per-class row counts
-    across folds.
+    A group is a row (row_stratified) or a subject's rows (subject_grouped),
+    labelled by its first row. For class 0, then 1, the class's groups are
+    shuffled with the seed, stable-sorted largest first and each dealt to the
+    fold with the fewest rows of its class, then the fewest rows overall, then
+    the lowest index. With at least k groups, no fold is empty.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -54,41 +57,37 @@ def stratified_kfold(
         raise ConfigError(f"k must be >= 2, got {k}")
     if mode not in CV_MODES:
         raise ConfigError(f"unknown cv mode {mode!r}; choose from {CV_MODES}")
-    rng = np.random.default_rng(seed)
-    assignments = np.full(n, -1, dtype=np.int64)
-
-    if mode == "row_stratified":
-        offset = 0  # carried across classes so fold sizes stay balanced
-        for cls in (0, 1):
-            idx = np.flatnonzero(labels == cls)
-            # k == n is leave-one-out: one row per fold, always admissible
-            if idx.size < k and k != n:
-                raise DataError(f"class {cls} has only {idx.size} rows, need at least k={k}")
-            idx = rng.permutation(idx)
-            assignments[idx] = (offset + np.arange(idx.size)) % k
-            offset = (offset + idx.size) % k
-    else:
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise DataError(f"label must be 0 or 1, got {bad[0]}")
+    if mode == "subject_grouped":
         if groups is None:
             raise ConfigError("subject_grouped mode requires group ids")
         groups = np.asarray(groups)
         if groups.size != n:
             raise ConfigError("group ids length does not match labels")
-        unique = sorted(set(groups.tolist()))
-        if len(unique) < k:
-            raise DataError(f"only {len(unique)} subjects, cannot make {k} grouped folds")
-        subj_label = {g: int(labels[groups == g][0]) for g in unique}
-        for cls in (0, 1):
-            members = [g for g in unique if subj_label[g] == cls]
-            order = rng.permutation(len(members))
-            members = [members[i] for i in order]
-            members.sort(key=lambda g: -int(np.sum(groups == g)))  # stable: big subjects first
-            fold_rows = np.zeros(k, dtype=np.int64)
-            for g in members:
-                fold = int(np.argmin(fold_rows))
-                mask = groups == g
-                assignments[mask] = fold
-                fold_rows[fold] += int(mask.sum())
-    return FoldPlan(k=k, assignments=assignments, mode=mode, seed=seed)
+    else:
+        groups = np.arange(n)
+    _, first, inverse, sizes = np.unique(groups, return_index=True, return_inverse=True, return_counts=True)
+    if mode == "subject_grouped" and sizes.size < k:
+        raise DataError(f"only {sizes.size} subjects, cannot make {k} grouped folds")
+    rng = np.random.default_rng(seed)
+    fold_of_group = np.empty(sizes.size, dtype=np.int64)
+    load = [(0, 0)] * k  # per fold: (rows of the class being dealt, rows overall)
+    for cls in (0, 1):
+        members = np.flatnonzero(labels[first] == cls)
+        # k == n is leave-one-out: one row per fold, always admissible
+        if mode == "row_stratified" and members.size < k and k != n:
+            raise DataError(f"class {cls} has only {members.size} rows, need at least k={k}")
+        members = rng.permutation(members)
+        members = members[np.argsort(-sizes[members], kind="stable")]
+        load = [(0, rows) for _, rows in load]
+        for g, size in zip(members.tolist(), sizes[members].tolist()):
+            # fewest class rows, then fewest rows (tuple order), then lowest fold (index)
+            fold_of_group[g] = fold = load.index(min(load))
+            class_rows, rows = load[fold]
+            load[fold] = (class_rows + size, rows + size)
+    return FoldPlan(k=k, assignments=fold_of_group[inverse], mode=mode, seed=seed)
 
 
 def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,10 @@ Nesterov-accelerated logistic fit is kept as a baseline objective that the
 Newton fit must reach. The earlier scheme check, which listed every violation
 and ran again for every segment lookup, is kept with the unchecked scheme it
 took, so that a scheme's constructor can be required to store the very same
-minutes or raise the very same message.
+minutes or raise the very same message. The earlier two-branch fold
+assignment, a round-robin for rows and a per-class greedy for subjects, is
+kept as it was, so that the one group dealer can be required to give the very
+same row plans and the same class-0 subject plans.
 """
 
 import csv
@@ -36,6 +39,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
+from chronoseg.evaluation import CV_MODES, FoldPlan
 from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.models.gbdt import Binner
 from chronoseg.models.gbdt import log_loss, sigmoid
@@ -914,3 +918,60 @@ def reference_segment_minutes(scheme) -> list[np.ndarray]:
         np.concatenate([np.arange(w.start, w.end) for w in sorted(seg.windows, key=lambda w: w.start)])
         for seg in scheme.segments
     ]
+
+
+def reference_stratified_kfold(
+    labels: np.ndarray,
+    k: int,
+    seed: int = 0,
+    mode: str = "row_stratified",
+    groups=None,
+) -> FoldPlan:
+    """Deterministic fold assignment.
+
+    row_stratified deals each class round-robin after a seeded shuffle, so
+    per-fold class counts are within 1 of proportional. subject_grouped keeps
+    all rows of a subject together, greedily balancing per-class row counts
+    across folds.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
+    if mode not in CV_MODES:
+        raise ConfigError(f"unknown cv mode {mode!r}; choose from {CV_MODES}")
+    rng = np.random.default_rng(seed)
+    assignments = np.full(n, -1, dtype=np.int64)
+
+    if mode == "row_stratified":
+        offset = 0  # carried across classes so fold sizes stay balanced
+        for cls in (0, 1):
+            idx = np.flatnonzero(labels == cls)
+            # k == n is leave-one-out: one row per fold, always admissible
+            if idx.size < k and k != n:
+                raise DataError(f"class {cls} has only {idx.size} rows, need at least k={k}")
+            idx = rng.permutation(idx)
+            assignments[idx] = (offset + np.arange(idx.size)) % k
+            offset = (offset + idx.size) % k
+    else:
+        if groups is None:
+            raise ConfigError("subject_grouped mode requires group ids")
+        groups = np.asarray(groups)
+        if groups.size != n:
+            raise ConfigError("group ids length does not match labels")
+        unique = sorted(set(groups.tolist()))
+        if len(unique) < k:
+            raise DataError(f"only {len(unique)} subjects, cannot make {k} grouped folds")
+        subj_label = {g: int(labels[groups == g][0]) for g in unique}
+        for cls in (0, 1):
+            members = [g for g in unique if subj_label[g] == cls]
+            order = rng.permutation(len(members))
+            members = [members[i] for i in order]
+            members.sort(key=lambda g: -int(np.sum(groups == g)))  # stable: big subjects first
+            fold_rows = np.zeros(k, dtype=np.int64)
+            for g in members:
+                fold = int(np.argmin(fold_rows))
+                mask = groups == g
+                assignments[mask] = fold
+                fold_rows[fold] += int(mask.sum())
+    return FoldPlan(k=k, assignments=assignments, mode=mode, seed=seed)

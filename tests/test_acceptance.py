@@ -156,6 +156,7 @@ def test_05_stratification_property():
         plan = stratified_kfold(labels, k=k, seed=int(rng.integers(0, 2**31)), mode="subject_grouped", groups=groups)
         for g in np.unique(groups):
             assert len(set(plan.assignments[groups == g].tolist())) == 1
+        assert (np.bincount(plan.assignments, minlength=k) > 0).all()
     _report(5, "(1000 row draws, 200 grouped draws)")
 
 

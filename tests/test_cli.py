@@ -142,6 +142,26 @@ class TestEvaluateCommand:
         for name in ("report.csv", "folds.csv", "roc_points.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @staticmethod
+    def _grouped_run(tmp_path, patients, controls):
+        corpus = tmp_path / "c.csv"
+        assert main(["synth", "--patients", str(patients), "--controls", str(controls), "--days", "2",
+                     "--out", str(corpus)]) == 0
+        return main(["evaluate", "--corpus", str(corpus), "--schemes", "parts2", "--models", "knn", "--k", "5",
+                     "--cv-mode", "subject_grouped", "--out-dir", str(tmp_path / "r")])
+
+    def test_grouped_cv_with_fewer_subjects_per_class_than_k(self, tmp_path):
+        # 3 patients and 4 controls in 5 folds: patients go to the folds with the fewest rows
+        assert self._grouped_run(tmp_path, patients=3, controls=4) == 0
+        folds = [line.split(",")[2] for line in (tmp_path / "r" / "folds.csv").read_text().splitlines()[1:]]
+        assert folds == ["0", "1", "2", "3", "4"]
+
+    def test_grouped_cv_with_one_subject_per_fold_exits_3(self, tmp_path, capsys):
+        # 5 subjects in 5 folds: no fold is empty, but none holds both classes
+        assert self._grouped_run(tmp_path, patients=2, controls=3) == 3
+        assert "every fold had a single test class" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_features_dir_path(self, corpus_file, tmp_path):
         feat_dir = tmp_path / "features"
         assert main(["featurize", "--corpus", str(corpus_file), "--schemes", "full_day", "--out-dir", str(feat_dir)]) == 0

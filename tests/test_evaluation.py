@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.evaluation import (
+    CV_MODES,
     auc_roc,
     cross_validate,
     f1,
@@ -18,7 +19,7 @@ from chronoseg.features import FeatureTable, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs, predict_proba, train
 from chronoseg.segmentation import builtin_scheme
 
-from oracles import loop_roc_points, naive_auc, naive_f1
+from oracles import loop_roc_points, naive_auc, naive_f1, reference_stratified_kfold
 
 
 def make_table(X, y, subjects=None):
@@ -156,6 +157,51 @@ class TestStratifiedKfold:
             for fold in range(k):
                 count = int(np.sum((plan.assignments == fold) & (labels == cls)))
                 assert abs(count - total / k) < 1.0
+
+    def test_label_outside_binary_is_named(self):
+        # a row labelled 2 would belong to no class, so no fold would test it
+        labels = np.array([0, 1, 2, 0, 1, 0])
+        for mode in CV_MODES:
+            with pytest.raises(DataError, match="label must be 0 or 1, got 2"):
+                stratified_kfold(labels, k=2, seed=0, mode=mode, groups=np.arange(6))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_row_plans_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 12))
+        n0 = int(rng.integers(k, 60))
+        n1 = int(rng.integers(k, 60))
+        labels = rng.permutation(np.r_[np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
+        n = int(rng.integers(2, 12))
+        loo = rng.integers(0, 2, n)  # k == n: leave-one-out, whatever the class counts
+        for labels, k in ((labels, k), (loo, n)):
+            plan = stratified_kfold(labels, k=k, seed=seed)
+            reference = reference_stratified_kfold(labels, k=k, seed=seed)
+            assert plan.assignments.dtype == reference.assignments.dtype
+            np.testing.assert_array_equal(plan.assignments, reference.assignments)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_plans_match_reference_and_fill_every_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        n_subjects = int(rng.integers(2, 31))
+        k = int(rng.integers(2, min(n_subjects, 11) + 1))
+        subjects = np.array([f"s{i:02d}" for i in range(n_subjects)])
+        subject_label = dict(zip(subjects.tolist(), rng.integers(0, 2, n_subjects).tolist()))
+        groups = rng.permutation(np.repeat(subjects, rng.integers(1, 8, n_subjects)))  # subjects' rows interleaved
+        labels = np.array([subject_label[g] for g in groups.tolist()])
+        plan = stratified_kfold(labels, k=k, seed=seed, mode="subject_grouped", groups=groups).assignments
+        reference = reference_stratified_kfold(labels, k=k, seed=seed, mode="subject_grouped", groups=groups)
+        controls = labels == 0
+        np.testing.assert_array_equal(plan[controls], reference.assignments[controls])
+        for cls in (0, 1):
+            rows = labels == cls
+            assert sorted(np.bincount(plan[rows], minlength=k)) == sorted(
+                np.bincount(reference.assignments[rows], minlength=k))
+        for g in subjects:
+            assert len(set(plan[groups == g].tolist())) == 1
+        assert (np.bincount(plan, minlength=k) > 0).all()
 
     def test_deterministic(self):
         labels = np.random.default_rng(0).integers(0, 2, 100)
