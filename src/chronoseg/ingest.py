@@ -6,9 +6,10 @@ column; any other column, such as the ``date`` of the PSYKOSE layout
 (``timestamp,date,activity``), is ignored. A recording holds no label: the
 class comes only from its ``patient/`` or ``control/`` directory or from a
 metadata table. Subjects are split into calendar days (midnight to midnight
-on the file's naive clock) and only days with all 1440 minutes present are
-retained. Missing minutes are never imputed; incomplete days are discarded
-and counted.
+on the file's naive clock), and a day is kept only when its rows are its 1440
+minutes, consecutive and in order. Missing minutes are never imputed: a day
+with a gap, a repeated minute (as in the autumn DST fall-back) or rows out of
+order is discarded and counted, and the rest of the recording is kept.
 
 Parsing is columnar. The ``csv`` module splits a file into rows, which are
 converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
@@ -32,7 +33,17 @@ converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
 Days are cut from the minute and count arrays with ``minutes // 1440``.
 Chunking bounds the Python row objects alive at once (about 300 bytes a
 row), so peak memory stays near that of the parsed arrays however long a
-recording or an interchange file is.
+recording is; the interchange reader holds one day's rows at a time.
+
+The interchange file that ``save_corpus`` writes and ``load_interchange``
+reads is one CSV with the header ``subject_id,label,date,minute,activity``,
+then each subject-day as 1440 consecutive rows holding its minutes 0 to 1439
+in order; days may come in any order and blank rows are skipped. The reader
+takes one day at a time and checks each row once, in file order: it has five
+cells that convert, the day's first row has a label of 0 or 1 and an ISO
+date, each row repeats that key and holds the next minute, and its count is
+at least 0 and below 2**63. A row that breaks a rule is a DataError naming
+its line.
 
 A :class:`Corpus` is one read-only int64 day matrix of shape (n_days, 1440),
 one row per complete subject-day, with the subject id, date and label of
@@ -47,9 +58,9 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from itertools import groupby, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -59,7 +70,7 @@ logger = logging.getLogger(__name__)
 
 MINUTES_PER_DAY = 1440
 
-# Rows converted per bulk step by both readers. Larger chunks are no faster
+# Rows of a recording converted per bulk step. Larger chunks are no faster
 # and raise peak RSS; 1024 rows of Python row objects are about 0.3 MB.
 READ_CHUNK_ROWS = 1024
 
@@ -73,10 +84,6 @@ MAX_COUNT = 2.0**63
 _STAMP_TEMPLATE = np.array([ord(c) for c in "0000-00-00 00:00:00"])
 _STAMP_DIGITS = np.flatnonzero(_STAMP_TEMPLATE[:16] == ord("0"))
 _STAMP_SEPARATORS = np.flatnonzero(_STAMP_TEMPLATE[:16] != ord("0"))
-
-
-def _clock(minute: int) -> datetime:
-    return EPOCH + int(minute) * MINUTE
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +245,14 @@ def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int):
 
 
 def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
-    """One subject's recording as (minutes, activity), two int64 arrays.
+    """One subject's recording as (minutes, activity), two int64 arrays in
+    file order.
 
     ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
-    clock, strictly increasing; ``activity`` holds each minute's count. The
-    header must name a ``timestamp`` and an ``activity`` column; other
-    columns are ignored. Blank rows are skipped; a malformed row is a
-    DataError naming its line. Rows are read :data:`READ_CHUNK_ROWS` at a
-    time.
+    clock; ``activity`` holds each minute's count. The header must name a
+    ``timestamp`` and an ``activity`` column; other columns are ignored.
+    Blank rows are skipped; a malformed row is a DataError naming its line.
+    Rows are read :data:`READ_CHUNK_ROWS` at a time.
     """
     reader = csv.reader(stream)
     minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -271,31 +278,24 @@ def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"malformed row at line {reader.line_num}: {exc}")
     except UnicodeDecodeError as exc:
         raise DataError(f"recording is not UTF-8 text: {exc}")
-    minutes, activity = np.concatenate(minutes), np.concatenate(activity)
-
-    step = np.flatnonzero(np.diff(minutes) <= 0)
-    if step.size:
-        i = int(step[0])
-        raise DataError(
-            f"non-monotonic timestamps: {_clock(minutes[i])} followed by "
-            f"{_clock(minutes[i + 1])} (samples {i} and {i + 1})"
-        )
-    return minutes, activity
+    return np.concatenate(minutes), np.concatenate(activity)
 
 
 def filter_complete_days(minutes: np.ndarray, activity: np.ndarray) -> tuple[list[date], np.ndarray, int]:
-    """The dates and the (n_kept, 1440) counts of the days with all 1440
-    minutes present, and the number of days discarded.
+    """The dates and the (n_kept, 1440) counts of the complete days, in date
+    order, and the number of days discarded.
 
-    Minutes are strictly increasing, so a day with 1440 samples holds every
-    minute of that day, in order.
+    A day is complete when its rows are its 1440 minutes, consecutive and in
+    order. A day with a gap, a repeated minute (as in the autumn DST
+    fall-back) or rows out of order is discarded.
     """
-    day = minutes // MINUTES_PER_DAY
-    days, first, count = np.unique(day, return_index=True, return_counts=True)
-    complete = count == MINUTES_PER_DAY
+    days, first, count = np.unique(minutes // MINUTES_PER_DAY, return_index=True, return_counts=True)
+    days, first = days[count == MINUTES_PER_DAY], first[count == MINUTES_PER_DAY]
+    rows = first[:, None] + np.arange(MINUTES_PER_DAY)
+    # a day of 1440 rows is complete when the 1440 rows from its first hold its minutes in order
+    complete = (minutes[rows] == days[:, None] * MINUTES_PER_DAY + np.arange(MINUTES_PER_DAY)).all(axis=1)
     kept = [EPOCH.date() + timedelta(days=d) for d in days[complete].tolist()]
-    values = activity[first[complete][:, None] + np.arange(MINUTES_PER_DAY)]
-    return kept, values, int(np.count_nonzero(~complete))
+    return kept, activity[rows[complete]], int(count.size - np.count_nonzero(complete))
 
 
 def _read_metadata(path: Path) -> dict[str, int]:
@@ -396,11 +396,14 @@ def load_corpus(
     return corpus
 
 
-# -- corpus interchange format ------------------------------------------------
-# One CSV: subject_id,label,date,minute,activity sorted by (subject_id, date,
-# minute). Bit-exact sort order makes rewrites byte-identical.
+# -- corpus interchange format (see the module docstring) ---------------------
+# save_corpus writes the days sorted by (subject_id, date), so rewrites are
+# byte-identical.
 
 INTERCHANGE_COLUMNS = ["subject_id", "label", "date", "minute", "activity"]
+
+# each minute cell as save_corpus writes it; a cell that differs is compared by value
+_MINUTE_CELLS = [str(m) for m in range(MINUTES_PER_DAY)]
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -410,70 +413,57 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         for subject_id, label, day, row in zip(corpus.subject_ids, corpus.labels.tolist(), corpus.dates,
                                                corpus.values):
             writer.writerows(zip(repeat(subject_id), repeat(label), repeat(day.isoformat()),
-                                 range(MINUTES_PER_DAY), row.tolist()))
+                                 _MINUTE_CELLS, row.tolist()))
 
 
-def _store_row(buffers: dict, row: list[str], lineno: int) -> None:
-    """Store one interchange row; a short row reads as missing values."""
-    subject_id, label, day, minute, activity = (row + [None] * 5)[:5]
+def _cells(row: list[str]) -> tuple[str, int, date, int, int]:
+    """An interchange row's five cells, converted; ValueError if it has
+    another number of cells or one does not convert."""
+    if len(row) != 5:
+        raise ValueError(f"expected 5 cells, got {len(row)}")
+    return row[0], int(row[1]), date.fromisoformat(row[2]), int(row[3]), int(row[4])
+
+
+def _read_day(lineno: int, first: list[str],
+              rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[str, int, date], np.ndarray]:
+    """The (subject_id, label, date) key and the 1440 counts of the subject-day
+    whose first row ``first`` is on line ``lineno``; its other rows are taken
+    from ``rows``, numbered non-blank rows, and each row is checked in order."""
+    counts = []
     try:
-        key = (subject_id, int(label), date.fromisoformat(day))
-        minute = int(minute)
-        activity = int(activity)
-    except (ValueError, TypeError) as exc:
+        subject_id, label, when, _, _ = _cells(first)
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+        label_cell, date_cell = first[1:3]
+        for minute, (lineno, row) in zip(_MINUTE_CELLS, chain([(lineno, first)], rows)):
+            if (len(row) != 5 or row[3] != minute or row[0] != subject_id or row[1] != label_cell
+                    or row[2] != date_cell):
+                got = _cells(row)
+                if got[:4] != (subject_id, label, when, int(minute)):
+                    raise ValueError(f"expected minute {minute} of {subject_id}/{when} with label {label}, "
+                                     f"got minute {got[3]} of {got[0]}/{got[2]} with label {got[1]}")
+            count = int(row[4])
+            if not 0 <= count < MAX_COUNT:
+                raise ValueError(f"negative activity {count}" if count < 0 else f"activity {count} out of range")
+            counts.append(count)
+    except UnicodeDecodeError:  # a ValueError from reading the file, not from a row
+        raise
+    except ValueError as exc:
         raise DataError(f"malformed row at line {lineno}: {exc}")
-    if key[1] not in (0, 1):
-        raise DataError(f"malformed row at line {lineno}: label must be 0 or 1, got {key[1]}")
-    buf = buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))
-    if not 0 <= minute < MINUTES_PER_DAY:
-        raise DataError(f"minute {minute} out of range at line {lineno}")
-    if buf[minute] >= 0:
-        raise DataError(f"duplicate minute {minute} for {key[0]} on {key[2]}")
-    # -1 marks a missing minute in the buffer, so a negative count cannot be stored
-    if activity < 0:
-        raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
-    try:
-        buf[minute] = activity
-    except OverflowError:
-        raise DataError(f"malformed row at line {lineno}: activity {activity} out of range")
-
-
-def _store_bulk(buffers: dict, rows: list[list[str]]) -> bool:
-    """Store a chunk of rows in bulk; False, with nothing stored, when any row
-    needs the per-row checks to report it."""
-    if set(map(len, rows)) != {5}:
-        return False
-    subject_ids, labels, days, minutes, counts = zip(*rows)
-    try:
-        minute = np.fromiter(map(int, minutes), dtype=np.int64, count=len(rows))
-        activity = np.fromiter(map(int, counts), dtype=np.int64, count=len(rows))
-        runs = [
-            ((subject_id, int(label), date.fromisoformat(day)), sum(1 for _ in run))
-            for (subject_id, label, day), run in groupby(zip(subject_ids, labels, days))
-        ]
-    except (ValueError, OverflowError):
-        return False
-    if (len({key for key, _ in runs}) != len(runs) or minute.min() < 0 or minute.max() >= MINUTES_PER_DAY
-            or activity.min() < 0 or any(key[1] not in (0, 1) for key, _ in runs)):
-        return False
-    bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
-    for (key, _), a, b in zip(runs, bounds, bounds[1:]):
-        taken = np.bincount(minute[a:b], minlength=MINUTES_PER_DAY)
-        if taken.max() > 1 or (key in buffers and (buffers[key][minute[a:b]] >= 0).any()):
-            return False
-    for (key, _), a, b in zip(runs, bounds, bounds[1:]):
-        buffers.setdefault(key, np.full(MINUTES_PER_DAY, -1, dtype=np.int64))[minute[a:b]] = activity[a:b]
-    return True
+    if len(counts) < MINUTES_PER_DAY:
+        raise DataError(f"incomplete day {subject_id}/{when} in interchange file: "
+                        f"the file ends after its minute {len(counts) - 1}, on line {lineno}")
+    return (subject_id, label, when), np.array(counts, dtype=np.int64)
 
 
 def load_interchange(path: str | Path) -> Corpus:
-    """Load a corpus previously written by save_corpus.
+    """Load an interchange file, one subject-day at a time.
 
-    Rows are read :data:`READ_CHUNK_ROWS` at a time. A chunk whose rows are
-    all well formed is stored with one array write per subject-day; any other
-    chunk is stored row by row, which reports the first bad row by its line.
+    Blank rows are skipped but count towards line numbers. A repeated
+    subject-day or a subject with two labels is a DataError from the Corpus
+    constructor.
     """
-    buffers: dict[tuple[str, int, date], np.ndarray] = {}
+    keys, days = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -482,26 +472,21 @@ def load_interchange(path: str | Path) -> Corpus:
                 raise DataError(
                     f"interchange file {path} has columns {header}, expected {INTERCHANGE_COLUMNS}"
                 )
-            lineno = 2  # line numbers count blank rows too
-            while chunk := list(islice(reader, READ_CHUNK_ROWS)):
-                if not _store_bulk(buffers, [row for row in chunk if row]):
-                    for offset, row in enumerate(chunk):
-                        if row:
-                            _store_row(buffers, row, lineno + offset)
-                lineno += len(chunk)
+            rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+            for lineno, first in rows:
+                key, counts = _read_day(lineno, first, rows)
+                keys.append(key)
+                days.append(counts)
         except csv.Error as exc:
             raise DataError(f"interchange file {path}: malformed line {reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
             raise DataError(f"interchange file {path} is not UTF-8 text: {exc}")
-    for (subject_id, _, d), buf in buffers.items():
-        if (buf < 0).any():
-            raise DataError(f"incomplete day {subject_id}/{d} in interchange file")
-    if not buffers:
+    if not days:
         raise DataError(f"empty corpus in {path}")
-    keys = list(buffers)
-    values = np.empty((len(keys), MINUTES_PER_DAY), dtype=np.int64)
-    for row, key in zip(values, keys):
-        row[:] = buffers.pop(key)  # each day's buffer is freed once copied
+    values = np.empty((len(days), MINUTES_PER_DAY), dtype=np.int64)
+    for i, row in enumerate(values):
+        row[:] = days[i]
+        days[i] = None  # each day's counts are freed once copied
     return Corpus(
         values=values,
         subject_ids=[subject_id for subject_id, _, _ in keys],

@@ -30,7 +30,7 @@ the candidates, in row-major order so ties break on lowest feature, then
 lowest bin (Ke et al., section 3). Leaf values are Newton steps
 -G/(H+lambda) with the learning rate folded in; each round adds them to the
 training scores through the final leaf partition and takes one sigmoid for
-both the loss and the next gradients.
+the next gradients.
 
 The trees are ``TreeNode`` trees in feature space, predicted and summed by the
 same walks as CART. A split at bin b of feature f sends a row left when its
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +53,6 @@ from .tree import TreeNode, predict_tree, sum_gains
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
-
-
-def log_loss(y: np.ndarray, p: np.ndarray) -> float:
-    p = np.minimum(np.maximum(p, 1e-15), 1 - 1e-15)
-    return float(-((y * np.log(p) + (1 - y) * np.log(1 - p)).sum() / p.size))
 
 
 @dataclass
@@ -305,7 +300,6 @@ class GradientBoosting:
     base_score: float
     trees: list[TreeNode]
     n_features: int
-    train_losses: list[float] = field(default_factory=list)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -339,7 +333,6 @@ def train_gbdt(
     prob = sigmoid(raw)
 
     trees: list[TreeNode] = []
-    losses = [log_loss(y, prob)]
     # split searches divide by H + lambda, which is 0 when lambda is 0 and a side's hessians are 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(n_rounds):
@@ -348,6 +341,5 @@ def train_gbdt(
             for leaf in leaves:
                 raw[leaf.idx] += leaf.node.value
             prob = sigmoid(raw)
-            losses.append(log_loss(y, prob))
 
-    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p, train_losses=losses)
+    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p)

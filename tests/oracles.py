@@ -42,9 +42,9 @@ from chronoseg.errors import ConfigError, DataError
 from chronoseg.evaluation import CV_MODES, FoldPlan
 from chronoseg.ingest import MINUTES_PER_DAY
 from chronoseg.models.gbdt import Binner
-from chronoseg.models.gbdt import log_loss, sigmoid
+from chronoseg.models.gbdt import sigmoid
 from chronoseg.models.linear import LogisticModel
-from chronoseg.models.tree import RandomForest, TreeNode
+from chronoseg.models.tree import RandomForest, TreeNode, predict_tree
 
 
 def _median_sorted(sorted_vals):
@@ -606,6 +606,23 @@ def _predict_tree(node: BoostNode, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_loss(y: np.ndarray, p: np.ndarray) -> float:
+    p = np.minimum(np.maximum(p, 1e-15), 1 - 1e-15)
+    return float(-((y * np.log(p) + (1 - y) * np.log(1 - p)).sum() / p.size))
+
+
+def training_losses(model, X: np.ndarray, y: np.ndarray) -> list[float]:
+    """The training log-loss of a fitted GradientBoosting before its first
+    round and after each, from its base score plus the running sum of its
+    trees' predictions on the training rows."""
+    raw = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    losses = [log_loss(y, sigmoid(raw))]
+    for tree in model.trees:
+        raw += predict_tree(tree, X)
+        losses.append(log_loss(y, sigmoid(raw)))
+    return losses
+
+
 @dataclass
 class ReferenceGradientBoosting:
     preset: str  # "lgbm" | "xgb"
@@ -763,7 +780,9 @@ def _parse_timestamp(text):
 
 
 def per_row_days(text):
-    """Parse one recording row by row and keep its complete days.
+    """Parse one recording row by row and keep its complete days: those whose
+    rows are its 1440 minutes, consecutive and in order. A day with a gap, a
+    repeated minute or rows out of order is discarded.
 
     Returns ([(date, values)], n_discarded) with values a list of 1440
     counts, or raises the DataError or ConfigError the per-row parser raised.
@@ -798,16 +817,12 @@ def per_row_days(text):
             raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
         samples.append((ts, activity))
 
-    for i, (prev, cur) in enumerate(zip(samples, samples[1:])):
-        if cur[0] <= prev[0]:
-            raise DataError(
-                f"non-monotonic timestamps: {prev[0]} followed by {cur[0]} (samples {i} and {i + 1})"
-            )
-    groups = {}
-    for ts, activity in samples:
-        groups.setdefault(ts.date(), {})[ts.hour * 60 + ts.minute] = activity
-    kept = [(d, [minutes[m] for m in range(1440)]) for d, minutes in sorted(groups.items()) if len(minutes) == 1440]
-    return kept, len(groups) - len(kept)
+    days = {}  # date -> its rows as (sample index, minute of the day, activity)
+    for i, (ts, activity) in enumerate(samples):
+        days.setdefault(ts.date(), []).append((i, ts.hour * 60 + ts.minute, activity))
+    kept = [(d, [activity for _, _, activity in rows]) for d, rows in sorted(days.items())
+            if [(i - rows[0][0], m) for i, m, _ in rows] == [(m, m) for m in range(1440)]]
+    return kept, len(days) - len(kept)
 
 
 def per_minute_save_corpus(corpus, path):

@@ -25,7 +25,7 @@ from chronoseg.models.linear import logistic_objective
 from chronoseg.segmentation import PRESET_NAMES, MinuteWindow, builtin_scheme, segment_day
 from chronoseg.synth import gen_corpus
 
-from oracles import naive_auc, naive_f1, naive_features
+from oracles import naive_auc, naive_f1, naive_features, training_losses
 
 
 def _psykose_root():
@@ -130,8 +130,9 @@ def test_04_gbdt_loss_monotone_and_separable_auc(separable_data, tiny_corpus):
     for preset in ("lgbm", "xgb"):
         for fx, fy in fixtures:
             model = train_gbdt(fx, fy, preset=preset)
-            diffs = np.diff(model.train_losses)
-            assert (diffs <= 1e-12).all(), f"{preset}: training loss increased"
+            losses = training_losses(model, fx, fy)
+            assert len(losses) == 101
+            assert (np.diff(losses) <= 1e-12).all(), f"{preset}: training loss increased"
         model = train_gbdt(X, y.astype(float), preset=preset)
         assert auc_roc(model.predict_proba(X), y) == 1.0, preset
     _report(4, "(both presets, 3 fixtures)")

@@ -65,15 +65,6 @@ class TestParseSubjectFile:
         with pytest.raises(ConfigError):
             parse_subject_file(io.StringIO(body))
 
-    def test_non_monotonic_rejected(self):
-        body = (
-            "timestamp,date,activity\n"
-            "2004-05-07 12:01:00,2004-05-07,1\n"
-            "2004-05-07 12:00:00,2004-05-07,2\n"
-        )
-        with pytest.raises(DataError, match="non-monotonic"):
-            parse_subject_file(io.StringIO(body))
-
     def test_seconds_truncated_to_minute(self):
         body = "timestamp,date,activity\n2004-05-07 12:00:30,2004-05-07,4\n"
         minutes, _ = parse_subject_file(io.StringIO(body))
@@ -101,6 +92,22 @@ class TestFilterCompleteDays:
         dates, _, discarded = filter_complete_days(*make_series(minutes))
         assert dates == []
         assert discarded == 1
+
+    @pytest.mark.parametrize("defect", ["repeat", "swap"])
+    def test_misordered_minute_discards_its_day(self, defect):
+        # the autumn DST fall-back repeats wall-clock minutes; the days around it are kept
+        start = datetime(2004, 5, 7)
+        lines = [f"{start + timedelta(minutes=m):%Y-%m-%d %H:%M},{m % 7}" for m in range(3 * 1440)]
+        at = 1440 + 120
+        if defect == "repeat":
+            lines.insert(at + 1, lines[at])
+        else:
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        text = "\n".join(["timestamp,activity", *lines]) + "\n"
+        dates, values, discarded = filter_complete_days(*parse_subject_file(io.StringIO(text)))
+        assert dates == [date(2004, 5, 7), date(2004, 5, 9)] and discarded == 1
+        assert values.tolist() == [[m % 7 for m in range(d * 1440, (d + 1) * 1440)] for d in (0, 2)]
+        assert (list(zip(dates, values.tolist())), discarded) == per_row_days(text)
 
     @given(st.sets(st.integers(min_value=0, max_value=1439), max_size=20))
     @settings(max_examples=50, deadline=None)
@@ -168,7 +175,36 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "data", metadata=tmp_path / "meta.csv")
 
 
+@st.composite
+def corpora(draw):
+    """A small corpus whose ids hold commas and quotes."""
+    ids = draw(st.lists(st.text(alphabet="ab,\"' ", max_size=4), min_size=1, max_size=3, unique=True))
+    keys = [(subject_id, date(2004, 5, 7) + timedelta(days=d), label) for subject_id in ids
+            for label in [draw(st.integers(0, 1))] for d in range(draw(st.integers(1, 2)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # counts of every magnitude up to 2**63 - 1
+    values = rng.integers(0, 2**63 - 1, size=(len(keys), MINUTES_PER_DAY)) >> rng.integers(0, 63, size=(len(keys), 1))
+    return Corpus(values, *(list(column) for column in zip(*keys)))
+
+
 class TestInterchange:
+    @given(corpus=corpora(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_of_shuffled_days(self, tmp_path_factory, corpus, data):
+        path = tmp_path_factory.mktemp("interchange") / "corpus.csv"
+        save_corpus(corpus, path)
+        # the day blocks in a drawn order, with blank lines drawn among them
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        order = data.draw(st.permutations(range(len(corpus.dates))))
+        lines = [header, *(row for i in order for row in rows[i * MINUTES_PER_DAY:(i + 1) * MINUTES_PER_DAY])]
+        for at in sorted(data.draw(st.lists(st.integers(1, len(lines)), max_size=5)), reverse=True):
+            lines.insert(at, "")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        back = load_interchange(path)
+        assert (back.subject_ids, back.dates, back.subjects) == (corpus.subject_ids, corpus.dates, corpus.subjects)
+        np.testing.assert_array_equal(back.labels, corpus.labels)
+        np.testing.assert_array_equal(back.values, corpus.values)
+
     def test_round_trip(self, tmp_path):
         corpus = gen_corpus(2, 2, 2, seed=3)
         path = tmp_path / "corpus.csv"
@@ -213,12 +249,42 @@ class TestInterchange:
             load_interchange(path)
 
     def test_duplicate_and_out_of_range_minutes(self, tmp_path):
-        with pytest.raises(DataError, match="duplicate minute 5 for s1 on 2004-05-08"):
+        # row 2000 of the file holds minute 560 of the second day
+        expected = "malformed row at line 2002: expected minute 560 of s1/2004-05-08 with label 1, got minute"
+        with pytest.raises(DataError, match=f"{expected} 5 of s1/2004-05-08 with label 1$"):
             load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-08,5,0"}))
-        with pytest.raises(DataError, match="minute 1440 out of range at line 2002"):
+        with pytest.raises(DataError, match=f"{expected} 1440 of s1/2004-05-08 with label 1$"):
             load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-08,1440,0"}))
-        with pytest.raises(DataError, match="incomplete day s1/2004-05-08"):
+        with pytest.raises(DataError, match=f"{expected} 560 of s1/2004-05-09 with label 1$"):
             load_interchange(self._two_days(tmp_path, {2000: "s1,1,2004-05-09,560,0"}))
+        with pytest.raises(DataError, match=f"{expected} 560 of s1/2004-05-08 with label 0$"):
+            load_interchange(self._two_days(tmp_path, {2000: "s1,0,2004-05-08,560,0"}))
+        path = self._two_days(tmp_path)
+        path.write_text(path.read_text().removesuffix("s1,1,2004-05-08,1439,8\n"))
+        with pytest.raises(DataError, match="incomplete day s1/2004-05-08 in interchange file: "
+                                            "the file ends after its minute 1438, on line 2880"):
+            load_interchange(path)
+
+    @pytest.mark.parametrize("defect, line, minute, got", [
+        ("reversed", 1442, 0, 1439), ("swapped", 2002, 560, 561), ("missing", 2002, 560, 561),
+        ("repeated", 2003, 561, 560),
+    ])
+    def test_misplaced_row_names_first_bad_line(self, tmp_path, defect, line, minute, got):
+        header, *rows = self._two_days(tmp_path).read_text().splitlines()
+        day = rows[1440:]
+        if defect == "reversed":
+            day.reverse()
+        elif defect == "swapped":
+            day[560], day[561] = day[561], day[560]
+        elif defect == "missing":
+            del day[560]
+        else:
+            day.insert(561, day[560])
+        path = tmp_path / "corpus.csv"
+        path.write_text("\n".join([header, *rows[:1440], *day]) + "\n")
+        with pytest.raises(DataError, match=f"malformed row at line {line}: expected minute {minute} of "
+                                            f"s1/2004-05-08 with label 1, got minute {got} of s1/2004-05-08"):
+            load_interchange(path)
 
     @pytest.mark.parametrize("at", [3, 2000])
     def test_negative_count_names_line(self, tmp_path, at):
@@ -226,6 +292,12 @@ class TestInterchange:
         path = self._two_days(tmp_path, {at: f"s1,1,2004-05-0{7 + at // 1440},{at % 1440},-3"})
         with pytest.raises(DataError, match=f"malformed row at line {at + 2}: negative activity -3"):
             load_interchange(path)
+
+    def test_count_beyond_int64_names_line(self, tmp_path):
+        path = self._two_days(tmp_path, {2000: f"s1,1,2004-05-08,560,{2**63}"})
+        with pytest.raises(DataError, match=f"malformed row at line 2002: activity {2**63} out of range"):
+            load_interchange(path)
+        load_interchange(self._two_days(tmp_path, {2000: f"s1,1,2004-05-08,560,{2**63 - 1}"}))
 
     def test_duplicate_after_negative_count(self, tmp_path):
         path = self._two_days(tmp_path, {5: "s1,1,2004-05-07,5,-3"})
@@ -246,9 +318,11 @@ class TestInterchange:
         np.testing.assert_array_equal(back.values, corpus.values)
 
     def test_blank_lines_and_unsorted_days_load(self, tmp_path):
-        path = self._two_days(tmp_path, blank_every=500)
+        path = self._two_days(tmp_path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        # the second day first, blank lines inside and between the days
+        days = [lines[1441:], lines[1:1441]]
+        path.write_text("\n".join([lines[0], *days[0][:500], "", *days[0][500:], "", "", *days[1], ""]) + "\n")
         corpus = load_interchange(path)
         assert corpus.dates == (date(2004, 5, 7), date(2004, 5, 8))
         assert corpus.values[1].tolist() == [m % 9 for m in range(1440, 2880)]

@@ -19,6 +19,8 @@ from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.synth import gen_corpus
 
+from oracles import training_losses
+
 
 class TestScaler:
     def test_population_std(self):
@@ -250,8 +252,9 @@ class TestGbdt:
         X, y = separable_data
         for preset in ("lgbm", "xgb"):
             model = train_gbdt(X, y.astype(float), preset=preset)
-            diffs = np.diff(model.train_losses)
-            assert (diffs <= 1e-12).all(), f"{preset} loss increased"
+            losses = training_losses(model, X, y.astype(float))
+            assert len(losses) == 101 and losses[-1] < losses[0]
+            assert (np.diff(losses) <= 1e-12).all(), f"{preset} loss increased"
 
     def test_zero_rounds_predicts_prior(self, separable_data):
         X, y = separable_data
