@@ -223,6 +223,10 @@ def cmd_evaluate(settings: dict, config: dict) -> int:
             tables.append(read_feature_table(path, scheme=name))
     else:
         raise ConfigError("evaluate needs --corpus or --features-dir (or config keys)")
+    if settings["cv_mode"] == "row_stratified" and any(len(set(t.subject_ids)) < t.n_rows for t in tables):
+        print("warning: row_stratified CV deals each row on its own, so days of one subject land in both "
+              "training and test folds; --cv-mode subject_grouped keeps a subject's days in one fold",
+              file=sys.stderr)
     reports, grid = run_matrix(tables, specs, k=settings["k"], seed=settings["seed"], mode=settings["cv_mode"],
                                workers=settings["workers"])
 

@@ -7,12 +7,17 @@ rectangular. The minimum is deliberately not a feature: it separates the
 classes poorly and is dropped from the set.
 
 All sixteen are computed along ``axis=1`` of a block of equal-length rows
-(:func:`block_features`); :func:`extract_features` is its one-row case. A
-per-day table gathers each segment's minutes (``scheme.minutes``) out of
-:data:`FEATURE_CHUNK_ROWS` rows of the corpus day matrix at a time, and the
-all_days table takes one subject's contiguous rows per block. That bounds the
-kernel's temporaries (about ten arrays of the block's size), and with them
-peak RSS, whatever the cohort size.
+(:func:`block_features`), each row on its own; :func:`extract_features` is
+its one-row case. A table is featurized one block per segment length: a
+per-day scheme gathers all its segments of one length (``scheme.minutes``)
+out of :data:`FEATURE_CHUNK_ROWS` days of the corpus day matrix at a time, as
+one (days x segments, length) block, and the all_days table stacks the
+records of subjects with the same number of days, at most
+:data:`FEATURE_CHUNK_ROWS` days of minutes per block (one subject's record
+when it is longer). Windows cover each day once, so no block holds more than
+:data:`FEATURE_CHUNK_ROWS` x 1440 values or one subject's record. That bounds
+the kernel's temporaries (about ten arrays of the block's size), and with
+them peak RSS, whatever the cohort size.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus
+from .ingest import MINUTES_PER_DAY, Corpus
 from .segmentation import SegmentationScheme, segment_day  # noqa: F401 (bench/trace.py wraps it here)
 
 FEATURE_NAMES = (
@@ -48,10 +53,13 @@ FEATURE_NAMES = (
 
 MAX_ENTROPY_BINS = 16
 
-# Days per block of a per-day table. Each of the kernel's temporaries is then
-# at most 16 x 1440 float64 (184 kB). Featurizing a 162-day cohort under all
-# eight presets raises peak RSS by 3 MB with 16-day blocks and by 12 MB with
-# the whole cohort in one block, which is only about 10% faster.
+# Days of minutes per block: a per-day scheme's segments of one length over
+# 16 days, or the records of all_days subjects that together hold at most 16
+# days. Each of the kernel's temporaries is then at most 16 x 1440 float64
+# (184 kB), or one subject's record if that is longer. Featurizing a 162-day
+# cohort under all eight presets raised peak RSS by 3 MB with 16-day blocks
+# and by 12 MB with the whole cohort in one block, which was only about 10%
+# faster.
 FEATURE_CHUNK_ROWS = 16
 
 
@@ -98,9 +106,11 @@ def block_features(x: np.ndarray) -> np.ndarray:
     std[:] = np.sqrt(m2)
 
     spread = m2 > 0
-    # Python float pow: NumPy's array pow can differ in the last bit
-    np.divide((centered**3).mean(axis=1), [v**1.5 for v in m2.tolist()], out=skewness, where=spread)
-    np.divide((centered**4).mean(axis=1), [v**2 for v in m2.tolist()], out=kurtosis, where=spread)
+    # third and fourth moments as products, several times faster than NumPy's
+    # array pow; the divisors by Python float pow, which can differ from the
+    # array pow in the last bit
+    np.divide((squares * centered).mean(axis=1), [v**1.5 for v in m2.tolist()], out=skewness, where=spread)
+    np.divide((squares * squares).mean(axis=1), [v**2 for v in m2.tolist()], out=kurtosis, where=spread)
     np.subtract(kurtosis, 3.0, out=kurtosis, where=spread)
 
     prop_zeros[:] = np.count_nonzero(x == 0, axis=1) / n
@@ -171,6 +181,20 @@ class FeatureTable:
         return self.X.shape[0]
 
 
+def _fill_rows(X: np.ndarray, values: np.ndarray, rows: np.ndarray, first_days: np.ndarray, span: int,
+               gather: np.ndarray, columns: np.ndarray) -> None:
+    """Set ``X[rows[i], columns]`` to the features of the segments that
+    ``gather`` (segments x length indices) picks from the record of ``span``
+    day rows of ``values`` starting at ``first_days[i]``, one block of
+    (records x segments, length) per :data:`FEATURE_CHUNK_ROWS` days."""
+    segments, length = gather.shape
+    per_block = max(1, FEATURE_CHUNK_ROWS // span)
+    for lo in range(0, len(rows), per_block):
+        records = values[first_days[lo:lo + per_block, None] + np.arange(span)].reshape(-1, span * MINUTES_PER_DAY)
+        block = block_features(records[:, gather].reshape(-1, length))
+        X[rows[lo:lo + per_block, None], columns] = block.reshape(len(records), segments * len(FEATURE_NAMES))
+
+
 def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable:
     """Build the feature table for one corpus under one scheme.
 
@@ -183,24 +207,27 @@ def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable
         raise DataError("cannot featurize an empty corpus")
     gathers = scheme.minutes
     columns = tuple(f"{seg}_{feat}" for seg in scheme.segment_names() for feat in FEATURE_NAMES)
-
+    width = len(FEATURE_NAMES)
     if scheme.per_subject:
-        # one record per block: a subject's rows, contiguous and in date order
-        records, end = [], 0
-        for label, n_days in corpus.subjects.values():
-            records.append(block_features(corpus.values[end:end + n_days].reshape(1, -1))[0])
-            end += n_days
-        X = np.array(records)
+        # a subject's record is its days, contiguous and in date order;
+        # records of one length share blocks
+        n_days = np.array([n for _, n in corpus.subjects.values()])
+        first_days = np.cumsum(n_days) - n_days
+        X = np.empty((len(n_days), width))
+        for span in np.unique(n_days).tolist():
+            rows = np.flatnonzero(n_days == span)
+            _fill_rows(X, corpus.values, rows, first_days[rows], span,
+                       np.arange(span * MINUTES_PER_DAY)[None], np.arange(width))
         subject_ids = tuple(corpus.subjects)
         dates = ("all",) * len(subject_ids)
         labels = [label for label, _ in corpus.subjects.values()]
     else:
-        width = len(FEATURE_NAMES)
         X = np.empty((len(corpus.dates), width * len(gathers)))
-        for lo in range(0, len(corpus.dates), FEATURE_CHUNK_ROWS):
-            block = corpus.values[lo:lo + FEATURE_CHUNK_ROWS].astype(np.float64)
-            for s, gather in enumerate(gathers):
-                X[lo:lo + len(block), s * width:(s + 1) * width] = block_features(block[:, gather])
+        days = np.arange(len(corpus.dates))
+        for length in dict.fromkeys(gather.size for gather in gathers):
+            segments = [s for s, gather in enumerate(gathers) if gather.size == length]
+            _fill_rows(X, corpus.values, days, days, 1, np.stack([gathers[s] for s in segments]),
+                       (width * np.array(segments)[:, None] + np.arange(width)).ravel())
         subject_ids = corpus.subject_ids
         dates = tuple(d.isoformat() for d in corpus.dates)
         labels = corpus.labels
@@ -220,11 +247,10 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "date", "label", *table.columns])
-        for i in range(table.n_rows):
-            writer.writerow(
-                [table.subject_ids[i], table.dates[i], int(table.labels[i])]
-                + [format(v, ".17g") for v in table.X[i]]
-            )
+        # Python floats, one row at a time: NumPy scalars format slower, and
+        # the whole table as Python floats would raise peak RSS with its size
+        for subject_id, day, label, row in zip(table.subject_ids, table.dates, table.labels.tolist(), table.X):
+            writer.writerow([subject_id, day, label, *[format(v, ".17g") for v in row.tolist()]])
 
 
 def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:

@@ -424,11 +424,12 @@ def _cells(row: list[str]) -> tuple[str, int, date, int, int]:
     return row[0], int(row[1]), date.fromisoformat(row[2]), int(row[3]), int(row[4])
 
 
-def _read_day(lineno: int, first: list[str],
+def _read_day(path: str | Path, lineno: int, first: list[str],
               rows: Iterator[tuple[int, list[str]]]) -> tuple[tuple[str, int, date], np.ndarray]:
     """The (subject_id, label, date) key and the 1440 counts of the subject-day
-    whose first row ``first`` is on line ``lineno``; its other rows are taken
-    from ``rows``, numbered non-blank rows, and each row is checked in order."""
+    whose first row ``first`` is on line ``lineno`` of the interchange file
+    ``path``; its other rows are taken from ``rows``, numbered non-blank rows,
+    and each row is checked in order."""
     counts = []
     try:
         subject_id, label, when, _, _ = _cells(first)
@@ -449,9 +450,9 @@ def _read_day(lineno: int, first: list[str],
     except UnicodeDecodeError:  # a ValueError from reading the file, not from a row
         raise
     except ValueError as exc:
-        raise DataError(f"malformed row at line {lineno}: {exc}")
+        raise DataError(f"interchange file {path}: malformed row at line {lineno}: {exc}")
     if len(counts) < MINUTES_PER_DAY:
-        raise DataError(f"incomplete day {subject_id}/{when} in interchange file: "
+        raise DataError(f"interchange file {path}: incomplete day {subject_id}/{when} in interchange file: "
                         f"the file ends after its minute {len(counts) - 1}, on line {lineno}")
     return (subject_id, label, when), np.array(counts, dtype=np.int64)
 
@@ -474,7 +475,7 @@ def load_interchange(path: str | Path) -> Corpus:
                 )
             rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
             for lineno, first in rows:
-                key, counts = _read_day(lineno, first, rows)
+                key, counts = _read_day(path, lineno, first, rows)
                 keys.append(key)
                 days.append(counts)
         except csv.Error as exc:

@@ -16,7 +16,11 @@ it, so that the interleaved histogram search and the one-sort binner can be
 required to give the very same splits and boundaries. Likewise the
 per-segment feature code and the per-row recording parser are the earlier
 implementations, kept so that the block feature kernel and the columnar
-parser can be required to give the very same bytes and errors. So is the
+parser can be required to give the very same bytes and errors; the one change
+to the per-segment code is that it takes the third and fourth moments as
+products of the squared deviations, as the kernel does (the pow forms differ
+in the last bits, and tests/test_kernels.py checks the products against
+them within a tolerance). So is the
 per-minute interchange writer, for the bulk writer. The earlier
 Nesterov-accelerated logistic fit is kept as a baseline objective that the
 Newton fit must reach. The earlier scheme check, which listed every violation
@@ -703,12 +707,13 @@ def per_segment_features(values):
     mean = float(x.mean())
     median = float(np.median(x))
     centered = x - mean
-    m2 = float(np.mean(centered**2))
+    squares = centered**2
+    m2 = float(np.mean(squares))
     std = float(np.sqrt(m2))
 
     if m2 > 0:
-        skewness = float(np.mean(centered**3)) / m2**1.5
-        kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
+        skewness = float(np.mean(squares * centered)) / m2**1.5
+        kurtosis = float(np.mean(squares * squares)) / m2**2 - 3.0
     else:
         skewness = 0.0
         kurtosis = 0.0

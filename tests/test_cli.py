@@ -94,16 +94,18 @@ def write_raw_cohort(root: Path) -> None:
 
 
 # sha256 of each features_<scheme>.csv written from write_raw_cohort, recorded
-# with the per-row parser and the per-segment feature code
+# when the feature kernel began to take the third and fourth moments as
+# products (the earlier digests were recorded with the per-row parser and the
+# per-segment feature code)
 RAW_COHORT_GOLDEN = {
-    "parts12": "b9c5d9ec02aa4a5efd043707f6e74c122ebb3ae9ea3f8816a6391d5ef9eddbc5",
-    "parts8": "c5082134615202f752a4fa980efb44a02f76dc983e1907b5cee6586bbae51afd",
-    "parts6": "4b736769506bf9a6ef81bc701e9027052093549b95c41d0b7550d736400f897e",
-    "parts4": "e121d9d2613396bbbda9047f944cd2d81e19c401c133b33b13ebc9c461a8abde",
-    "parts3": "a81048eac06745271aac8d5b6526103ae267baef5367169fa499e8f0af0c095d",
-    "parts2": "b4fd2faf8e527ea2f0b537e811a1d48171f890028d9d5e9330f6f9e36bfcfeaf",
-    "full_day": "1657dae56fe6bf05b7321f86a0547acc2ce56c13cd1e3cb8aa9749978579e747",
-    "all_days": "e518348163b24c9e4abe4dad5ade4ffd4e34ff7786072b4f11daf13bc8cd5b2c",
+    "parts12": "0f6137c0be0ecbfcee52d01a6cc68727bb1b3830bd8ad8807e4b32e3d1ddc51c",
+    "parts8": "651b4c9a4e59ce167cda697c039e5711d09b8e42545f945561613354dff253e1",
+    "parts6": "4ab2b74dbf85201e23927d3c6fdc01836410b35f45d585c4b01890250392a151",
+    "parts4": "4ec200034cd788b87e6aff5a44fb63132ac5f936ac7f754478d22b3b9e7c2d24",
+    "parts3": "b82f24f41079e4ff0ed34400e03b866409d0ee2c79c7e4f24ebacaf61f9a3d92",
+    "parts2": "f21eb39a6d58627cf7a09b71ca54735b4d3a7292d51d46430372ee4861ac36bf",
+    "full_day": "55782bc3892188faa632fc5348c5041a8d391bc040cbec146f17a2bd69529691",
+    "all_days": "43b3e47ad1a19570c42ac10b8e6954b83631715bb6769a1a80778196a2042555",
 }
 
 
@@ -141,6 +143,19 @@ class TestEvaluateCommand:
         assert main(args + ["--out-dir", str(d2)]) == 0
         for name in ("report.csv", "folds.csv", "roc_points.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_row_level_cv_on_day_rows_warns_once(self, corpus_file, tmp_path, capsys):
+        cells = ["evaluate", "--corpus", str(corpus_file), "--models", "knn", "--k", "3"]
+        assert main([*cells, "--schemes", "parts2", "full_day", "--out-dir", str(tmp_path / "days")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "days of one subject land in both training and test folds" in err
+        assert "--cv-mode subject_grouped" in err
+        # one row per subject, or a subject's days kept in one fold: no warning
+        for name, flags in (("subjects", ["--schemes", "all_days"]),
+                            ("grouped", ["--schemes", "parts2", "--cv-mode", "subject_grouped"])):
+            assert main([*cells, *flags, "--out-dir", str(tmp_path / name)]) == 0
+            assert "warning:" not in capsys.readouterr().err
 
     @staticmethod
     def _grouped_run(tmp_path, patients, controls):

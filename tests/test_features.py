@@ -1,4 +1,5 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from chronoseg.errors import DataError
 from chronoseg.features import (
+    FEATURE_CHUNK_ROWS,
     FEATURE_NAMES,
+    block_features,
     extract_features,
     featurize_corpus,
     read_feature_table,
     write_feature_table,
 )
-from chronoseg.segmentation import builtin_scheme, segment_day
+from chronoseg.ingest import Corpus
+from chronoseg.segmentation import PRESET_NAMES, builtin_scheme, resolve_scheme, segment_day
 
 from oracles import naive_features
 
@@ -119,6 +123,53 @@ def test_all_values_finite_and_signed_correctly(values):
     assert -1 <= f["autocorr_lag1"] <= 1 + 1e-12
     for name in ("std_dev", "mad", "iqr", "semivariance", "rms", "entropy", "n_peaks", "n_troughs"):
         assert f[name] >= 0, name
+
+
+# segments of three lengths (360, 240, 360, 480 minutes), the second 360 of
+# two windows, so one length's columns are not adjacent
+THREE_LENGTHS = """\
+name: three_lengths
+segments:
+  - {name: early, windows: ["00:00-06:00"]}
+  - {name: morning, windows: ["08:00-12:00"]}
+  - {name: edges, windows: ["20:00-24:00", "06:00-08:00"]}
+  - {name: late, windows: ["12:00-20:00"]}
+"""
+
+
+@pytest.fixture(scope="module")
+def uneven_corpus():
+    """Five subjects with 1, 2, 2, 3 and 17 days: all_days records of four
+    lengths, one longer than a block, and 25 days that cross a block."""
+    rng = np.random.default_rng(5)
+    subject_ids, dates, labels, rows = [], [], [], []
+    for i, n_days in enumerate((1, 2, 2, 3, 17)):
+        for d in range(n_days):
+            subject_ids.append(f"s{i}")
+            dates.append(date(2021, 3, 1) + timedelta(days=d))
+            labels.append(i % 2)
+            rows.append(rng.poisson(rng.uniform(0, 300), 1440) * (rng.random(1440) < rng.uniform(0.2, 1)))
+    return Corpus(np.array(rows), subject_ids, dates, labels)
+
+
+def per_segment_table(corpus, scheme):
+    """block_features once per segment over all days, or once per subject
+    record for all_days."""
+    if scheme.per_subject:
+        ids = np.array(corpus.subject_ids)
+        return np.array([block_features(corpus.values[ids == s].reshape(1, -1))[0] for s in corpus.subjects])
+    return np.hstack([block_features(corpus.values[:, minutes]) for minutes in scheme.minutes])
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "three_lengths"])
+def test_length_blocks_match_per_segment_blocks(uneven_corpus, name, tmp_path):
+    assert len(uneven_corpus.dates) > FEATURE_CHUNK_ROWS
+    if name == "three_lengths":
+        (tmp_path / "three.yaml").write_text(THREE_LENGTHS)
+        name = str(tmp_path / "three.yaml")
+    scheme = resolve_scheme(name)
+    table = featurize_corpus(uneven_corpus, scheme)
+    assert table.X.tobytes() == per_segment_table(uneven_corpus, scheme).tobytes()
 
 
 class TestFeaturizeCorpus:

@@ -286,6 +286,17 @@ class TestInterchange:
                                             f"s1/2004-05-08 with label 1, got minute {got} of s1/2004-05-08"):
             load_interchange(path)
 
+    def test_row_errors_name_the_file(self, tmp_path):
+        path = self._two_days(tmp_path, {2000: "s1,1,2004-05-08,5,0"})
+        with pytest.raises(DataError) as bad_row:
+            load_interchange(path)
+        path = self._two_days(tmp_path)
+        path.write_text(path.read_text().removesuffix("s1,1,2004-05-08,1439,8\n"))
+        with pytest.raises(DataError) as short_day:
+            load_interchange(path)
+        assert str(bad_row.value).startswith(f"interchange file {path}: malformed row at line 2002: ")
+        assert str(short_day.value).startswith(f"interchange file {path}: incomplete day s1/2004-05-08 ")
+
     @pytest.mark.parametrize("at", [3, 2000])
     def test_negative_count_names_line(self, tmp_path, at):
         # -1 marks a missing minute while a file is read, so -3 must not be stored

@@ -5,6 +5,7 @@ searches were vectorized and of the tree presets' gain importance recorded
 before the three tree families shared one node type."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ class TestFeatureBlock:
         assert block_features(x).tobytes() == want.tobytes()
         one = extract_features(x[0])
         assert np.array([one[name] for name in FEATURE_NAMES]).tobytes() == want[0].tobytes()
+
+    @given(count_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_moments_match_pow_forms(self, x):
+        # the kernel takes the third and fourth moments as products, which
+        # round differently from the pow forms only in the last bits
+        got = block_features(x)
+        for row, features in zip(x.astype(np.float64), got):
+            centered = row - row.mean()
+            m2 = np.mean(centered**2)
+            skewness = np.mean(centered**3) / m2**1.5 if m2 > 0 else 0.0
+            kurtosis = np.mean(centered**4) / m2**2 - 3.0 if m2 > 0 else 0.0
+            for name, want in (("skewness", skewness), ("kurtosis", kurtosis)):
+                value = features[FEATURE_NAMES.index(name)]
+                assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9), (name, value, want)
 
 
 class TestCartSplit:
