@@ -7,17 +7,16 @@ rectangular. The minimum is deliberately not a feature: it separates the
 classes poorly and is dropped from the set.
 
 All sixteen are computed along ``axis=1`` of a block of equal-length rows
-(:func:`block_features`), each row on its own; :func:`extract_features` is
-its one-row case. A table is featurized one block per segment length: a
-per-day scheme gathers all its segments of one length (``scheme.minutes``)
-out of :data:`FEATURE_CHUNK_ROWS` days of the corpus day matrix at a time, as
-one (days x segments, length) block, and the all_days table stacks the
-records of subjects with the same number of days, at most
-:data:`FEATURE_CHUNK_ROWS` days of minutes per block (one subject's record
-when it is longer). Windows cover each day once, so no block holds more than
-:data:`FEATURE_CHUNK_ROWS` x 1440 values or one subject's record. That bounds
-the kernel's temporaries (about ten arrays of the block's size), and with
-them peak RSS, whatever the cohort size.
+(:func:`block_features`), each row on its own, the third and fourth moments
+as products of the squared deviations; :func:`extract_features` is its
+one-row case. A per-day table is featurized one block per segment length:
+all of a scheme's segments of one length (``scheme.minutes``) are gathered
+out of :data:`FEATURE_CHUNK_ROWS` rows of the corpus day matrix at a time, as
+one (days x segments, length) block. Windows cover each day once, so no such
+block holds more than :data:`FEATURE_CHUNK_ROWS` x 1440 values. The all_days
+table takes one subject's contiguous rows per block. That bounds the kernel's
+temporaries (about ten arrays of the block's size), and with them peak RSS,
+whatever the cohort size.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import MINUTES_PER_DAY, Corpus
+from .ingest import Corpus
 from .segmentation import SegmentationScheme, segment_day  # noqa: F401 (bench/trace.py wraps it here)
 
 FEATURE_NAMES = (
@@ -53,13 +52,11 @@ FEATURE_NAMES = (
 
 MAX_ENTROPY_BINS = 16
 
-# Days of minutes per block: a per-day scheme's segments of one length over
-# 16 days, or the records of all_days subjects that together hold at most 16
-# days. Each of the kernel's temporaries is then at most 16 x 1440 float64
-# (184 kB), or one subject's record if that is longer. Featurizing a 162-day
-# cohort under all eight presets raised peak RSS by 3 MB with 16-day blocks
-# and by 12 MB with the whole cohort in one block, which was only about 10%
-# faster.
+# Days per block of a per-day table, which holds all the segments of one
+# length of those days. Each of the kernel's temporaries is then at most
+# 16 x 1440 float64 (184 kB). Featurizing a 162-day cohort under all eight
+# presets raised peak RSS by 3 MB with 16-day blocks and by 12 MB with the
+# whole cohort in one block, which was only about 10% faster.
 FEATURE_CHUNK_ROWS = 16
 
 
@@ -181,20 +178,6 @@ class FeatureTable:
         return self.X.shape[0]
 
 
-def _fill_rows(X: np.ndarray, values: np.ndarray, rows: np.ndarray, first_days: np.ndarray, span: int,
-               gather: np.ndarray, columns: np.ndarray) -> None:
-    """Set ``X[rows[i], columns]`` to the features of the segments that
-    ``gather`` (segments x length indices) picks from the record of ``span``
-    day rows of ``values`` starting at ``first_days[i]``, one block of
-    (records x segments, length) per :data:`FEATURE_CHUNK_ROWS` days."""
-    segments, length = gather.shape
-    per_block = max(1, FEATURE_CHUNK_ROWS // span)
-    for lo in range(0, len(rows), per_block):
-        records = values[first_days[lo:lo + per_block, None] + np.arange(span)].reshape(-1, span * MINUTES_PER_DAY)
-        block = block_features(records[:, gather].reshape(-1, length))
-        X[rows[lo:lo + per_block, None], columns] = block.reshape(len(records), segments * len(FEATURE_NAMES))
-
-
 def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable:
     """Build the feature table for one corpus under one scheme.
 
@@ -207,27 +190,33 @@ def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable
         raise DataError("cannot featurize an empty corpus")
     gathers = scheme.minutes
     columns = tuple(f"{seg}_{feat}" for seg in scheme.segment_names() for feat in FEATURE_NAMES)
-    width = len(FEATURE_NAMES)
+
     if scheme.per_subject:
-        # a subject's record is its days, contiguous and in date order;
-        # records of one length share blocks
-        n_days = np.array([n for _, n in corpus.subjects.values()])
-        first_days = np.cumsum(n_days) - n_days
-        X = np.empty((len(n_days), width))
-        for span in np.unique(n_days).tolist():
-            rows = np.flatnonzero(n_days == span)
-            _fill_rows(X, corpus.values, rows, first_days[rows], span,
-                       np.arange(span * MINUTES_PER_DAY)[None], np.arange(width))
+        # one record per block: a subject's rows, contiguous and in date order
+        records, end = [], 0
+        for label, n_days in corpus.subjects.values():
+            records.append(block_features(corpus.values[end:end + n_days].reshape(1, -1))[0])
+            end += n_days
+        X = np.array(records)
         subject_ids = tuple(corpus.subjects)
         dates = ("all",) * len(subject_ids)
         labels = [label for label, _ in corpus.subjects.values()]
     else:
+        width = len(FEATURE_NAMES)
+        # one block per segment length: its segments' minutes out of each chunk
+        # of days, as (days x segments, length), and the columns they fill
+        by_length = {}
+        for s, gather in enumerate(gathers):
+            by_length.setdefault(gather.size, []).append(s)
+        blocks = [(np.stack([gathers[s] for s in segments]),
+                   (width * np.array(segments)[:, None] + np.arange(width)).ravel())
+                  for segments in by_length.values()]
         X = np.empty((len(corpus.dates), width * len(gathers)))
-        days = np.arange(len(corpus.dates))
-        for length in dict.fromkeys(gather.size for gather in gathers):
-            segments = [s for s, gather in enumerate(gathers) if gather.size == length]
-            _fill_rows(X, corpus.values, days, days, 1, np.stack([gathers[s] for s in segments]),
-                       (width * np.array(segments)[:, None] + np.arange(width)).ravel())
+        for lo in range(0, len(corpus.dates), FEATURE_CHUNK_ROWS):
+            days = corpus.values[lo:lo + FEATURE_CHUNK_ROWS]
+            for gather, cols in blocks:
+                block = block_features(days[:, gather].reshape(-1, gather.shape[1]))
+                X[lo:lo + len(days), cols] = block.reshape(len(days), -1)
         subject_ids = corpus.subject_ids
         dates = tuple(d.isoformat() for d in corpus.dates)
         labels = corpus.labels

@@ -452,7 +452,7 @@ def _read_day(path: str | Path, lineno: int, first: list[str],
     except ValueError as exc:
         raise DataError(f"interchange file {path}: malformed row at line {lineno}: {exc}")
     if len(counts) < MINUTES_PER_DAY:
-        raise DataError(f"interchange file {path}: incomplete day {subject_id}/{when} in interchange file: "
+        raise DataError(f"interchange file {path}: incomplete day {subject_id}/{when}: "
                         f"the file ends after its minute {len(counts) - 1}, on line {lineno}")
     return (subject_id, label, when), np.array(counts, dtype=np.int64)
 

@@ -261,7 +261,7 @@ class TestInterchange:
             load_interchange(self._two_days(tmp_path, {2000: "s1,0,2004-05-08,560,0"}))
         path = self._two_days(tmp_path)
         path.write_text(path.read_text().removesuffix("s1,1,2004-05-08,1439,8\n"))
-        with pytest.raises(DataError, match="incomplete day s1/2004-05-08 in interchange file: "
+        with pytest.raises(DataError, match="incomplete day s1/2004-05-08: "
                                             "the file ends after its minute 1438, on line 2880"):
             load_interchange(path)
 
@@ -295,7 +295,7 @@ class TestInterchange:
         with pytest.raises(DataError) as short_day:
             load_interchange(path)
         assert str(bad_row.value).startswith(f"interchange file {path}: malformed row at line 2002: ")
-        assert str(short_day.value).startswith(f"interchange file {path}: incomplete day s1/2004-05-08 ")
+        assert str(short_day.value).startswith(f"interchange file {path}: incomplete day s1/2004-05-08: ")
 
     @pytest.mark.parametrize("at", [3, 2000])
     def test_negative_count_names_line(self, tmp_path, at):
