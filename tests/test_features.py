@@ -140,7 +140,7 @@ segments:
 @pytest.fixture(scope="module")
 def uneven_corpus():
     """Five subjects with 1, 2, 2, 3 and 17 days: all_days records of four
-    lengths, one longer than a block, and 25 days that cross a block."""
+    lengths, and 25 days that cross a block of FEATURE_CHUNK_ROWS days."""
     rng = np.random.default_rng(5)
     subject_ids, dates, labels, rows = [], [], [], []
     for i, n_days in enumerate((1, 2, 2, 3, 17)):
