@@ -142,11 +142,11 @@ def _load_any_corpus(path: str, metadata: str | None = None) -> Corpus:
     return load_interchange(p)
 
 
-def _distinct(names: list[str]) -> list[str]:
-    """A run's scheme names, each once: two schemes with one name would write one table twice."""
+def _distinct(names: list[str], kind: str = "scheme") -> list[str]:
+    """A run's scheme or model names, each once: a repeated name would write one table or cell twice."""
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ConfigError(f"scheme {name!r} is given twice; each scheme of a run needs its own name")
+            raise ConfigError(f"{kind} {name!r} is given twice; each {kind} of a run needs its own name")
     return names
 
 
@@ -174,7 +174,7 @@ def _resolve_specs(model_names: list[str], config: dict, seed: int) -> dict[str,
     for name in model_names:
         if name not in resolved:
             raise ConfigError(f"unknown model {name!r}; choose from {list(available)}")
-    return {name: resolved[name] for name in model_names}
+    return {name: resolved[name] for name in _distinct(model_names, "model")}
 
 
 def cmd_synth(settings: dict, config: dict) -> int:

@@ -12,6 +12,7 @@ differences reflect scheme and model only.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureTable
-from .models import ModelSpec, predict_proba, train
+from .models import ModelSpec, predict_proba, reuse_fit, train
 
 logger = logging.getLogger(__name__)
 
@@ -197,15 +198,24 @@ class CVReport:
         return [(self.labels[test], self.scores[test]) for test in tests]
 
 
-def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVReport:
-    """Score each fold's rows with a model whose scaler and fit see only the other folds."""
+def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, fits: list | None = None) -> CVReport:
+    """Score each fold's rows with a model whose scaler and fit see only the other folds.
+
+    fits, when given, holds one list per fold of the models that earlier
+    calls with this table and plan fitted. A fold takes its model from its
+    list when ``reuse_fit`` allows; otherwise it trains one and adds it.
+    """
     if plan.assignments.size != table.n_rows:
         raise ConfigError("fold plan does not match table rows")
     X, y = table.X, table.labels
     scores = np.full(table.n_rows, np.nan)  # a row outside every fold keeps NaN
     for fold in range(plan.k):
         test = plan.assignments == fold
-        model = train(spec, X[~test], y[~test], feature_names=table.columns)
+        kept = fits[fold] if fits is not None else []
+        model = next(filter(None, (reuse_fit(fit, spec) for fit in kept)), None)
+        if model is None:
+            model = train(spec, X[~test], y[~test], feature_names=table.columns)
+            kept.append(model)
         scores[test] = predict_proba(model, X[test])
     digest = config_digest(
         {
@@ -222,8 +232,11 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan) -> CVRe
     return CVReport(table.scheme, spec.name, digest, plan, y, scores)
 
 
-def _run_cell(job) -> CVReport:
-    return cross_validate(*job)
+def _run_job(job) -> list[CVReport]:
+    """The cells of one table and one run of same-family specs, which share each fold's fits."""
+    table, specs, plan = job
+    fits = [[] for _ in range(plan.k)] if len(specs) > 1 else None
+    return [cross_validate(table, spec, plan, fits) for spec in specs]
 
 
 def run_matrix(
@@ -238,24 +251,27 @@ def run_matrix(
 
     The tables come from ``featurize_corpus`` or ``read_feature_table``, one
     per scheme. Each table's fold plan is drawn once and shared by its cells.
-    Cells are independent jobs; with workers > 1 they run in a process pool
-    of at most one process per cell and are still collected in submission
-    order, so output is deterministic.
+    A job is one table's cells of a run of consecutive specs of one family,
+    so that the two boosting presets share each fold's fit when
+    ``reuse_fit`` allows; jobs are independent. With workers > 1 they run in
+    a process pool of at most one process per job and are still collected in
+    submission order, so output is deterministic.
     """
     if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")
+    runs = [tuple(run) for _, run in itertools.groupby(specs.values(), key=lambda spec: spec.family)]
     jobs = []
     for table in tables:
         groups = table.subject_ids if mode == "subject_grouped" else None
         plan = stratified_kfold(table.labels, k=k, seed=seed, mode=mode, groups=groups)
-        jobs += [(table, spec, plan) for spec in specs.values()]
+        jobs += [(table, run, plan) for run in runs]
     # the fork start method starts every worker at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_cell, jobs))
+            reports = [report for job in pool.map(_run_job, jobs) for report in job]
     else:
-        reports = [_run_cell(job) for job in jobs]
+        reports = [report for job in jobs for report in _run_job(job)]
     return reports, render_grid(reports)
 
 

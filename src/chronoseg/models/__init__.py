@@ -8,6 +8,8 @@ PARAM_CHECKS checks each value. The two boosting presets of ``gbdt.PRESETS``
 share one family, so seven model presets map onto six families. A decision
 tree is a random forest of one tree (see ``tree``), so both families fit a
 ``tree.RandomForest``. All training is deterministic given (spec, data, seed).
+``reuse_fit`` lets a boosting fit that no limit stopped serve the other
+boosting preset on the same rows (see ``gbdt``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from . import gbdt
 from .gbdt import PRESETS, train_gbdt
 from .linear import train_knn, train_linear_svm, train_logistic
 from .scaler import StandardScaler, fit_scaler
@@ -101,10 +104,14 @@ class ModelSpec:
                         f"hyperparameter {other.limit!r} has no effect on gbdt preset {preset} ({self.name})")
 
     @property
+    def hyperparameters(self) -> dict:
+        """Every hyperparameter of the family: its defaults overlaid with params."""
+        return {**FAMILIES[self.family].params, **self.params}
+
+    @property
     def preset(self) -> str | None:
         """The boosting preset, for a family that has presets; else None."""
-        defaults = FAMILIES[self.family].params
-        return self.params.get("preset", defaults["preset"]) if "preset" in defaults else None
+        return self.hyperparameters.get("preset")
 
     @property
     def name(self) -> str:
@@ -158,6 +165,17 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None) -> 
     seed = {"seed": spec.seed} if family.seeded else {}
     core = family.trainer(X, y, **spec.params, **seed)
     return TrainedModel(spec=spec, feature_names=feature_names, scaler=scaler, core=core)
+
+
+def reuse_fit(model: TrainedModel, spec: ModelSpec) -> TrainedModel | None:
+    """model as the fit of spec on model's training rows, or None when it may not be.
+
+    Only a boosting fit serves another spec, by the rule of ``gbdt.reuse_fit``.
+    """
+    if spec.family != model.spec.family or not isinstance(model.core, gbdt.GradientBoosting):
+        return None
+    core = gbdt.reuse_fit(model.core, model.spec.hyperparameters, spec.hyperparameters)
+    return None if core is None else TrainedModel(spec, model.feature_names, model.scaler, core)
 
 
 def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:

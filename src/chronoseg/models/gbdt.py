@@ -10,6 +10,15 @@ leaf once the leaf budget is spent, is never searched. Without a leaf budget
 every searched leaf with a split is split, so the order of the splits cannot
 change an "xgb" tree.
 
+A fit records whether a limit ever kept a leaf from being searched
+(``GradientBoosting.limited``). A fit that no limit stopped grew every tree to
+completion, so it is also the fit of another preset on the same rows when its
+trees stay within that preset's limit (at most num_leaves leaves for "lgbm",
+depth at most max_depth for "xgb") and every other hyperparameter (n_rounds,
+learning_rate, max_bins, min_child_samples, reg_lambda) is equal; ``reuse_fit``
+applies this rule. A tree that reaches the other limit exactly is still that
+preset's tree: the leaves the limit keeps from being searched found no split.
+
 Features are pre-binned (at most 255 bins per feature) once per fit, from
 one sort of every column: a feature's distinct values start its runs of equal
 sorted values, and its boundaries are the midpoints between them. The bin
@@ -41,6 +50,7 @@ so prediction never bins X.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -222,6 +232,7 @@ class _TreeGrower:
         # g + ih of each row: its two weights, side by side as in the histogram
         self.gh = np.empty(n, dtype=np.complex128)
         self.root_candidates = self._candidates(self.rows)
+        self.limited = False  # whether the limit ever kept a leaf from being searched
 
     def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[TreeNode, list[_Leaf]]:
         """The round's tree and its final leaves, which partition the rows.
@@ -271,6 +282,7 @@ class _TreeGrower:
         h_sum = float(self.gh.imag[idx].sum())
         node = TreeNode(n=idx.size, value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
         can_split = n_leaves < self.max_leaves and depth < self.max_depth
+        self.limited |= not can_split
         return _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
 
     def _apply_split(self, leaf: _Leaf, n_leaves: int) -> tuple[_Leaf, _Leaf]:
@@ -300,6 +312,7 @@ class GradientBoosting:
     base_score: float
     trees: list[TreeNode]
     n_features: int
+    limited: bool  # the preset's limit kept some leaf from being searched
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -342,4 +355,32 @@ def train_gbdt(
                 raw[leaf.idx] += leaf.node.value
             prob = sigmoid(raw)
 
-    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p)
+    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p, limited=grower.limited)
+
+
+# the hyperparameters besides the limits, which two fits must share
+SHARED_PARAMS = ("n_rounds", "learning_rate", "max_bins", "min_child_samples", "reg_lambda")
+
+
+def _size(tree: TreeNode, limit: str) -> int:
+    """The tree's leaf count (limit "num_leaves") or depth (limit "max_depth")."""
+    if tree.is_leaf:
+        return 1 if limit == "num_leaves" else 0
+    left, right = _size(tree.left, limit), _size(tree.right, limit)
+    return left + right if limit == "num_leaves" else 1 + max(left, right)
+
+
+def reuse_fit(model: GradientBoosting, fit_params: dict, params: dict) -> GradientBoosting | None:
+    """model as the fit of params on the same rows, or None when it may not be.
+
+    fit_params and params hold every hyperparameter of ``train_gbdt``, the
+    defaults overlaid with the given ones, of model's fit and of the fit
+    wanted. model serves when no limit stopped it, its trees stay within the
+    wanted preset's limit and the other hyperparameters are equal.
+    """
+    if model.limited or any(fit_params[key] != params[key] for key in SHARED_PARAMS):
+        return None
+    limit = PRESETS[params["preset"]].limit
+    if any(_size(tree, limit) > params[limit] for tree in model.trees):
+        return None
+    return dataclasses.replace(model, preset=params["preset"])

@@ -374,6 +374,7 @@ class TestConfigErrors:
             ("out_dir:", []),
             ("schemes: []", []),
             ("models: []", []),
+            ("", ["--models", "knn", "knn"]),
         ],
     )
     def test_bad_evaluate_setting_exits_2(self, corpus_file, tmp_path, capsys, config, flags):
@@ -535,6 +536,15 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main([command, source, inputs, "--schemes", *schemes, "--out-dir", str(out)]) == 2
         assert "scheme 'parts2' is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_model_named_before_input_is_read(self, tmp_path, capsys):
+        # one cell per model: a repeat would have been dropped, and the run reported one row
+        out = tmp_path / "out"
+        code = main(["evaluate", "--corpus", str(tmp_path / "missing.csv"), "--schemes", "parts2",
+                     "--models", "knn", "lightgbm", "knn", "--out-dir", str(out)])
+        assert code == 2
+        assert "model 'knn' is given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_scheme_after_good_one_writes_nothing(self, corpus_file, tmp_path, capsys):

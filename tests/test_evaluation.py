@@ -281,6 +281,34 @@ def tables(corpus, schemes):
     return [featurize_corpus(corpus, scheme) for scheme in schemes]
 
 
+def boosting_specs():
+    """Both boosting presets, with few rounds and leaves small enough to split."""
+    return {name: ModelSpec("gbdt", {"preset": preset, "n_rounds": 10, "min_child_samples": 2})
+            for name, preset in (("lightgbm", "lgbm"), ("xgboost", "xgb"))}
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The process pool replaced by one that maps in this process; the list of its worker counts."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("chronoseg.evaluation.ProcessPoolExecutor", SerialPool)
+    return started
+
+
 class TestRunMatrix:
     def test_cell_counts_and_order(self, tiny_corpus):
         schemes = [builtin_scheme("parts2"), builtin_scheme("full_day")]
@@ -333,23 +361,8 @@ class TestRunMatrix:
             assert a.digest == b.digest
             np.testing.assert_array_equal(a.scores, b.scores)
 
-    def test_pool_capped_at_cell_count(self, tiny_corpus, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("chronoseg.evaluation.ProcessPoolExecutor", SerialPool)
+    def test_pool_capped_at_cell_count(self, tiny_corpus, serial_pool):
+        started = serial_pool
         schemes = [builtin_scheme("full_day")]
         specs = {"knn": ModelSpec("knn"), "decision_tree": ModelSpec("decision_tree")}
         pooled, _ = run_matrix(tables(tiny_corpus, schemes), specs, k=3, seed=0, workers=10_000)
@@ -360,6 +373,44 @@ class TestRunMatrix:
             np.testing.assert_array_equal(a.scores, b.scores)
         run_matrix(tables(tiny_corpus, schemes), {"knn": ModelSpec("knn")}, k=3, seed=0, workers=10_000)
         assert started == [2]  # one cell runs serially
+        run_matrix(tables(tiny_corpus, schemes), boosting_specs(), k=3, seed=0, workers=10_000)
+        assert started == [2]  # so does one job of both boosting presets
+
+    def test_boosting_presets_score_as_when_run_alone(self, tiny_corpus, serial_pool):
+        specs = boosting_specs()
+        tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
+        model = train(specs["xgboost"], tabs[0].X, tabs[0].labels)
+        assert not model.core.trees[0].is_leaf  # trees that split
+        alone = {name: run_matrix(tabs, {name: spec}, k=3, seed=0)[0] for name, spec in specs.items()}
+        for order in (["lightgbm", "xgboost"], ["xgboost", "lightgbm"]):
+            both = {name: specs[name] for name in order}
+            for workers in (1, 2):
+                reports, _ = run_matrix(tabs, both, k=3, seed=0, workers=workers)
+                assert [(r.scheme, r.model) for r in reports] == [(t.scheme, m) for t in tabs for m in order]
+                for r in reports:
+                    want = alone[r.model][[t.scheme for t in tabs].index(r.scheme)]
+                    assert r.digest == want.digest and r.fold_aucs == want.fold_aucs
+                    np.testing.assert_array_equal(r.scores, want.scores)
+        assert serial_pool == [2, 2]  # one job per table
+
+    def test_reused_cell_makes_no_train_call(self, tiny_corpus, monkeypatch):
+        calls = []
+
+        def counting_train(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return train(spec, *args, **kwargs)
+
+        monkeypatch.setattr("chronoseg.evaluation.train", counting_train)
+        tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
+        run_matrix(tabs, boosting_specs(), k=3, seed=0)
+        assert calls == ["lightgbm"] * 6  # every xgboost fold reuses its lightgbm fit
+
+    def test_other_family_between_presets_keeps_order(self, tiny_corpus):
+        defaults = default_model_specs()
+        specs = {name: defaults[name] for name in ("lightgbm", "knn", "xgboost")}
+        tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
+        reports, _ = run_matrix(tabs, specs, k=3, seed=0)
+        assert [(r.scheme, r.model) for r in reports] == [(t.scheme, m) for t in tabs for m in specs]
 
     def test_fold_csv_includes_all_cells(self, tiny_corpus, tmp_path):
         reports, _ = run_matrix(tables(tiny_corpus, [builtin_scheme("full_day")]), {"knn": ModelSpec("knn")}, k=3, seed=0)

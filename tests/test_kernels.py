@@ -17,7 +17,7 @@ from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, w
 from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
-from chronoseg.models.gbdt import _TreeGrower, fit_binner, train_gbdt
+from chronoseg.models.gbdt import _TreeGrower, fit_binner, reuse_fit, train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import (
@@ -344,6 +344,49 @@ class TestBoostingTrees:
             assert got.trees[0].threshold == lo
             Z = np.array([[lo], [1.0], [hi], [np.nextafter(lo, 0.0)]])
             assert got.predict_proba(Z).tobytes() == want.predict_proba(Z).tobytes()
+
+
+def boosting_bytes(model, X):
+    """Every node of every tree, the base score, the scores of X and the gains, as bytes."""
+    nodes = np.array([node for tree in model.trees for node in tree_nodes(tree)], dtype=np.float64)
+    return (nodes.tobytes(), [len(tree_nodes(tree)) for tree in model.trees], model.base_score,
+            model.predict_proba(X).tobytes(), model.feature_gains().tobytes())
+
+
+class TestSharedBoostingFits:
+    def test_reused_fit_equals_an_independent_fit(self):
+        # a fit is reused exactly when no limit stopped it, the hyperparameters
+        # besides the limits agree and the wanted preset's own fit is the same
+        reused = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            X = data.draw(tie_heavy_matrix(max_rows=40))
+            n = X.shape[0]
+            y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
+            shared = {"n_rounds": data.draw(st.integers(1, 5)), "reg_lambda": data.draw(st.sampled_from([0.0, 1.0]))}
+            params = {
+                "lgbm": {"preset": "lgbm", "num_leaves": data.draw(st.integers(2, 8)), **shared,
+                         "min_child_samples": data.draw(st.integers(1, 3))},
+                "xgb": {"preset": "xgb", "max_depth": data.draw(st.integers(1, 4)), **shared,
+                        "min_child_samples": data.draw(st.integers(1, 3))},
+            }
+            first, wanted = data.draw(st.sampled_from([("lgbm", "xgb"), ("xgb", "lgbm")]))
+            fit = train_gbdt(X, y, **params[first])
+            own = train_gbdt(X, y, **params[wanted])
+            got = reuse_fit(fit, ModelSpec("gbdt", params[first]).hyperparameters,
+                            ModelSpec("gbdt", params[wanted]).hyperparameters)
+            same_fit = boosting_bytes(fit, X) == boosting_bytes(own, X)
+            same_rest = params[first]["min_child_samples"] == params[wanted]["min_child_samples"]
+            assert (got is not None) == (not fit.limited and same_rest and same_fit)
+            if got is not None:
+                assert got.preset == wanted and fit.preset == first
+                assert boosting_bytes(got, X) == boosting_bytes(own, X)
+            reused.append(got is not None)
+
+        check()
+        assert any(reused) and not all(reused)
 
 
 class TestLogisticFit:
