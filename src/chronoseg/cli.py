@@ -21,7 +21,7 @@ from .evaluation import CV_MODES, run_matrix, write_fold_csv, write_report_csv, 
 from .features import featurize_corpus, read_feature_table, write_feature_table
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import FAMILIES, ModelSpec, default_model_specs, gain_importance, train
-from .segmentation import PRESET_NAMES, SegmentationScheme, read_yaml, resolve_scheme
+from .segmentation import PRESET_NAMES, SegmentationScheme, check_name, read_yaml, resolve_scheme
 from .synth import gen_corpus
 
 DEFAULT_SCHEMES = list(PRESET_NAMES)
@@ -212,8 +212,9 @@ def cmd_evaluate(settings: dict, config: dict) -> int:
         corpus = _load_any_corpus(settings["corpus"], settings["metadata"])
         tables = [featurize_corpus(corpus, scheme) for scheme in schemes]
     elif settings["features_dir"]:
-        # featurize files a scheme file's table under the scheme's name
-        names = _distinct([resolve_scheme(name).name if Path(name).is_file() else name
+        # featurize files a scheme file's table under the scheme's name; any
+        # other name is checked as a scheme's name is
+        names = _distinct([resolve_scheme(name).name if Path(name).is_file() else check_name("scheme", name)
                            for name in settings["schemes"]])
         tables = []
         for name in names:

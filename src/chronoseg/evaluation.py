@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import FeatureTable
-from .models import ModelSpec, predict_proba, reuse_fit, train
+from .models import ModelSpec, predict_proba, serves, train
 
 logger = logging.getLogger(__name__)
 
@@ -198,12 +198,13 @@ class CVReport:
         return [(self.labels[test], self.scores[test]) for test in tests]
 
 
-def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, fits: list | None = None) -> CVReport:
+def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, shared: list | None = None) -> CVReport:
     """Score each fold's rows with a model whose scaler and fit see only the other folds.
 
-    fits, when given, holds one list per fold of the models that earlier
-    calls with this table and plan fitted. A fold takes its model from its
-    list when ``reuse_fit`` allows; otherwise it trains one and adds it.
+    shared, when given, holds one list per fold of the (model, fold scores)
+    that earlier calls with this table and plan fitted and scored. A fold
+    whose model one of them ``serves`` copies its scores; otherwise it trains
+    and predicts, and adds both to the list.
     """
     if plan.assignments.size != table.n_rows:
         raise ConfigError("fold plan does not match table rows")
@@ -211,12 +212,13 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, fits: l
     scores = np.full(table.n_rows, np.nan)  # a row outside every fold keeps NaN
     for fold in range(plan.k):
         test = plan.assignments == fold
-        kept = fits[fold] if fits is not None else []
-        model = next(filter(None, (reuse_fit(fit, spec) for fit in kept)), None)
-        if model is None:
+        kept = shared[fold] if shared is not None else []
+        fold_scores = next((fit_scores for model, fit_scores in kept if serves(model, spec)), None)
+        if fold_scores is None:
             model = train(spec, X[~test], y[~test], feature_names=table.columns)
-            kept.append(model)
-        scores[test] = predict_proba(model, X[test])
+            fold_scores = predict_proba(model, X[test])
+            kept.append((model, fold_scores))
+        scores[test] = fold_scores
     digest = config_digest(
         {
             "scheme": table.scheme,
@@ -233,10 +235,10 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, fits: l
 
 
 def _run_job(job) -> list[CVReport]:
-    """The cells of one table and one run of same-family specs, which share each fold's fits."""
+    """The cells of one table and one run of same-family specs, which share each fold's fits and scores."""
     table, specs, plan = job
-    fits = [[] for _ in range(plan.k)] if len(specs) > 1 else None
-    return [cross_validate(table, spec, plan, fits) for spec in specs]
+    shared = [[] for _ in range(plan.k)] if len(specs) > 1 else None
+    return [cross_validate(table, spec, plan, shared) for spec in specs]
 
 
 def run_matrix(
@@ -252,10 +254,10 @@ def run_matrix(
     The tables come from ``featurize_corpus`` or ``read_feature_table``, one
     per scheme. Each table's fold plan is drawn once and shared by its cells.
     A job is one table's cells of a run of consecutive specs of one family,
-    so that the two boosting presets share each fold's fit when
-    ``reuse_fit`` allows; jobs are independent. With workers > 1 they run in
-    a process pool of at most one process per job and are still collected in
-    submission order, so output is deterministic.
+    so that a fold's boosting fit and its scores serve the other boosting
+    preset when ``serves`` allows; jobs are independent. With workers > 1
+    they run in a process pool of at most one process per job and are still
+    collected in submission order, so output is deterministic.
     """
     if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")

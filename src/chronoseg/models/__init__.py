@@ -8,8 +8,8 @@ PARAM_CHECKS checks each value. The two boosting presets of ``gbdt.PRESETS``
 share one family, so seven model presets map onto six families. A decision
 tree is a random forest of one tree (see ``tree``), so both families fit a
 ``tree.RandomForest``. All training is deterministic given (spec, data, seed).
-``reuse_fit`` lets a boosting fit that no limit stopped serve the other
-boosting preset on the same rows (see ``gbdt``).
+``serves`` tells whether a boosting fit that no limit stopped is also the fit
+of the other boosting preset on the same rows (see ``gbdt``).
 """
 
 from __future__ import annotations
@@ -167,15 +167,13 @@ def train(spec: ModelSpec, X: np.ndarray, y: np.ndarray, feature_names=None) -> 
     return TrainedModel(spec=spec, feature_names=feature_names, scaler=scaler, core=core)
 
 
-def reuse_fit(model: TrainedModel, spec: ModelSpec) -> TrainedModel | None:
-    """model as the fit of spec on model's training rows, or None when it may not be.
+def serves(model: TrainedModel, spec: ModelSpec) -> bool:
+    """Whether model is also the fit of spec on model's training rows.
 
-    Only a boosting fit serves another spec, by the rule of ``gbdt.reuse_fit``.
+    Only a boosting fit serves another spec, by the rule of ``gbdt.serves``.
     """
-    if spec.family != model.spec.family or not isinstance(model.core, gbdt.GradientBoosting):
-        return None
-    core = gbdt.reuse_fit(model.core, model.spec.hyperparameters, spec.hyperparameters)
-    return None if core is None else TrainedModel(spec, model.feature_names, model.scaler, core)
+    return (spec.family == model.spec.family and isinstance(model.core, gbdt.GradientBoosting)
+            and gbdt.serves(model.core, model.spec.hyperparameters, spec.hyperparameters))
 
 
 def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:

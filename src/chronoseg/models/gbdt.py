@@ -10,14 +10,15 @@ leaf once the leaf budget is spent, is never searched. Without a leaf budget
 every searched leaf with a split is split, so the order of the splits cannot
 change an "xgb" tree.
 
-A fit records whether a limit ever kept a leaf from being searched
-(``GradientBoosting.limited``). A fit that no limit stopped grew every tree to
-completion, so it is also the fit of another preset on the same rows when its
-trees stay within that preset's limit (at most num_leaves leaves for "lgbm",
-depth at most max_depth for "xgb") and every other hyperparameter (n_rounds,
-learning_rate, max_bins, min_child_samples, reg_lambda) is equal; ``reuse_fit``
-applies this rule. A tree that reaches the other limit exactly is still that
-preset's tree: the leaves the limit keeps from being searched found no split.
+A limit keeps a leaf from being searched only in a tree that reaches it, so
+a fit whose every tree stays strictly below its own preset's limit (fewer
+than num_leaves leaves for "lgbm", depth below max_depth for "xgb") grew every
+tree to completion. Such a fit is also the fit of another preset on the same
+rows when its trees stay within that preset's limit and every other
+hyperparameter (n_rounds, learning_rate, max_bins, min_child_samples,
+reg_lambda) is equal; ``serves`` reads this rule off the trees. A tree that
+reaches the other limit exactly is still that preset's tree: the leaves the
+limit keeps from being searched found no split.
 
 Features are pre-binned (at most 255 bins per feature) once per fit, from
 one sort of every column: a feature's distinct values start its runs of equal
@@ -50,7 +51,6 @@ so prediction never bins X.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -232,7 +232,6 @@ class _TreeGrower:
         # g + ih of each row: its two weights, side by side as in the histogram
         self.gh = np.empty(n, dtype=np.complex128)
         self.root_candidates = self._candidates(self.rows)
-        self.limited = False  # whether the limit ever kept a leaf from being searched
 
     def grow(self, g: np.ndarray, h: np.ndarray) -> tuple[TreeNode, list[_Leaf]]:
         """The round's tree and its final leaves, which partition the rows.
@@ -282,7 +281,6 @@ class _TreeGrower:
         h_sum = float(self.gh.imag[idx].sum())
         node = TreeNode(n=idx.size, value=-pr["learning_rate"] * g_sum / (h_sum + pr["reg_lambda"]))
         can_split = n_leaves < self.max_leaves and depth < self.max_depth
-        self.limited |= not can_split
         return _Leaf(node=node, idx=idx, depth=depth, split=self._search(idx) if can_split else None)
 
     def _apply_split(self, leaf: _Leaf, n_leaves: int) -> tuple[_Leaf, _Leaf]:
@@ -308,11 +306,9 @@ PRESETS = {"lgbm": Preset("lightgbm", "num_leaves"), "xgb": Preset("xgboost", "m
 
 @dataclass
 class GradientBoosting:
-    preset: str  # a key of PRESETS
     base_score: float
     trees: list[TreeNode]
     n_features: int
-    limited: bool  # the preset's limit kept some leaf from being searched
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -355,7 +351,7 @@ def train_gbdt(
                 raw[leaf.idx] += leaf.node.value
             prob = sigmoid(raw)
 
-    return GradientBoosting(preset=preset, base_score=base, trees=trees, n_features=p, limited=grower.limited)
+    return GradientBoosting(base_score=base, trees=trees, n_features=p)
 
 
 # the hyperparameters besides the limits, which two fits must share
@@ -370,17 +366,15 @@ def _size(tree: TreeNode, limit: str) -> int:
     return left + right if limit == "num_leaves" else 1 + max(left, right)
 
 
-def reuse_fit(model: GradientBoosting, fit_params: dict, params: dict) -> GradientBoosting | None:
-    """model as the fit of params on the same rows, or None when it may not be.
+def serves(model: GradientBoosting, fit_params: dict, params: dict) -> bool:
+    """Whether model, the fit of fit_params, is also the fit of params on the same rows.
 
     fit_params and params hold every hyperparameter of ``train_gbdt``, the
-    defaults overlaid with the given ones, of model's fit and of the fit
-    wanted. model serves when no limit stopped it, its trees stay within the
-    wanted preset's limit and the other hyperparameters are equal.
+    defaults overlaid with the given ones. model serves when every tree stays
+    strictly below its own preset's limit and within the wanted preset's
+    limit, and the other hyperparameters are equal.
     """
-    if model.limited or any(fit_params[key] != params[key] for key in SHARED_PARAMS):
-        return None
-    limit = PRESETS[params["preset"]].limit
-    if any(_size(tree, limit) > params[limit] for tree in model.trees):
-        return None
-    return dataclasses.replace(model, preset=params["preset"])
+    if any(fit_params[key] != params[key] for key in SHARED_PARAMS):
+        return False
+    own, wanted = PRESETS[fit_params["preset"]].limit, PRESETS[params["preset"]].limit
+    return all(_size(tree, own) < fit_params[own] and _size(tree, wanted) <= params[wanted] for tree in model.trees)

@@ -39,10 +39,11 @@ def read_yaml(path: str | Path):
         raise ConfigError(f"cannot read YAML file {path}: {exc}") from None
 
 
-def _check_name(kind: str, name: str) -> None:
-    # names reach file names and unquoted CSV cells
+def check_name(kind: str, name: str) -> str:
+    """name, when it may name a scheme or segment; names reach file names and unquoted CSV cells."""
     if not isinstance(name, str) or not _NAME.fullmatch(name):
         raise ConfigError(f"{kind} name {name!r} must be non-empty and use only letters, digits, '_' and '-'")
+    return name
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class SegmentDef:
     windows: tuple[MinuteWindow, ...]
 
     def __post_init__(self):
-        _check_name("segment", self.name)
+        check_name("segment", self.name)
         if not self.windows:
             raise ConfigError(f"segment {self.name!r} has no windows")
 
@@ -77,7 +78,7 @@ class SegmentationScheme:
     minutes: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_name("scheme", self.name)
+        check_name("scheme", self.name)
         validate_scheme(self)
         object.__setattr__(self, "minutes", tuple(
             np.concatenate([np.arange(w.start, w.end, dtype=np.int64)

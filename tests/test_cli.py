@@ -192,6 +192,18 @@ class TestEvaluateCommand:
         )
         assert code == 0
 
+    def test_features_dir_name_checked_as_scheme_name(self, corpus_file, tmp_path, capsys, monkeypatch):
+        # a comma in the name would add a cell to every report.csv row
+        feat_dir = tmp_path / "features"
+        assert main(["featurize", "--corpus", str(corpus_file), "--schemes", "full_day", "--out-dir", str(feat_dir)]) == 0
+        (feat_dir / "features_a,b.csv").write_bytes((feat_dir / "features_full_day.csv").read_bytes())
+        read = []
+        monkeypatch.setattr(cli, "read_feature_table", lambda path, scheme: read.append(path))
+        code = main(["evaluate", "--features-dir", str(feat_dir), "--schemes", "full_day", "a,b", "--models", "knn",
+                     "--k", "3", "--out-dir", str(tmp_path / "out")])
+        assert code == 2 and "scheme name 'a,b'" in capsys.readouterr().err
+        assert read == [] and not (tmp_path / "out").exists()
+
     def test_features_dir_with_scheme_file(self, corpus_file, tmp_path):
         (tmp_path / "sch").mkdir()
         (tmp_path / "sch" / "dn.yaml").write_text(

@@ -394,16 +394,20 @@ class TestRunMatrix:
         assert serial_pool == [2, 2]  # one job per table
 
     def test_reused_cell_makes_no_train_call(self, tiny_corpus, monkeypatch):
-        calls = []
+        calls = {"train": [], "predict_proba": []}
 
-        def counting_train(spec, *args, **kwargs):
-            calls.append(spec.name)
-            return train(spec, *args, **kwargs)
+        def counting(name, fn):
+            def counted(spec_or_model, *args, **kwargs):
+                calls[name].append(getattr(spec_or_model, "spec", spec_or_model).name)
+                return fn(spec_or_model, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr("chronoseg.evaluation.train", counting_train)
+        monkeypatch.setattr("chronoseg.evaluation.train", counting("train", train))
+        monkeypatch.setattr("chronoseg.evaluation.predict_proba", counting("predict_proba", predict_proba))
         tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
         run_matrix(tabs, boosting_specs(), k=3, seed=0)
-        assert calls == ["lightgbm"] * 6  # every xgboost fold reuses its lightgbm fit
+        # every xgboost fold copies the scores of its lightgbm fit
+        assert calls == {"train": ["lightgbm"] * 6, "predict_proba": ["lightgbm"] * 6}
 
     def test_other_family_between_presets_keeps_order(self, tiny_corpus):
         defaults = default_model_specs()

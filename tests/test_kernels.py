@@ -17,7 +17,7 @@ from chronoseg.evaluation import run_matrix, write_fold_csv, write_report_csv, w
 from chronoseg.features import FEATURE_NAMES, block_features, extract_features, featurize_corpus
 from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
-from chronoseg.models.gbdt import _TreeGrower, fit_binner, reuse_fit, train_gbdt
+from chronoseg.models.gbdt import _TreeGrower, fit_binner, serves, train_gbdt
 from chronoseg.models.linear import logistic_objective, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import (
@@ -353,11 +353,27 @@ def boosting_bytes(model, X):
             model.predict_proba(X).tobytes(), model.feature_gains().tobytes())
 
 
+def depths(roots):
+    """Depth of each tree: the splits on the path from its root to its deepest leaf."""
+    out = []
+    for root in roots:
+        deepest, stack = 0, [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if node.is_leaf:
+                deepest = max(deepest, depth)
+            else:
+                stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        out.append(deepest)
+    return out
+
+
 class TestSharedBoostingFits:
     def test_reused_fit_equals_an_independent_fit(self):
-        # a fit is reused exactly when no limit stopped it, the hyperparameters
-        # besides the limits agree and the wanted preset's own fit is the same
-        reused = []
+        # a fit serves exactly when no tree reached its own preset's limit, the
+        # hyperparameters besides the limits agree and the wanted preset's own
+        # fit is the same
+        served = []
 
         @settings(max_examples=300, deadline=None)
         @given(data=st.data())
@@ -375,18 +391,33 @@ class TestSharedBoostingFits:
             first, wanted = data.draw(st.sampled_from([("lgbm", "xgb"), ("xgb", "lgbm")]))
             fit = train_gbdt(X, y, **params[first])
             own = train_gbdt(X, y, **params[wanted])
-            got = reuse_fit(fit, ModelSpec("gbdt", params[first]).hyperparameters,
-                            ModelSpec("gbdt", params[wanted]).hyperparameters)
+            if first == "lgbm":
+                reached = max(leaf_counts(fit.trees)) == params["lgbm"]["num_leaves"]
+            else:
+                reached = max(depths(fit.trees)) == params["xgb"]["max_depth"]
+            got = serves(fit, ModelSpec("gbdt", params[first]).hyperparameters,
+                         ModelSpec("gbdt", params[wanted]).hyperparameters)
             same_fit = boosting_bytes(fit, X) == boosting_bytes(own, X)
             same_rest = params[first]["min_child_samples"] == params[wanted]["min_child_samples"]
-            assert (got is not None) == (not fit.limited and same_rest and same_fit)
-            if got is not None:
-                assert got.preset == wanted and fit.preset == first
-                assert boosting_bytes(got, X) == boosting_bytes(own, X)
-            reused.append(got is not None)
+            assert got == (not reached and same_rest and same_fit)
+            served.append(got)
 
         check()
-        assert any(reused) and not all(reused)
+        assert any(served) and not all(served)
+
+    def test_fit_at_the_wanted_limit_serves(self):
+        # one column separates the labels, so every tree is a stump: it stays
+        # below its own preset's default limit and reaches the wanted one exactly
+        X = np.arange(20, dtype=np.float64)[:, None]
+        y = (X[:, 0] >= 10).astype(np.float64)
+        shared = {"n_rounds": 5, "min_child_samples": 1}
+        for first, wanted in (({"preset": "lgbm"}, {"preset": "xgb", "max_depth": 1}),
+                              ({"preset": "xgb"}, {"preset": "lgbm", "num_leaves": 2})):
+            first, wanted = {**first, **shared}, {**wanted, **shared}
+            fit = train_gbdt(X, y, **first)
+            assert leaf_counts(fit.trees) == [2] * 5
+            assert serves(fit, ModelSpec("gbdt", first).hyperparameters, ModelSpec("gbdt", wanted).hyperparameters)
+            assert boosting_bytes(fit, X) == boosting_bytes(train_gbdt(X, y, **wanted), X)
 
 
 class TestLogisticFit:

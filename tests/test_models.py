@@ -261,14 +261,17 @@ class TestGbdt:
         model = train_gbdt(X, y.astype(float), n_rounds=0)
         np.testing.assert_allclose(model.predict_proba(X), y.mean(), atol=1e-12)
 
-    def test_presets_differ(self, tiny_corpus):
-        from chronoseg.features import featurize_corpus
-        from chronoseg.segmentation import builtin_scheme
-
-        table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
-        a = train_gbdt(table.X, table.labels.astype(float), preset="lgbm", n_rounds=10, min_child_samples=2)
-        b = train_gbdt(table.X, table.labels.astype(float), preset="xgb", n_rounds=10, min_child_samples=2)
-        assert a.preset != b.preset
+    def test_presets_differ(self):
+        # noisy labels, so that trees grow until a limit stops them: two leaves
+        # against depth two
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 4))
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=200) > 0).astype(float)
+        a = train_gbdt(X, y, preset="lgbm", n_rounds=10, num_leaves=2)
+        b = train_gbdt(X, y, preset="xgb", n_rounds=10, max_depth=2)
+        assert all(tree.left.is_leaf and tree.right.is_leaf for tree in a.trees)
+        assert any(not (tree.left.is_leaf and tree.right.is_leaf) for tree in b.trees)
+        assert a.predict_proba(X).tobytes() != b.predict_proba(X).tobytes()
 
 
 class TestTreesAndForest:
