@@ -2,10 +2,10 @@
 
 from .errors import ChronosegError, ConfigError, DataError
 from .evaluation import CVReport, cross_validate, run_matrix, stratified_kfold
-from .features import FEATURE_NAMES, FeatureTable, extract_features, featurize_corpus
+from .features import FEATURE_NAMES, FeatureTable, featurize_corpus
 from .ingest import Corpus, load_corpus, load_interchange, save_corpus
 from .models import ModelSpec, default_model_specs, gain_importance, predict_proba, train
-from .segmentation import SegmentationScheme, builtin_scheme, resolve_scheme, segment_day, validate_scheme
+from .segmentation import SegmentationScheme, builtin_scheme, resolve_scheme
 from .synth import gen_corpus
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "resolve_scheme",
     "FEATURE_NAMES",
     "FeatureTable",
-    "extract_features",
     "featurize_corpus",
     "Corpus",
     "load_corpus",
@@ -34,8 +33,6 @@ __all__ = [
     "save_corpus",
     "SegmentationScheme",
     "builtin_scheme",
-    "segment_day",
-    "validate_scheme",
     "gen_corpus",
     "__version__",
 ]

@@ -12,7 +12,6 @@ differences reflect scheme and model only.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -115,11 +114,11 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def f1(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
-    """F1 for the positive class (patients); 0 when there are no true positives."""
+def f1(scores: np.ndarray, labels: np.ndarray) -> float:
+    """F1 for the positive class (patients) at a 0.5 threshold; 0 when there are no true positives."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    predicted = scores >= threshold
+    predicted = scores >= 0.5
     tp = int(np.sum(predicted & (labels == 1)))
     fp = int(np.sum(predicted & (labels == 0)))
     fn = int(np.sum(~predicted & (labels == 1)))
@@ -235,7 +234,7 @@ def cross_validate(table: FeatureTable, spec: ModelSpec, plan: FoldPlan, shared:
 
 
 def _run_job(job) -> list[CVReport]:
-    """The cells of one table and one run of same-family specs, which share each fold's fits and scores."""
+    """The cells of one table and one model family's specs, which share each fold's fits and scores."""
     table, specs, plan = job
     shared = [[] for _ in range(plan.k)] if len(specs) > 1 else None
     return [cross_validate(table, spec, plan, shared) for spec in specs]
@@ -253,27 +252,34 @@ def run_matrix(
 
     The tables come from ``featurize_corpus`` or ``read_feature_table``, one
     per scheme. Each table's fold plan is drawn once and shared by its cells.
-    A job is one table's cells of a run of consecutive specs of one family,
-    so that a fold's boosting fit and its scores serve the other boosting
-    preset when ``serves`` allows; jobs are independent. With workers > 1
-    they run in a process pool of at most one process per job and are still
-    collected in submission order, so output is deterministic.
+    A job is one table's cells of one model family (families in order of
+    first appearance), so a fold's boosting fit and its scores serve the
+    other boosting preset whenever ``serves`` allows, in any order of specs.
+    Jobs are independent: with workers > 1 they run in a process pool of at
+    most one process per job. Reports come in (table, specs) order, so output
+    is deterministic.
     """
     if not tables or not specs:
         raise ConfigError("need at least one scheme and one model")
-    runs = [tuple(run) for _, run in itertools.groupby(specs.values(), key=lambda spec: spec.family)]
+    cells = list(specs.values())
+    families: dict[str, list[int]] = {}  # each family's positions in cells
+    for position, spec in enumerate(cells):
+        families.setdefault(spec.family, []).append(position)
     jobs = []
     for table in tables:
         groups = table.subject_ids if mode == "subject_grouped" else None
         plan = stratified_kfold(table.labels, k=k, seed=seed, mode=mode, groups=groups)
-        jobs += [(table, run, plan) for run in runs]
+        jobs += [(table, [cells[p] for p in positions], plan) for positions in families.values()]
     # the fork start method starts every worker at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = [report for job in pool.map(_run_job, jobs) for report in job]
+            done = [report for job in pool.map(_run_job, jobs) for report in job]
     else:
-        reports = [report for job in jobs for report in _run_job(job)]
+        done = [report for job in jobs for report in _run_job(job)]
+    # each table's reports come family by family; put them back in specs order
+    order = [position for positions in families.values() for position in positions]
+    reports = [done[t + order.index(p)] for t in range(0, len(done), len(cells)) for p in range(len(cells))]
     return reports, render_grid(reports)
 
 

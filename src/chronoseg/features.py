@@ -145,10 +145,8 @@ def block_features(x: np.ndarray) -> np.ndarray:
 
 def extract_features(values: np.ndarray) -> dict[str, float]:
     """Compute the sixteen statistics of one segment's values (see block_features)."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("cannot extract features from an empty vector")
-    return dict(zip(FEATURE_NAMES, block_features(x.reshape(1, -1))[0].tolist()))
+    x = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return dict(zip(FEATURE_NAMES, block_features(x)[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -242,14 +240,14 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
             writer.writerow([subject_id, day, label, *[format(v, ".17g") for v in row.tolist()]])
 
 
-def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:
-    """Read a table written by write_feature_table; a malformed row is a
-    DataError naming its line.
+def read_feature_table(path: str | Path, scheme: str) -> FeatureTable:
+    """Read a table written by write_feature_table as the table of scheme; a
+    malformed row is a DataError naming its line.
 
     As in a Corpus, each (subject_id, date) appears once and each subject has
     one label; the header names at least one feature column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         subject_ids, dates, labels, rows = [], [], [], []
         seen: set[tuple[str, str]] = set()
@@ -293,7 +291,7 @@ def read_feature_table(path: str | Path, scheme: str = "") -> FeatureTable:
     if not rows:
         raise DataError(f"feature table {path} has no rows")
     return FeatureTable(
-        scheme=scheme or Path(path).stem.removeprefix("features_"),
+        scheme=scheme,
         columns=columns,
         subject_ids=tuple(subject_ids),
         dates=tuple(dates),

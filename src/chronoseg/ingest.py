@@ -9,7 +9,9 @@ metadata table. Subjects are split into calendar days (midnight to midnight
 on the file's naive clock), and a day is kept only when its rows are its 1440
 minutes, consecutive and in order. Missing minutes are never imputed: a day
 with a gap, a repeated minute (as in the autumn DST fall-back) or rows out of
-order is discarded and counted, and the rest of the recording is kept.
+order is discarded and counted, and the rest of the recording is kept. Each
+CSV reader (recordings, metadata, interchange files, feature tables) reads
+UTF-8 and skips a leading byte-order mark, as Excel's "CSV UTF-8" writes.
 
 Parsing is columnar. The ``csv`` module splits a file into rows, which are
 converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -301,7 +303,7 @@ def filter_complete_days(minutes: np.ndarray, activity: np.ndarray) -> tuple[lis
 def _read_metadata(path: Path) -> dict[str, int]:
     """Metadata table: CSV with columns subject_id,label, one row per subject."""
     table: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "subject_id" not in reader.fieldnames or "label" not in reader.fieldnames:
@@ -332,7 +334,7 @@ def _metadata_label(row: dict, path: Path) -> int:
 
 def load_corpus(
     root: str | Path,
-    metadata: str | Path | Mapping[str, int] | None = None,
+    metadata: str | Path | None = None,
 ) -> Corpus:
     """Load every subject file under ``root`` and keep all complete days.
 
@@ -345,9 +347,7 @@ def load_corpus(
     if not root.is_dir():
         raise ConfigError(f"corpus root {root} is not a directory")
 
-    label_table: Mapping[str, int] | None = None
-    if metadata is not None:
-        label_table = metadata if isinstance(metadata, Mapping) else _read_metadata(Path(metadata))
+    label_table = _read_metadata(Path(metadata)) if metadata is not None else {}
 
     entries: list[tuple[Path, int | None]] = []
     for sub, lab in (("patient", 1), ("control", 0)):
@@ -365,12 +365,12 @@ def load_corpus(
         subject_id = path.stem
         if dir_label is not None:
             label = dir_label
-        elif label_table is not None and subject_id in label_table:
+        elif subject_id in label_table:
             label = label_table[subject_id]
         else:
             raise ConfigError(f"subject {subject_id} has no label (no class directory, not in metadata)")
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 minutes, activity = parse_subject_file(fh)
         except (DataError, ConfigError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
@@ -465,14 +465,13 @@ def load_interchange(path: str | Path) -> Corpus:
     constructor.
     """
     keys, days = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header != INTERCHANGE_COLUMNS:
-                raise DataError(
-                    f"interchange file {path} has columns {header}, expected {INTERCHANGE_COLUMNS}"
-                )
+                found = "no header row" if header is None else f"columns {header}"
+                raise DataError(f"interchange file {path} has {found}, expected {INTERCHANGE_COLUMNS}")
             rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
             for lineno, first in rows:
                 key, counts = _read_day(path, lineno, first, rows)

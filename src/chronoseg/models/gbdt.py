@@ -139,13 +139,11 @@ def _best_split(
     """Best (gain, feature, bin) among the flat split positions, or None.
 
     hist is the (p, width, 2) histogram, gradient and hessian interleaved
-    per bin; candidates come from _split_positions. Every array of the
-    candidates' size or the histogram's is written into scratch.
+    per bin; candidates come from _split_positions and are not empty. Every
+    array of the candidates' size or the histogram's is written into scratch.
     """
     features, positions, stop = candidates
     n = positions.size
-    if n == 0:
-        return None
     p, width, _ = hist.shape
     # G + iH of every feature, then GL + iHL and GR + iHR of every candidate
     sides = scratch.sides[: p + 2 * n]
@@ -310,15 +308,12 @@ class GradientBoosting:
     trees: list[TreeNode]
     n_features: int
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         raw = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
             raw += predict_tree(tree, X)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_function(X))
+        return sigmoid(raw)
 
     def feature_gains(self) -> np.ndarray:
         return sum_gains(self.trees, self.n_features)

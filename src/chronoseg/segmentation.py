@@ -157,8 +157,8 @@ def _parse_range(text) -> MinuteWindow:
     return MinuteWindow(h1 * 60 + m1, h2 * 60 + m2)
 
 
-def scheme_from_config(source: str | Path | dict) -> SegmentationScheme:
-    """Load a custom scheme from a YAML document.
+def scheme_from_config(path: str | Path) -> SegmentationScheme:
+    """Load a custom scheme from a YAML file; a ConfigError about its document names the file.
 
     Layout::
 
@@ -169,17 +169,20 @@ def scheme_from_config(source: str | Path | dict) -> SegmentationScheme:
           - name: day
             windows: ["08:00-20:00"]
     """
-    doc = read_yaml(source) if isinstance(source, (str, Path)) else source
-    if not isinstance(doc, dict) or "name" not in doc or "segments" not in doc:
-        raise ConfigError("scheme config needs 'name' and 'segments' keys")
-    entries = doc["segments"]
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and "name" in e and isinstance(e.get("windows"), list) for e in entries
-    ):
-        raise ConfigError(f"scheme config 'segments' must list mappings with 'name' and a 'windows' list, "
-                          f"got {entries!r}")
-    segments = tuple(SegmentDef(e["name"], tuple(_parse_range(r) for r in e["windows"])) for e in entries)
-    return SegmentationScheme(name=doc["name"], segments=segments)
+    doc = read_yaml(path)
+    try:
+        if not isinstance(doc, dict) or "name" not in doc or "segments" not in doc:
+            raise ConfigError("scheme config needs 'name' and 'segments' keys")
+        entries = doc["segments"]
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "name" in e and isinstance(e.get("windows"), list) for e in entries
+        ):
+            raise ConfigError(f"scheme config 'segments' must list mappings with 'name' and a 'windows' list, "
+                              f"got {entries!r}")
+        segments = tuple(SegmentDef(e["name"], tuple(_parse_range(r) for r in e["windows"])) for e in entries)
+        return SegmentationScheme(name=doc["name"], segments=segments)
+    except ConfigError as exc:
+        raise ConfigError(f"scheme file {path}: {exc}") from None
 
 
 def resolve_scheme(name_or_path: str) -> SegmentationScheme:

@@ -362,6 +362,70 @@ class TestDataErrors:
         assert not (tmp_path / "out").exists()
 
 
+def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
+    """The input files of the documented error paths, each under its own name."""
+    header = b"timestamp,activity\n"
+    recordings = {
+        "empty_rec": b"",
+        "latin_rec": header + b"2004-05-07 12:00:00,3\xff\n",
+        "huge_rec": header + b"2004-05-07 12:00:00," + b"1" * 200_000 + b"\n",
+    }
+    for corpus, content in recordings.items():
+        (root / corpus / "patient").mkdir(parents=True)
+        (root / corpus / "patient" / "p1.csv").write_bytes(content)
+    # a bad byte past the first read buffer: the header and the first rows decode
+    rows = corpus_file.read_bytes().splitlines(keepends=True)[:1000]
+    (root / "latin_days.csv").write_bytes(b"".join(rows) + b"s\xff,1,2004-05-07,999,3\n")
+    (root / "header_only.csv").write_bytes(rows[0])
+    (root / "no_header.csv").write_bytes(b"")
+    for table, content in (("fd_empty", b"subject_id,date,label,day_mean\n"),
+                           ("fd_latin", b"subject_id,date,label,day_mean\ns\xff,2004-05-07,1,3\n")):
+        (root / table).mkdir()
+        (root / table / "features_parts2.csv").write_bytes(content)
+    (root / "fd_missing").mkdir()
+    (root / "list.yaml").write_text("- synth\n- featurize\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        pytest.param(["featurize", "--corpus", "empty_rec"], 3, "p1.csv: empty file: no header row",
+                     id="empty-recording"),
+        pytest.param(["featurize", "--corpus", "latin_rec"], 3, "p1.csv: recording is not UTF-8 text",
+                     id="non-utf8-recording"),
+        pytest.param(["featurize", "--corpus", "huge_rec"], 3, "p1.csv: malformed row at line 2: field larger",
+                     id="oversized-recording-field"),
+        pytest.param(["featurize", "--corpus", "latin_days.csv"], 3, "latin_days.csv is not UTF-8 text",
+                     id="non-utf8-interchange-after-header"),
+        pytest.param(["featurize", "--corpus", "header_only.csv"], 3, "empty corpus in header_only.csv",
+                     id="interchange-header-only"),
+        pytest.param(["featurize", "--corpus", "no_header.csv"], 3, "no_header.csv has no header row",
+                     id="interchange-empty"),
+        pytest.param(["evaluate", "--features-dir", "fd_empty", "--schemes", "parts2"], 3,
+                     "features_parts2.csv has no rows", id="feature-table-header-only"),
+        pytest.param(["evaluate", "--features-dir", "fd_latin", "--schemes", "parts2"], 3,
+                     "features_parts2.csv is not UTF-8 text", id="non-utf8-feature-table"),
+        pytest.param(["--config", "nope.yaml", "featurize", "--corpus", "header_only.csv"], 2,
+                     "config file nope.yaml does not exist", id="missing-config"),
+        pytest.param(["--config", "list.yaml", "featurize", "--corpus", "header_only.csv"], 2,
+                     "config file list.yaml must be a key-value document", id="config-is-list"),
+        pytest.param(["featurize"], 2, "featurize needs a corpus path", id="featurize-without-corpus"),
+        pytest.param(["importance"], 2, "importance needs a corpus path", id="importance-without-corpus"),
+        pytest.param(["evaluate", "--features-dir", "fd_missing", "--schemes", "parts2"], 2,
+                     "features_parts2.csv does not exist", id="feature-table-missing"),
+    ],
+)
+def test_documented_error_exits_and_writes_nothing(corpus_file, tmp_path, monkeypatch, capsys, argv, code, fragment):
+    monkeypatch.chdir(tmp_path)
+    _write_bad_inputs(tmp_path, corpus_file)
+    out = ["--out", "out.csv"] if "importance" in argv else ["--out-dir", "out"]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, *out]) == code
+    err = capsys.readouterr().err
+    assert ("config error:" if code == 2 else "data error:") in err and fragment in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "config, flags",

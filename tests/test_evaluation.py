@@ -309,6 +309,22 @@ def serial_pool(monkeypatch):
     return started
 
 
+@pytest.fixture
+def model_calls(monkeypatch):
+    """The model name of every train and predict_proba call that cross_validate makes."""
+    calls = {"train": [], "predict_proba": []}
+
+    def counting(name, fn):
+        def counted(spec_or_model, *args, **kwargs):
+            calls[name].append(getattr(spec_or_model, "spec", spec_or_model).name)
+            return fn(spec_or_model, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr("chronoseg.evaluation.train", counting("train", train))
+    monkeypatch.setattr("chronoseg.evaluation.predict_proba", counting("predict_proba", predict_proba))
+    return calls
+
+
 class TestRunMatrix:
     def test_cell_counts_and_order(self, tiny_corpus):
         schemes = [builtin_scheme("parts2"), builtin_scheme("full_day")]
@@ -393,21 +409,27 @@ class TestRunMatrix:
                     np.testing.assert_array_equal(r.scores, want.scores)
         assert serial_pool == [2, 2]  # one job per table
 
-    def test_reused_cell_makes_no_train_call(self, tiny_corpus, monkeypatch):
-        calls = {"train": [], "predict_proba": []}
-
-        def counting(name, fn):
-            def counted(spec_or_model, *args, **kwargs):
-                calls[name].append(getattr(spec_or_model, "spec", spec_or_model).name)
-                return fn(spec_or_model, *args, **kwargs)
-            return counted
-
-        monkeypatch.setattr("chronoseg.evaluation.train", counting("train", train))
-        monkeypatch.setattr("chronoseg.evaluation.predict_proba", counting("predict_proba", predict_proba))
+    def test_reused_cell_makes_no_train_call(self, tiny_corpus, model_calls):
         tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
         run_matrix(tabs, boosting_specs(), k=3, seed=0)
         # every xgboost fold copies the scores of its lightgbm fit
-        assert calls == {"train": ["lightgbm"] * 6, "predict_proba": ["lightgbm"] * 6}
+        assert model_calls == {"train": ["lightgbm"] * 6, "predict_proba": ["lightgbm"] * 6}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_presets_apart_share_one_job(self, tiny_corpus, model_calls, serial_pool, workers):
+        boosting = boosting_specs()
+        specs = {"lightgbm": boosting["lightgbm"], "knn": ModelSpec("knn"), "xgboost": boosting["xgboost"]}
+        tabs = tables(tiny_corpus, [builtin_scheme("parts2"), builtin_scheme("full_day")])
+        reports, _ = run_matrix(tabs, specs, k=3, seed=0, workers=workers)
+        assert [(r.scheme, r.model) for r in reports] == [(t.scheme, m) for t in tabs for m in specs]
+        # every xgboost fold copies the scores of its lightgbm fit, in the job of the boosting family
+        for calls in model_calls.values():
+            assert calls.count("lightgbm") == 6 and calls.count("xgboost") == 0
+        assert serial_pool == ([2] if workers == 2 else [])  # two jobs per table
+        alone, _ = run_matrix(tabs, boosting, k=3, seed=0)
+        for r, want in zip([r for r in reports if r.model != "knn"], alone):
+            assert (r.scheme, r.model, r.digest, r.fold_aucs) == (want.scheme, want.model, want.digest, want.fold_aucs)
+            np.testing.assert_array_equal(r.scores, want.scores)
 
     def test_other_family_between_presets_keeps_order(self, tiny_corpus):
         defaults = default_model_specs()

@@ -1,3 +1,4 @@
+import codecs
 import math
 from datetime import date, timedelta
 
@@ -218,7 +219,19 @@ class TestFeaturizeCorpus:
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts3"))
         path = tmp_path / "features_parts3.csv"
         write_feature_table(table, path)
-        back = read_feature_table(path)
+        back = read_feature_table(path, scheme="parts3")
+        assert back.scheme == "parts3"
+        assert back.columns == table.columns
+        assert back.subject_ids == table.subject_ids
+        np.testing.assert_array_equal(back.X, table.X)
+        np.testing.assert_array_equal(back.labels, table.labels)
+
+    def test_byte_order_mark_skipped(self, tiny_corpus, tmp_path):
+        table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
+        path = tmp_path / "table.csv"
+        write_feature_table(table, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        back = read_feature_table(path, scheme="parts2")
         assert back.columns == table.columns
         assert back.subject_ids == table.subject_ids
         np.testing.assert_array_equal(back.X, table.X)

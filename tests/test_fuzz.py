@@ -96,4 +96,4 @@ def test_load_corpus_metadata(scratch, subject_dir, text):
 @settings(max_examples=200, deadline=None)
 def test_read_feature_table(scratch, text):
     scratch.write_text(text, encoding="utf-8", newline="")
-    _only_documented_errors(lambda: read_feature_table(scratch))
+    _only_documented_errors(lambda: read_feature_table(scratch, scheme="fuzzed"))

@@ -1,3 +1,4 @@
+import codecs
 import io
 from datetime import date, datetime, timedelta
 
@@ -141,6 +142,23 @@ class TestLoadCorpus:
         assert corpus.subjects["p1"][0] == 1
         assert corpus.subjects["c1"][0] == 0
 
+    def test_recording_with_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        for corpus in ("plain", "bom"):
+            (tmp_path / corpus / "patient").mkdir(parents=True)
+            self._write_subject(tmp_path / corpus / "patient" / "p1.csv", 2)
+        path = tmp_path / "bom" / "patient" / "p1.csv"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        plain, bom = load_corpus(tmp_path / "plain"), load_corpus(tmp_path / "bom")
+        assert bom.subjects == plain.subjects == {"p1": (1, 2)}
+        np.testing.assert_array_equal(bom.values, plain.values)
+
+    def test_metadata_with_byte_order_mark(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        self._write_subject(tmp_path / "data" / "s1.csv", 1)
+        (tmp_path / "meta.csv").write_bytes(codecs.BOM_UTF8 + b"subject_id,label\ns1,1\n")
+        assert load_corpus(tmp_path / "data", metadata=tmp_path / "meta.csv").subjects == {"s1": (1, 1)}
+
     def test_empty_corpus_is_error(self, tmp_path):
         with pytest.raises(DataError, match="empty corpus"):
             load_corpus(tmp_path)
@@ -151,8 +169,10 @@ class TestLoadCorpus:
             load_corpus(tmp_path)
 
     def test_metadata_labels(self, tmp_path):
-        self._write_subject(tmp_path / "s1.csv", 1)
-        corpus = load_corpus(tmp_path, metadata={"s1": 1})
+        (tmp_path / "data").mkdir()
+        self._write_subject(tmp_path / "data" / "s1.csv", 1)
+        (tmp_path / "meta.csv").write_text("subject_id,label\ns1,1\n")
+        corpus = load_corpus(tmp_path / "data", metadata=tmp_path / "meta.csv")
         assert corpus.subjects["s1"][0] == 1
 
     @pytest.mark.parametrize("content, message", [
@@ -213,6 +233,15 @@ class TestInterchange:
         assert back.subjects == corpus.subjects
         assert (back.subject_ids, back.dates) == (corpus.subject_ids, corpus.dates)
         np.testing.assert_array_equal(back.labels, corpus.labels)
+        np.testing.assert_array_equal(back.values, corpus.values)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        corpus = gen_corpus(2, 2, 2, seed=3)
+        path = tmp_path / "corpus.csv"
+        save_corpus(corpus, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        back = load_interchange(path)
+        assert (back.subject_ids, back.dates, back.subjects) == (corpus.subject_ids, corpus.dates, corpus.subjects)
         np.testing.assert_array_equal(back.values, corpus.values)
 
     def test_rewrite_is_byte_identical(self, tmp_path):

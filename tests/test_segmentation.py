@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,11 +166,13 @@ class TestSegmentDay:
         np.testing.assert_array_equal(by_name["day"], np.arange(480, 1200))
         np.testing.assert_array_equal(by_name["night"], np.r_[np.arange(480), np.arange(1200, 1440)])
 
-    def test_windows_gathered_in_start_order(self):
-        scheme = scheme_from_config(
+    def test_windows_gathered_in_start_order(self, tmp_path):
+        path = tmp_path / "wrapped.yaml"
+        path.write_text(yaml.safe_dump(
             {"name": "wrapped", "segments": [{"name": "night", "windows": ["20:00-24:00", "00:00-08:00"]},
                                              {"name": "day", "windows": ["08:00-20:00"]}]}
-        )
+        ))
+        scheme = scheme_from_config(path)
         night = segment_day(np.arange(1440), scheme)["night"]
         np.testing.assert_array_equal(night, np.r_[np.arange(480), np.arange(1200, 1440)])
 
@@ -202,14 +205,36 @@ class TestCustomSchemes:
                 {"name": "day", "windows": ["08:00-20:00"]},
             ],
         }
-        scheme = scheme_from_config(doc)
+        path = tmp_path / "custom.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        scheme = scheme_from_config(path)
         np.testing.assert_array_equal(scheme.minutes[0], np.r_[np.arange(480), np.arange(1200, 1440)])
         night = scheme.segments[0]
         assert night.windows == (MinuteWindow(1200, 1440), MinuteWindow(0, 480))
 
-    def test_bad_range_text(self):
+    def test_bad_range_text(self, tmp_path):
+        path = tmp_path / "x.yaml"
+        path.write_text(yaml.safe_dump({"name": "x", "segments": [{"name": "a", "windows": ["8am-8pm"]}]}))
         with pytest.raises(ConfigError):
-            scheme_from_config({"name": "x", "segments": [{"name": "a", "windows": ["8am-8pm"]}]})
+            scheme_from_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("name: x\nsegments:\n  - name: a\n    windows: ['20:00-08:00']\n", "invalid window [1200, 480)"),
+        ("name: x\nsegments:\n  - name: a\n    windows: []\n", "segment 'a' has no windows"),
+        ("segments: []\n", "scheme config needs 'name' and 'segments' keys"),
+    ], ids=["backwards-window", "no-windows", "no-name"])
+    def test_document_error_names_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"scheme file {path}: {message}")):
+            scheme_from_config(path)
+
+    def test_unreadable_file_named_once(self, tmp_path):
+        # read_yaml names the file itself
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"name: \xff\n")
+        with pytest.raises(ConfigError, match=f"^cannot read YAML file {re.escape(str(path))}: "):
+            scheme_from_config(path)
 
     def test_incomplete_config_rejected(self, tmp_path):
         path = tmp_path / "scheme.yaml"
