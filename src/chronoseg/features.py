@@ -1,7 +1,7 @@
 """Per-segment statistical features and feature-table assembly.
 
-Sixteen features are computed for every segment of every day (or of a
-subject's whole concatenated record for the all_days scheme). Degenerate
+Sixteen features are computed for every segment of every record: a day, or
+all of a subject's days in date order under a per-subject scheme. Degenerate
 inputs (zero variance, zero mean) map to 0 rather than NaN so tables stay
 rectangular. The minimum is deliberately not a feature: it separates the
 classes poorly and is dropped from the set.
@@ -9,12 +9,12 @@ classes poorly and is dropped from the set.
 All sixteen are computed along ``axis=1`` of a block of equal-length rows
 (:func:`block_features`), each row on its own, the third and fourth moments
 as products of the squared deviations; :func:`extract_features` is its
-one-row case. A per-day table is featurized one block per segment length:
-all of a scheme's segments of one length (``scheme.minutes``) are gathered
-out of :data:`FEATURE_CHUNK_ROWS` rows of the corpus day matrix at a time, as
-one (days x segments, length) block. Windows cover each day once, so no such
-block holds more than :data:`FEATURE_CHUNK_ROWS` x 1440 values. The all_days
-table takes one subject's contiguous rows per block. That bounds the kernel's
+one-row case. A block takes consecutive records of d days each, as many as
+fit in :data:`FEATURE_CHUNK_ROWS` days but at least one: all of a scheme's
+segments of one length (``scheme.minutes``) are gathered out of those rows
+of the corpus day matrix as one (records x segments, d x length) block.
+Windows cover each day once, so only a record of more days makes a block of
+over :data:`FEATURE_CHUNK_ROWS` x 1440 values. That bounds the kernel's
 temporaries (about ten arrays of the block's size), and with them peak RSS,
 whatever the cohort size.
 """
@@ -52,8 +52,8 @@ FEATURE_NAMES = (
 
 MAX_ENTROPY_BINS = 16
 
-# Days per block of a per-day table, which holds all the segments of one
-# length of those days. Each of the kernel's temporaries is then at most
+# Days per block of records, which holds all the segments of one length of
+# those days. Each of the kernel's temporaries is then at most
 # 16 x 1440 float64 (184 kB). Featurizing a 162-day cohort under all eight
 # presets raised peak RSS by 3 MB with 16-day blocks and by 12 MB with the
 # whole cohort in one block, which was only about 10% faster.
@@ -154,8 +154,8 @@ class FeatureTable:
     """Rectangular feature matrix with row identity and labels.
 
     Rows are (subject_id, date) for per-day schemes or (subject_id, "all")
-    for the all_days scheme. Subject-grouped cross-validation folds on
-    subject_ids.
+    for per-subject schemes such as all_days. Subject-grouped
+    cross-validation folds on subject_ids.
     """
 
     scheme: str
@@ -179,52 +179,44 @@ class FeatureTable:
 def featurize_corpus(corpus: Corpus, scheme: SegmentationScheme) -> FeatureTable:
     """Build the feature table for one corpus under one scheme.
 
-    Per-day schemes yield one row per complete (subject, date); the all_days
-    scheme yields one row per subject over its days concatenated in date
-    order. Column order is segments in scheme order x features in canonical
-    order; rows sorted by (subject_id, date).
+    One row per record: a complete (subject, date), or, when
+    ``scheme.per_subject``, a subject's days in date order, dated "all", each
+    segment's minutes of those days concatenated. Column order is segments in
+    scheme order x features in canonical order; rows sorted by (subject_id, date).
     """
     if not corpus.dates:
         raise DataError("cannot featurize an empty corpus")
-    gathers = scheme.minutes
+    width = len(FEATURE_NAMES)
     columns = tuple(f"{seg}_{feat}" for seg in scheme.segment_names() for feat in FEATURE_NAMES)
+    # one block per segment length: its segments' minutes, and the columns they fill
+    by_length = {}
+    for s, gather in enumerate(scheme.minutes):
+        by_length.setdefault(gather.size, []).append(s)
+    gathers = [(np.stack([scheme.minutes[s] for s in segments]),
+                (width * np.array(segments)[:, None] + np.arange(width)).ravel())
+               for segments in by_length.values()]
 
-    if scheme.per_subject:
-        # one record per block: a subject's rows, contiguous and in date order
-        records, end = [], 0
-        for label, n_days in corpus.subjects.values():
-            records.append(block_features(corpus.values[end:end + n_days].reshape(1, -1))[0])
-            end += n_days
-        X = np.array(records)
-        subject_ids = tuple(corpus.subjects)
-        dates = ("all",) * len(subject_ids)
-        labels = [label for label, _ in corpus.subjects.values()]
-    else:
-        width = len(FEATURE_NAMES)
-        # one block per segment length: its segments' minutes out of each chunk
-        # of days, as (days x segments, length), and the columns they fill
-        by_length = {}
-        for s, gather in enumerate(gathers):
-            by_length.setdefault(gather.size, []).append(s)
-        blocks = [(np.stack([gathers[s] for s in segments]),
-                   (width * np.array(segments)[:, None] + np.arange(width)).ravel())
-                  for segments in by_length.values()]
-        X = np.empty((len(corpus.dates), width * len(gathers)))
-        for lo in range(0, len(corpus.dates), FEATURE_CHUNK_ROWS):
-            days = corpus.values[lo:lo + FEATURE_CHUNK_ROWS]
-            for gather, cols in blocks:
-                block = block_features(days[:, gather].reshape(-1, gather.shape[1]))
-                X[lo:lo + len(days), cols] = block.reshape(len(days), -1)
-        subject_ids = corpus.subject_ids
-        dates = tuple(d.isoformat() for d in corpus.dates)
-        labels = corpus.labels
+    sizes = [n for _, n in corpus.subjects.values()] if scheme.per_subject else [1] * len(corpus.dates)
+    firsts = np.cumsum([0, *sizes[:-1]]).tolist()
+    X = np.empty((len(sizes), width * len(scheme.minutes)))
+    # a block: consecutive records of d days, FEATURE_CHUNK_ROWS days at most but one record at least
+    rec = 0
+    while rec < len(sizes):
+        d, r = sizes[rec], 1
+        while rec + r < len(sizes) and sizes[rec + r] == d and (r + 1) * d <= FEATURE_CHUNK_ROWS:
+            r += 1
+        days = corpus.values[firsts[rec]:firsts[rec] + r * d].reshape(r, d, -1)
+        for gather, cols in gathers:
+            block = days[:, :, gather].transpose(0, 2, 1, 3).reshape(r * len(gather), -1)
+            X[rec:rec + r, cols] = block_features(block).reshape(r, -1)
+        rec += r
 
     return FeatureTable(
         scheme=scheme.name,
         columns=columns,
-        subject_ids=subject_ids,
-        dates=dates,
-        labels=np.asarray(labels, dtype=np.int64),
+        subject_ids=tuple(corpus.subject_ids[i] for i in firsts),
+        dates=tuple("all" if scheme.per_subject else corpus.dates[i].isoformat() for i in firsts),
+        labels=corpus.labels[firsts],
         X=X,
     )
 
@@ -270,6 +262,8 @@ def read_feature_table(path: str | Path, scheme: str) -> FeatureTable:
                     values = [float(v) for v in row[3:]]
                 except ValueError as exc:
                     raise DataError(f"feature table {path}: malformed row at line {lineno}: {exc}")
+                if not np.isfinite(values).all():
+                    raise DataError(f"feature table {path}: malformed row at line {lineno}: non-finite value")
                 if label not in (0, 1):
                     raise DataError(f"feature table {path}: malformed row at line {lineno}: label {label}")
                 if (row[0], row[1]) in seen:

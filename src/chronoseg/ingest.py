@@ -339,9 +339,9 @@ def load_corpus(
     """Load every subject file under ``root`` and keep all complete days.
 
     Labels come either from ``patient/`` and ``control/`` subdirectories or
-    from a metadata table mapping subject_id -> label. File stems are the
-    subject ids. A DataError or ConfigError from one recording names its
-    file.
+    from a metadata table mapping subject_id -> label, which a flat root may
+    hold. File stems are the subject ids. A DataError or ConfigError from one
+    recording names its file.
     """
     root = Path(root)
     if not root.is_dir():
@@ -354,8 +354,9 @@ def load_corpus(
         subdir = root / sub
         if subdir.is_dir():
             entries.extend((p, lab) for p in sorted(subdir.glob("*.csv")))
-    if not entries:
-        entries = [(p, None) for p in sorted(root.glob("*.csv"))]
+    if not entries:  # a flat root, which may hold the metadata table itself
+        skip = Path(metadata).resolve() if metadata is not None else None
+        entries = [(p, None) for p in sorted(root.glob("*.csv")) if p.resolve() != skip]
 
     # one (subject_id, label, dates, values) per subject, sorted by id below
     # so that the matrix is built in row order

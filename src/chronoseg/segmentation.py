@@ -3,8 +3,9 @@
 A scheme is an ordered list of named segments; each segment is a union of
 half-open minute windows so a "night" covering 20:00-08:00 can live inside a
 single calendar day as [0,480) U [1200,1440). Presets cover the standard
-divisions (full day, 2/3/4/6/8/12 parts) plus the all_days sentinel where
-features are computed once over a subject's whole record.
+divisions (full day, 2/3/4/6/8/12 parts) plus all_days, one segment over a
+subject's whole record. Under ``per_subject`` each segment is gathered over
+all of a subject's days in date order, one row per subject.
 
 A scheme is valid by construction. Building a :class:`SegmentationScheme`
 checks its names and runs :func:`validate_scheme` once, then stores each
@@ -73,7 +74,7 @@ class SegmentDef:
 class SegmentationScheme:
     name: str
     segments: tuple[SegmentDef, ...]
-    per_subject: bool = False  # all_days sentinel: one row per subject
+    per_subject: bool = False  # one row per subject, each segment over all its days
     # each segment's minutes of the day (int64), its windows in start order
     minutes: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
 

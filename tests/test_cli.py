@@ -379,7 +379,8 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
     (root / "header_only.csv").write_bytes(rows[0])
     (root / "no_header.csv").write_bytes(b"")
     for table, content in (("fd_empty", b"subject_id,date,label,day_mean\n"),
-                           ("fd_latin", b"subject_id,date,label,day_mean\ns\xff,2004-05-07,1,3\n")):
+                           ("fd_latin", b"subject_id,date,label,day_mean\ns\xff,2004-05-07,1,3\n"),
+                           ("fd_nan", b"subject_id,date,label,day_mean\ns1,2004-05-07,1,3\ns1,2004-05-08,1,nan\n")):
         (root / table).mkdir()
         (root / table / "features_parts2.csv").write_bytes(content)
     (root / "fd_missing").mkdir()
@@ -405,6 +406,8 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
                      "features_parts2.csv has no rows", id="feature-table-header-only"),
         pytest.param(["evaluate", "--features-dir", "fd_latin", "--schemes", "parts2"], 3,
                      "features_parts2.csv is not UTF-8 text", id="non-utf8-feature-table"),
+        pytest.param(["evaluate", "--features-dir", "fd_nan", "--schemes", "parts2"], 3,
+                     "features_parts2.csv: malformed row at line 3: non-finite value", id="non-finite-feature-cell"),
         pytest.param(["--config", "nope.yaml", "featurize", "--corpus", "header_only.csv"], 2,
                      "config file nope.yaml does not exist", id="missing-config"),
         pytest.param(["--config", "list.yaml", "featurize", "--corpus", "header_only.csv"], 2,

@@ -18,7 +18,7 @@ from chronoseg.features import (
     write_feature_table,
 )
 from chronoseg.ingest import Corpus
-from chronoseg.segmentation import PRESET_NAMES, builtin_scheme, resolve_scheme, segment_day
+from chronoseg.segmentation import PRESET_NAMES, SegmentationScheme, builtin_scheme, resolve_scheme, segment_day
 
 from oracles import naive_features
 
@@ -140,13 +140,14 @@ segments:
 
 @pytest.fixture(scope="module")
 def uneven_corpus():
-    """Five subjects with 1, 2, 2, 3 and 17 days: all_days records of four
-    lengths, and 25 days that cross a block of FEATURE_CHUNK_ROWS days."""
+    """Twelve subjects, one with 1 day, nine with 2, one with 3 and one with
+    17: per-subject records of four lengths, a run of 2-day records whose 18
+    days cross a block of FEATURE_CHUNK_ROWS days, and 39 days in all."""
     rng = np.random.default_rng(5)
     subject_ids, dates, labels, rows = [], [], [], []
-    for i, n_days in enumerate((1, 2, 2, 3, 17)):
+    for i, n_days in enumerate((1, *[2] * 9, 3, 17)):
         for d in range(n_days):
-            subject_ids.append(f"s{i}")
+            subject_ids.append(f"s{i:02d}")
             dates.append(date(2021, 3, 1) + timedelta(days=d))
             labels.append(i % 2)
             rows.append(rng.poisson(rng.uniform(0, 300), 1440) * (rng.random(1440) < rng.uniform(0.2, 1)))
@@ -154,23 +155,29 @@ def uneven_corpus():
 
 
 def per_segment_table(corpus, scheme):
-    """block_features once per segment over all days, or once per subject
-    record for all_days."""
+    """block_features once per segment over all days, or, for a per-subject
+    scheme, once per segment of each subject, over its minutes of each day."""
     if scheme.per_subject:
         ids = np.array(corpus.subject_ids)
-        return np.array([block_features(corpus.values[ids == s].reshape(1, -1))[0] for s in corpus.subjects])
+        return np.array([np.concatenate([block_features(corpus.values[ids == s][:, minutes].reshape(1, -1))[0]
+                                         for minutes in scheme.minutes]) for s in corpus.subjects])
     return np.hstack([block_features(corpus.values[:, minutes]) for minutes in scheme.minutes])
 
 
-@pytest.mark.parametrize("name", [*PRESET_NAMES, "three_lengths"])
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "three_lengths", "parts2_subject"])
 def test_length_blocks_match_per_segment_blocks(uneven_corpus, name, tmp_path):
     assert len(uneven_corpus.dates) > FEATURE_CHUNK_ROWS
     if name == "three_lengths":
         (tmp_path / "three.yaml").write_text(THREE_LENGTHS)
-        name = str(tmp_path / "three.yaml")
-    scheme = resolve_scheme(name)
+        scheme = resolve_scheme(str(tmp_path / "three.yaml"))
+    elif name == "parts2_subject":
+        scheme = SegmentationScheme(name, builtin_scheme("parts2").segments, per_subject=True)
+    else:
+        scheme = resolve_scheme(name)
     table = featurize_corpus(uneven_corpus, scheme)
-    assert table.X.tobytes() == per_segment_table(uneven_corpus, scheme).tobytes()
+    want = per_segment_table(uneven_corpus, scheme)
+    assert table.X.shape == want.shape
+    assert table.X.tobytes() == want.tobytes()
 
 
 class TestFeaturizeCorpus:

@@ -175,6 +175,12 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path / "data", metadata=tmp_path / "meta.csv")
         assert corpus.subjects["s1"][0] == 1
 
+    def test_metadata_table_inside_flat_root_is_not_a_recording(self, tmp_path, monkeypatch):
+        self._write_subject(tmp_path / "s1.csv", 1)
+        (tmp_path / "meta.csv").write_text("subject_id,label\ns1,1\n")
+        monkeypatch.chdir(tmp_path)  # the same file, named by a relative path
+        assert load_corpus(tmp_path, metadata="meta.csv").subjects == {"s1": (1, 1)}
+
     @pytest.mark.parametrize("content, message", [
         (b"subject_id,label\n\xff\xfe,1\n", "is not UTF-8 text"),
         (b"subject_id,label\ns1," + b"1" * 200_000 + b"\n", "malformed line 2: field larger than field limit"),
