@@ -4,10 +4,12 @@ Raw recordings are delimited text files with one row per minute, one file
 per subject. The header must name a ``timestamp`` and an ``activity``
 column; any other column, such as the ``date`` of the PSYKOSE layout
 (``timestamp,date,activity``), is ignored. A recording holds no label: the
-class comes only from its ``patient/`` or ``control/`` directory or from a
-metadata table. Subjects are split into calendar days (midnight to midnight
-on the file's naive clock), and a day is kept only when its rows are its 1440
-minutes, consecutive and in order. Missing minutes are never imputed: a day
+class comes only from its ``patient/`` or ``control/`` directory or, in a
+flat root, from a metadata table. A table given with class directories must
+agree with them, and each subject (file stem) has one recording. Subjects
+are split into calendar days (midnight to midnight on the file's naive
+clock), and a day is kept only when its rows are its 1440 minutes,
+consecutive and in order. Missing minutes are never imputed: a day
 with a gap, a repeated minute (as in the autumn DST fall-back) or rows out of
 order is discarded and counted, and the rest of the recording is kept. Each
 CSV reader (recordings, metadata, interchange files, feature tables) reads
@@ -42,10 +44,10 @@ reads is one CSV with the header ``subject_id,label,date,minute,activity``,
 then each subject-day as 1440 consecutive rows holding its minutes 0 to 1439
 in order; days may come in any order and blank rows are skipped. The reader
 takes one day at a time and checks each row once, in file order: it has five
-cells that convert, the day's first row has a label of 0 or 1 and an ISO
-date, each row repeats that key and holds the next minute, and its count is
-at least 0 and below 2**63. A row that breaks a rule is a DataError naming
-its line.
+cells that convert, the day's first row has a label of 0 or 1 and a
+``YYYY-MM-DD`` date, each row repeats that key and holds the next minute,
+and its count is at least 0 and below 2**63. A row that breaks a rule is a
+DataError naming its line.
 
 A :class:`Corpus` is one read-only int64 day matrix of shape (n_days, 1440),
 one row per complete subject-day, with the subject id, date and label of
@@ -301,7 +303,8 @@ def filter_complete_days(minutes: np.ndarray, activity: np.ndarray) -> tuple[lis
 
 
 def _read_metadata(path: Path) -> dict[str, int]:
-    """Metadata table: CSV with columns subject_id,label, one row per subject."""
+    """Metadata table: CSV with columns subject_id,label, one row per subject
+    and a label that reads as 0 or 1."""
     table: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -309,27 +312,23 @@ def _read_metadata(path: Path) -> dict[str, int]:
             if reader.fieldnames is None or "subject_id" not in reader.fieldnames or "label" not in reader.fieldnames:
                 raise ConfigError(f"metadata file {path} needs subject_id and label columns")
             for row in reader:
-                if row["subject_id"] in table:
-                    raise ConfigError(f"metadata file {path}: subject {row['subject_id']!r} listed again "
+                subject_id, cell = row["subject_id"], row["label"]
+                if subject_id in table:
+                    raise ConfigError(f"metadata file {path}: subject {subject_id!r} listed again "
                                       f"on line {reader.line_num}")
-                table[row["subject_id"]] = _metadata_label(row, path)
+                try:
+                    label = int(cell)
+                except (TypeError, ValueError):
+                    label = None
+                if label not in (0, 1):
+                    raise ConfigError(f"metadata file {path}: subject {subject_id!r} has label {cell!r}, "
+                                      "expected 0 or 1")
+                table[subject_id] = label
         except csv.Error as exc:
             raise ConfigError(f"metadata file {path}: malformed line {reader.reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"metadata file {path} is not UTF-8 text: {exc}")
     return table
-
-
-def _metadata_label(row: dict, path: Path) -> int:
-    """The label of one metadata row, which must read as 0 or 1."""
-    try:
-        label = int(row["label"])
-    except (TypeError, ValueError):
-        label = None
-    if label not in (0, 1):
-        raise ConfigError(f"metadata file {path}: subject {row['subject_id']!r} has label {row['label']!r}, "
-                          "expected 0 or 1")
-    return label
 
 
 def load_corpus(
@@ -338,58 +337,52 @@ def load_corpus(
 ) -> Corpus:
     """Load every subject file under ``root`` and keep all complete days.
 
-    Labels come either from ``patient/`` and ``control/`` subdirectories or
-    from a metadata table mapping subject_id -> label, which a flat root may
-    hold. File stems are the subject ids. A DataError or ConfigError from one
-    recording names its file.
+    File stems are the subject ids, and each subject has one recording. Its
+    label comes from its ``patient/`` (1) or ``control/`` (0) directory or,
+    in a flat root, from a metadata table mapping subject_id -> label, which
+    the root may hold. A table given with class directories must agree with
+    them. Recordings are read once, in subject-id order, and their complete
+    days appended as they are read, so the rows come in (subject, date)
+    order. A DataError or ConfigError from one recording names its file.
     """
     root = Path(root)
     if not root.is_dir():
         raise ConfigError(f"corpus root {root} is not a directory")
 
-    label_table = _read_metadata(Path(metadata)) if metadata is not None else {}
-
-    entries: list[tuple[Path, int | None]] = []
-    for sub, lab in (("patient", 1), ("control", 0)):
-        subdir = root / sub
-        if subdir.is_dir():
-            entries.extend((p, lab) for p in sorted(subdir.glob("*.csv")))
+    table = _read_metadata(Path(metadata)) if metadata is not None else {}
+    entries = [(path, label) for sub, label in (("patient", 1), ("control", 0)) for path in (root / sub).glob("*.csv")]
     if not entries:  # a flat root, which may hold the metadata table itself
         skip = Path(metadata).resolve() if metadata is not None else None
-        entries = [(p, None) for p in sorted(root.glob("*.csv")) if p.resolve() != skip]
+        entries = [(path, table.get(path.stem)) for path in root.glob("*.csv") if path.resolve() != skip]
+    entries.sort(key=lambda entry: entry[0].stem)
 
-    # one (subject_id, label, dates, values) per subject, sorted by id below
-    # so that the matrix is built in row order
-    kept = []
+    values, subject_ids, dates, labels = [], [], [], []
     stats: dict[int, list[int]] = {0: [0, 0], 1: [0, 0]}  # label -> [kept, discarded]
-    for path, dir_label in entries:
+    for i, (path, label) in enumerate(entries):
         subject_id = path.stem
-        if dir_label is not None:
-            label = dir_label
-        elif subject_id in label_table:
-            label = label_table[subject_id]
-        else:
+        if label is None:
             raise ConfigError(f"subject {subject_id} has no label (no class directory, not in metadata)")
+        if table.get(subject_id, label) != label:
+            raise ConfigError(f"metadata file {metadata}: subject {subject_id!r} has label {table[subject_id]}, "
+                              f"but its recording is {path}")
+        if i and entries[i - 1][0].stem == subject_id:
+            raise DataError(f"subject {subject_id} has two recordings: {entries[i - 1][0]} and {path}")
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 minutes, activity = parse_subject_file(fh)
         except (DataError, ConfigError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
-        dates, values, discarded = filter_complete_days(minutes, activity)
-        stats[label][0] += len(dates)
+        days, counts, discarded = filter_complete_days(minutes, activity)
+        stats[label][0] += len(days)
         stats[label][1] += discarded
-        kept.append((subject_id, label, dates, values))
+        values.append(counts)
+        subject_ids += [subject_id] * len(days)
+        dates += days
+        labels += [label] * len(days)
 
-    if not any(dates for _, _, dates, _ in kept):
+    if not dates:
         raise DataError(f"empty corpus under {root}")
-
-    kept.sort(key=lambda subject: subject[0])
-    corpus = Corpus(
-        values=np.concatenate([values for *_, values in kept]),
-        subject_ids=[subject_id for subject_id, _, dates, _ in kept for _ in dates],
-        dates=[day for *_, dates, _ in kept for day in dates],
-        labels=[label for _, label, dates, _ in kept for _ in dates],
-    )
+    corpus = Corpus(np.concatenate(values), subject_ids, dates, labels)
     logger.info(
         "loaded corpus: %d subjects, %d days (control kept/discarded %d/%d, patient %d/%d)",
         len(corpus.subjects), len(corpus.dates), stats[0][0], stats[0][1], stats[1][0], stats[1][1],
@@ -422,7 +415,10 @@ def _cells(row: list[str]) -> tuple[str, int, date, int, int]:
     another number of cells or one does not convert."""
     if len(row) != 5:
         raise ValueError(f"expected 5 cells, got {len(row)}")
-    return row[0], int(row[1]), date.fromisoformat(row[2]), int(row[3]), int(row[4])
+    when = date.fromisoformat(row[2])
+    if row[2] != when.isoformat():  # Python 3.11 also reads forms such as 20200301
+        raise ValueError(f"date {row[2]!r} is not YYYY-MM-DD")
+    return row[0], int(row[1]), when, int(row[3]), int(row[4])
 
 
 def _read_day(path: str | Path, lineno: int, first: list[str],
@@ -488,9 +484,5 @@ def load_interchange(path: str | Path) -> Corpus:
     for i, row in enumerate(values):
         row[:] = days[i]
         days[i] = None  # each day's counts are freed once copied
-    return Corpus(
-        values=values,
-        subject_ids=[subject_id for subject_id, _, _ in keys],
-        dates=[d for _, _, d in keys],
-        labels=[label for _, label, _ in keys],
-    )
+    subject_ids, labels, dates = zip(*keys)
+    return Corpus(values, subject_ids, dates, labels)

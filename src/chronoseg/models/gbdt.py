@@ -15,10 +15,10 @@ a fit whose every tree stays strictly below its own preset's limit (fewer
 than num_leaves leaves for "lgbm", depth below max_depth for "xgb") grew every
 tree to completion. Such a fit is also the fit of another preset on the same
 rows when its trees stay within that preset's limit and every other
-hyperparameter (n_rounds, learning_rate, max_bins, min_child_samples,
-reg_lambda) is equal; ``serves`` reads this rule off the trees. A tree that
-reaches the other limit exactly is still that preset's tree: the leaves the
-limit keeps from being searched found no split.
+keyword of ``train_gbdt`` but ``preset`` and the limits is equal; ``serves``
+reads this rule off the trees. A tree that reaches the other limit exactly
+is still that preset's tree: the leaves the limit keeps from being searched
+found no split.
 
 Features are pre-binned (at most 255 bins per feature) once per fit, from
 one sort of every column: a feature's distinct values start its runs of equal
@@ -349,10 +349,6 @@ def train_gbdt(
     return GradientBoosting(base_score=base, trees=trees, n_features=p)
 
 
-# the hyperparameters besides the limits, which two fits must share
-SHARED_PARAMS = ("n_rounds", "learning_rate", "max_bins", "min_child_samples", "reg_lambda")
-
-
 def _size(tree: TreeNode, limit: str) -> int:
     """The tree's leaf count (limit "num_leaves") or depth (limit "max_depth")."""
     if tree.is_leaf:
@@ -369,7 +365,8 @@ def serves(model: GradientBoosting, fit_params: dict, params: dict) -> bool:
     strictly below its own preset's limit and within the wanted preset's
     limit, and the other hyperparameters are equal.
     """
-    if any(fit_params[key] != params[key] for key in SHARED_PARAMS):
+    limits = {preset.limit for preset in PRESETS.values()}
+    if any(fit_params[key] != params[key] for key in fit_params.keys() - {"preset", *limits}):
         return False
     own, wanted = PRESETS[fit_params["preset"]].limit, PRESETS[params["preset"]].limit
     return all(_size(tree, own) < fit_params[own] and _size(tree, wanted) <= params[wanted] for tree in model.trees)

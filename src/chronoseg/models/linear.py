@@ -153,11 +153,18 @@ class KnnModel:
     X_train: np.ndarray
     y_train: np.ndarray
 
+    def squared_distances(self, X: np.ndarray) -> np.ndarray:
+        """(n_test, n_train) squared Euclidean distances, one test row at a
+        time, so that no (n_test, n_train, p) temporary is built."""
+        d2 = np.empty((X.shape[0], self.X_train.shape[0]))
+        for x, row in zip(X, d2):
+            ((x - self.X_train) ** 2).sum(axis=1, out=row)
+        return d2
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         # distance ties resolved by training-row index via stable argsort
-        d2 = ((X[:, None, :] - self.X_train[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        order = np.argsort(self.squared_distances(X), axis=1, kind="stable")[:, : self.k]
         return self.y_train[order].mean(axis=1)
 
 

@@ -29,7 +29,10 @@ took, so that a scheme's constructor can be required to store the very same
 minutes or raise the very same message. The earlier two-branch fold
 assignment, a round-robin for rows and a per-class greedy for subjects, is
 kept as it was, so that the one group dealer can be required to give the very
-same row plans and the same class-0 subject plans.
+same row plans and the same class-0 subject plans. The earlier k-NN distance,
+which broadcast every (test row, training row) pair into one
+(n_test, n_train, p) temporary, is kept so that the row-at-a-time distances
+can be required to give the very same bits.
 """
 
 import csv
@@ -838,6 +841,12 @@ def per_minute_save_corpus(corpus, path):
         for subject_id, label, day, row in zip(corpus.subject_ids, corpus.labels, corpus.dates, corpus.values):
             for minute in range(1440):
                 writer.writerow([subject_id, int(label), day.isoformat(), minute, int(row[minute])])
+
+
+def broadcast_squared_distances(X, X_train):
+    """(n_test, n_train) squared Euclidean distances from one broadcast
+    (n_test, n_train, p) array."""
+    return ((X[:, None, :] - X_train[None, :, :]) ** 2).sum(axis=2)
 
 
 def _clipped_sigmoid(z):

@@ -192,6 +192,36 @@ class TestLoadCorpus:
         with pytest.raises(ConfigError, match=message):
             load_corpus(tmp_path, metadata=tmp_path.parent / "meta.csv")
 
+    def test_subject_in_both_class_directories_is_data_error(self, tmp_path):
+        for sub in ("patient", "control"):
+            (tmp_path / sub).mkdir()
+            self._write_subject(tmp_path / sub / "s1.csv", 1)
+        with pytest.raises(DataError) as both:
+            load_corpus(tmp_path)
+        assert str(both.value) == (f"subject s1 has two recordings: {tmp_path / 'patient' / 's1.csv'} "
+                                   f"and {tmp_path / 'control' / 's1.csv'}")
+
+    def _classes_and_table(self, tmp_path, rows):
+        """Class directories holding c1, c2 (controls) and p1, and a metadata table of ``rows``."""
+        for sub, name in (("control", "c1"), ("control", "c2"), ("patient", "p1")):
+            (tmp_path / "data" / sub).mkdir(parents=True, exist_ok=True)
+            self._write_subject(tmp_path / "data" / sub / f"{name}.csv", 1)
+        (tmp_path / "meta.csv").write_text("subject_id,label\n" + rows)
+        return tmp_path / "data", tmp_path / "meta.csv"
+
+    @pytest.mark.parametrize("rows", ["c1,0\nc2,0\np1,1\n", "c2,0\nabsent,1\n"],
+                             ids=["agrees", "lists_absent_subjects"])
+    def test_metadata_agreeing_with_class_directories_loads(self, tmp_path, rows):
+        corpus = load_corpus(*self._classes_and_table(tmp_path, rows))
+        assert corpus.subjects == {"c1": (0, 1), "c2": (0, 1), "p1": (1, 1)}
+
+    def test_metadata_contradicting_a_class_directory_is_config_error(self, tmp_path):
+        root, table = self._classes_and_table(tmp_path, "c2,1\n")
+        with pytest.raises(ConfigError) as contradicts:
+            load_corpus(root, metadata=table)
+        assert str(contradicts.value) == (f"metadata file {table}: subject 'c2' has label 1, "
+                                          f"but its recording is {root / 'control' / 'c2.csv'}")
+
     @pytest.mark.parametrize("row", ["s1,patient", "s1,2", "s1,", "s1"])
     def test_metadata_label_must_be_binary(self, tmp_path, row):
         (tmp_path / "data").mkdir()
@@ -281,6 +311,15 @@ class TestInterchange:
         path = self._two_days(tmp_path, {at: "s1,1,2004-05-08,five,3"}, blank_every)
         line = at + 2 + (at // blank_every if blank_every else 0)
         with pytest.raises(DataError, match=f"malformed row at line {line}: invalid literal"):
+            load_interchange(path)
+
+    @pytest.mark.parametrize("cell", ["20040508", "2004-W19-6"])
+    @pytest.mark.parametrize("at", [1440, 2000])
+    def test_non_canonical_date_names_line(self, tmp_path, at, cell):
+        # a day's first row (1440) and a later row (2000); Python 3.11's
+        # date.fromisoformat reads these forms, 3.10's does not
+        path = self._two_days(tmp_path, {at: f"s1,1,{cell},{at % 1440},0"})
+        with pytest.raises(DataError, match=f"malformed row at line {at + 2}: .*'{cell}'"):
             load_interchange(path)
 
     def test_duplicate_and_out_of_range_minutes(self, tmp_path):

@@ -1,8 +1,8 @@
 """The vectorized split searches, the lockstep tree builder, the boosting
-engine, the block feature kernel and the logistic fit against their
-references, and golden digests of a small full matrix recorded before the
-searches were vectorized and of the tree presets' gain importance recorded
-before the three tree families shared one node type."""
+engine, the block feature kernel, the logistic fit and the k-NN distances
+against their references, and golden digests of a small full matrix recorded
+before the searches were vectorized and of the tree presets' gain importance
+recorded before the three tree families shared one node type."""
 
 import hashlib
 import math
@@ -18,7 +18,7 @@ from chronoseg.features import FEATURE_NAMES, block_features, extract_features, 
 from chronoseg.models import ModelSpec, default_model_specs, gain_importance, train
 from chronoseg.models import tree as tree_module
 from chronoseg.models.gbdt import _TreeGrower, fit_binner, serves, train_gbdt
-from chronoseg.models.linear import logistic_objective, train_logistic
+from chronoseg.models.linear import logistic_objective, train_knn, train_logistic
 from chronoseg.models.scaler import fit_scaler
 from chronoseg.models.tree import (
     _best_splits,
@@ -35,6 +35,7 @@ from chronoseg.synth import gen_corpus
 
 from oracles import (
     DEFAULT_PARAMS,
+    broadcast_squared_distances,
     dense_gbdt_split,
     loop_cart_split,
     per_segment_features,
@@ -416,8 +417,14 @@ class TestSharedBoostingFits:
             first, wanted = {**first, **shared}, {**wanted, **shared}
             fit = train_gbdt(X, y, **first)
             assert leaf_counts(fit.trees) == [2] * 5
-            assert serves(fit, ModelSpec("gbdt", first).hyperparameters, ModelSpec("gbdt", wanted).hyperparameters)
+            fit_params, params = ModelSpec("gbdt", first).hyperparameters, ModelSpec("gbdt", wanted).hyperparameters
+            assert serves(fit, fit_params, params)
             assert boosting_bytes(fit, X) == boosting_bytes(train_gbdt(X, y, **wanted), X)
+            # every other keyword of train_gbdt, a later one too, must be equal
+            others = params.keys() - {"preset", "num_leaves", "max_depth"}
+            assert {"n_rounds", "learning_rate", "max_bins", "min_child_samples", "reg_lambda"} <= others
+            for key in others:
+                assert not serves(fit, fit_params, {**params, key: params[key] + 1})
 
 
 class TestLogisticFit:
@@ -457,6 +464,21 @@ class TestLogisticFit:
         X = fit_scaler(X).transform(X)
         got = train_logistic(X, np.zeros(4), l2=0.0, tol=1e-6, max_iter=60)
         assert got.n_iter < 60 and got.grad_norm <= 1e-6
+
+
+class TestKnnDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_row_at_a_time_matches_broadcast(self, data):
+        # bit for bit, from one column to more than a pairwise-summation block
+        n_test, n_train = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+        p = data.draw(st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 256, 513]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e6]))
+        X_train, X = rng.normal(0, scale, size=(n_train, p)), rng.normal(0, scale, size=(n_test, p))
+        got = train_knn(X_train, np.zeros(n_train)).squared_distances(X)
+        assert got.shape == (n_test, n_train)
+        assert got.tobytes() == broadcast_squared_distances(X, X_train).tobytes()
 
 
 # sha256 of the three CSVs, recorded before the CART, GBDT and logistic fit
