@@ -22,6 +22,7 @@ whatever the cohort size.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,15 @@ def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.add.reduceat(flat, starts)
 
 
+def _sorted_median(ordered: np.ndarray) -> np.ndarray:
+    """The median of each sorted row, as ``np.median`` takes it: the middle
+    value, or the mean of the middle two."""
+    half = ordered.shape[1] // 2
+    if ordered.shape[1] % 2:
+        return ordered[:, half]
+    return (ordered[:, half - 1] + ordered[:, half]) / 2
+
+
 def block_features(x: np.ndarray) -> np.ndarray:
     """The sixteen statistics of each row of an (r, n) block, as (r, 16).
 
@@ -96,7 +106,7 @@ def block_features(x: np.ndarray) -> np.ndarray:
     # order statistics read the sorted rows: the same values, without a partition
     ordered = np.sort(x, axis=1)
     mean[:] = x.mean(axis=1)
-    median[:] = np.median(ordered, axis=1)
+    median[:] = _sorted_median(ordered)
     centered = x - mean[:, None]
     squares = centered**2
     m2 = squares.mean(axis=1)
@@ -112,7 +122,7 @@ def block_features(x: np.ndarray) -> np.ndarray:
 
     prop_zeros[:] = np.count_nonzero(x == 0, axis=1) / n
     maximum[:] = ordered[:, -1]
-    mad[:] = np.median(np.abs(x - median[:, None]), axis=1)
+    mad[:] = _sorted_median(np.sort(np.abs(x - median[:, None]), axis=1))
     q1, q3 = np.quantile(ordered, [0.25, 0.75], axis=1)  # linear interpolation at h=(n-1)p
     iqr[:] = q3 - q1
     np.divide(std, mean, out=cv, where=mean != 0)
@@ -226,10 +236,18 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["subject_id", "date", "label", *table.columns])
-        # Python floats, one row at a time: NumPy scalars format slower, and
-        # the whole table as Python floats would raise peak RSS with its size
+        # the key cells as csv writes them, quoting an id that holds a comma,
+        # a quote or a line break; then the values as Python floats, one row
+        # at a time (NumPy scalars format slower, and the whole table as
+        # Python floats would raise peak RSS with its size), by one %-format
+        keys = io.StringIO()
+        key_writer = csv.writer(keys, lineterminator="\n")
+        values = ",%.17g" * len(table.columns) + "\n"
         for subject_id, day, label, row in zip(table.subject_ids, table.dates, table.labels.tolist(), table.X):
-            writer.writerow([subject_id, day, label, *[format(v, ".17g") for v in row.tolist()]])
+            keys.seek(0)
+            keys.truncate()
+            key_writer.writerow([subject_id, day, label])
+            fh.write(keys.getvalue()[:-1] + values % tuple(row.tolist()))
 
 
 def read_feature_table(path: str | Path, scheme: str) -> FeatureTable:

@@ -15,29 +15,44 @@ order is discarded and counted, and the rest of the recording is kept. Each
 CSV reader (recordings, metadata, interchange files, feature tables) reads
 UTF-8 and skips a leading byte-order mark, as Excel's "CSV UTF-8" writes.
 
-Parsing is columnar. The ``csv`` module splits a file into rows, which are
-converted :data:`READ_CHUNK_ROWS` at a time, one column at a time:
+Parsing is columnar. The header is read by the ``csv`` module; the lines
+after it are read :data:`READ_CHUNK_ROWS` at a time, and each chunk takes
+one of two paths:
+
+- ``np.loadtxt`` splits the chunk on commas in C, reading each row's stamp
+  as bytes and its count as float64, when the chunk is plain text that a
+  split on commas reads as the ``csv`` module would: no quote, NUL, carriage
+  return other than in a CRLF line end, whitespace-only line or line longer
+  than the csv field limit, every row holding both cells, and every count in
+  a form NumPy reads (not ``1_000``, nor non-ASCII digits). That is how
+  recordings usually look, CRLF files included.
+- Any other chunk is split into rows by the ``csv`` module, which reads
+  quoted cells, also those that span lines, and the stamp and count cells
+  are collected in Python.
+
+Both paths then check the two columns in bulk, with the same rules:
 
 - Timestamps of the two zero-padded forms ``YYYY-MM-DD HH:MM`` and
-  ``YYYY-MM-DD HH:MM:SS`` take the bulk path: digits and separators are
-  checked at fixed positions, month, hour, minute and second against their
-  ranges, the day against the month's length from NumPy ``datetime64``
-  arithmetic, and the stamp becomes minutes since 1970-01-01 on the file's
-  naive clock. Seconds are truncated.
-  Every other form (no zero padding, surrounding spaces, a ``T`` separator,
-  an impossible date such as 2021-02-30) falls back to
-  :func:`_parse_timestamp` one row at a time, which accepts what
-  ``datetime.strptime`` accepts for those two formats; a row it cannot read
-  is a DataError naming its line.
-- Counts are parsed as float64 with Python's ``float``. A count must be a
-  finite, non-negative whole number below 2**63: ``143.0`` and ``1e3`` are
-  read as 143 and 1000, while ``1.5``, ``nan``, ``inf``, ``-3`` and ``1e300``
-  are DataErrors naming their line.
+  ``YYYY-MM-DD HH:MM:SS`` are checked at fixed positions: digits and
+  separators, month, hour, minute and second against their ranges, the day
+  against the month's length from NumPy ``datetime64`` arithmetic. The stamp
+  becomes minutes since 1970-01-01 on the file's naive clock. Seconds are
+  truncated.
+- A count must be a finite, non-negative whole number below 2**63:
+  ``143.0`` and ``1e3`` are read as 143 and 1000, while ``1.5``, ``nan``,
+  ``inf``, ``-3`` and ``1e300`` are DataErrors naming their line.
+
+A row that fails either check goes to :func:`_parse_row` on its own, which
+accepts every other stamp that ``datetime.strptime`` reads with those two
+formats (no zero padding, surrounding spaces) and counts as Python's
+``float`` reads them, and raises the DataError for a row it cannot read. Blank
+rows are skipped. Messages name the physical line a row starts on, blank
+lines and the lines of a quoted line break included.
 
 Days are cut from the minute and count arrays with ``minutes // 1440``.
-Chunking bounds the Python row objects alive at once (about 300 bytes a
-row), so peak memory stays near that of the parsed arrays however long a
-recording is; the interchange reader holds one day's rows at a time.
+Chunking bounds the Python strings alive at once, so peak memory stays near
+that of the parsed arrays however long a recording is; the interchange
+reader holds one day's rows at a time.
 
 The interchange file that ``save_corpus`` writes and ``load_interchange``
 reads is one CSV with the header ``subject_id,label,date,minute,activity``,
@@ -74,9 +89,12 @@ logger = logging.getLogger(__name__)
 
 MINUTES_PER_DAY = 1440
 
-# Rows of a recording converted per bulk step. Larger chunks are no faster
-# and raise peak RSS; 1024 rows of Python row objects are about 0.3 MB.
-READ_CHUNK_ROWS = 1024
+# Lines of a recording read per chunk. The 54 bench-size raw recordings
+# (about 4,300 lines each) parsed in 0.082 s in chunks of 1024 lines, 0.071 s
+# of 4096 and 0.062 s of 16384 (fastest of 7 in-process runs, 2-vCPU host),
+# but featurizing 14-day recordings (about 20,000 lines each) peaked at
+# 55.2 MB RSS with 4096 lines against 57.2 MB with 16384.
+READ_CHUNK_ROWS = 4096
 
 TIMESTAMP_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M")
 
@@ -86,8 +104,11 @@ MAX_COUNT = 2.0**63
 
 # the zero-padded stamp: digits where the template has 0, the separators elsewhere
 _STAMP_TEMPLATE = np.array([ord(c) for c in "0000-00-00 00:00:00"])
-_STAMP_DIGITS = np.flatnonzero(_STAMP_TEMPLATE[:16] == ord("0"))
+_STAMP_DIGITS = np.flatnonzero(_STAMP_TEMPLATE == ord("0"))
 _STAMP_SEPARATORS = np.flatnonzero(_STAMP_TEMPLATE[:16] != ord("0"))
+# np.loadtxt reads each row's stamp as bytes and its count as float64
+_LOADTXT_STAMP_BYTES = 20
+_LOADTXT_DTYPE = np.dtype([("t", f"S{_LOADTXT_STAMP_BYTES}"), ("a", "f8")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,31 +176,33 @@ def _parse_timestamp(text: str) -> datetime:
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
-def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_minutes(code: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minutes since the epoch of each zero-padded ``YYYY-MM-DD HH:MM[:SS]``
     stamp, and a mask of the stamps that have that form and a valid date and
-    time. Values where the mask is False are meaningless."""
-    length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
-    # longer stamps are cut to 19 characters here and rejected by their length
-    code = np.array(stamps, dtype="<U19").view(np.uint32).reshape(len(stamps), 19)
-    is_digit = (code >= ord("0")) & (code <= ord("9"))
-    with_seconds = (length == 19) & (code[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18]
+    time. Row i of ``code`` holds stamp i's first 19 or more character codes,
+    zero-padded, and ``length[i]`` its length, or any other value where that
+    is neither 16 nor 19. Values where the mask is False are meaningless."""
+    digit = code[:, _STAMP_DIGITS] - code.dtype.type(ord("0"))  # unsigned, so any other code wraps past 9
+    is_digit = digit < 10  # the last two are the seconds
     ok = (
-        ((length == 16) | with_seconds)
-        & is_digit[:, _STAMP_DIGITS].all(axis=1)
+        ((length == 16) | (length == 19) & (code[:, 16] == ord(":")) & is_digit[:, 12:].all(axis=1))
+        & is_digit[:, :12].all(axis=1)
         & (code[:, _STAMP_SEPARATORS] == _STAMP_TEMPLATE[_STAMP_SEPARATORS]).all(axis=1)
     )
-
-    def two(i):  # the two-digit number at position i; garbage where ok is False
-        return (code[:, i].astype(np.int64) - ord("0")) * 10 + code[:, i + 1].astype(np.int64) - ord("0")
-
-    year = two(0) * 100 + two(2)
-    month, day, hour, minute, second = two(5), two(8), two(11), two(14), two(17)
+    # the seven two-digit numbers; garbage where ok is False
+    pairs = digit.astype(np.int32)
+    century, year, month, day, hour, minute, second = (pairs[:, 0::2] * 10 + pairs[:, 1::2]).T
+    year += century * 100
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23) & (minute <= 59)
     ok &= (length == 16) | (second <= 59)
-    month_start = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    first_day = month_start.astype("datetime64[D]").astype(np.int64)
-    ok &= day <= (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    # the first day of each month the stamps name, from NumPy datetime64
+    # arithmetic over the range of those months, and the month's length
+    month = np.where(ok, (year - 1970) * 12 + month - 1, 0)  # months since 1970-01
+    lo = month.min(initial=0)
+    first = np.arange(lo, month.max(initial=0) + 2).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    month -= lo
+    first_day = first[month]
+    ok &= day <= first[month + 1] - first_day
     return (first_day + day - 1) * MINUTES_PER_DAY + hour * 60 + minute, ok
 
 
@@ -231,21 +254,78 @@ def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int):
     return (ts - EPOCH) // MINUTE, activity
 
 
-def _parse_rows(rows: list[list[str]], lineno: int, ts_idx: int, act_idx: int):
-    """(minutes, activity) of the non-blank rows of one chunk whose first row
-    is on line ``lineno``. Columns are converted in bulk; only the rows the
-    bulk conversion rejects are parsed one by one."""
-    minutes, ok = _canonical_minutes(_column(rows, ts_idx))
-    counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
+def _accepted(minutes: np.ndarray, ok: np.ndarray, counts: np.ndarray, linenos: np.ndarray,
+              row: Callable[[int], list[str]], ts_idx: int, act_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(minutes, activity) of the non-blank rows of a chunk, given the stamp
+    check of :func:`_canonical_minutes` and the counts as float64. A row whose
+    stamp or count the bulk checks reject is parsed by :func:`_parse_row`:
+    ``row(i)`` gives its cells, and it starts on line ``linenos[i]``."""
     ok &= (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))
     activity = np.where(ok, counts, 0).astype(np.int64)
-
     for i in np.flatnonzero(~ok).tolist():
-        parsed = _parse_row(rows[i], lineno + i, ts_idx, act_idx)
+        parsed = _parse_row(row(i), int(linenos[i]), ts_idx, act_idx)
         if parsed is not None:
             minutes[i], activity[i] = parsed
             ok[i] = True
     return minutes[ok], activity[ok]
+
+
+def _loadtxt_chunk(lines: list[str], lineno: int, ts_idx: int, act_idx: int):
+    """(minutes, activity) of a chunk of lines whose first is line ``lineno``,
+    read by ``np.loadtxt``; or None when a split on commas might not read the
+    chunk as the ``csv`` module does (a quote, a NUL, a carriage return that
+    ends no line, a line beyond the csv field limit) or ``np.loadtxt`` cannot
+    read it (a row short of a cell, a whitespace-only line, a count such as
+    ``1_000`` or one in non-ASCII digits)."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text or text.isspace()
+            or "\r" in text and text.count("\r") != text.count("\r\n")
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", usecols=(ts_idx, act_idx), dtype=_LOADTXT_DTYPE,
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    at = np.arange(len(lines))
+    if len(table) < len(lines):  # np.loadtxt skips empty lines; number the others
+        at = np.flatnonzero([line not in ("\n", "\r\n") for line in lines])
+    # each stamp's bytes, zero-padded; a longer stamp is cut and fails the length rule
+    code = table.view(np.uint8).reshape(len(table), table.itemsize)[:, :_LOADTXT_STAMP_BYTES]
+    # a stamp ends at its first zero byte, as the chunk holds no NUL
+    length = np.where((code[:, 15] != 0) & (code[:, 16] == 0), 16,
+                      np.where((code[:, 18] != 0) & (code[:, 19] == 0), 19, 0))
+    minutes, ok = _canonical_minutes(code, length)
+    return _accepted(minutes, ok, table["a"], lineno + at,
+                     lambda i: lines[at[i]].rstrip("\r\n").split(","), ts_idx, act_idx)
+
+
+def _csv_chunk(lines: list[str], rest: Iterator[str], lineno: int, ts_idx: int, act_idx: int):
+    """(minutes, activity) of as many rows as a chunk has lines, split by the
+    ``csv`` module, and the number of lines they take. The chunk's first
+    line is line ``lineno``; a quoted cell that spans lines reads on into
+    ``rest``."""
+    more: list[str] = []  # the lines read from rest
+    reader = csv.reader(chain(lines, map(lambda line: more.append(line) or line, rest)))
+    try:
+        rows = list(islice(reader, len(lines)))
+    except csv.Error as exc:
+        raise DataError(f"malformed row at line {lineno - 1 + reader.line_num}: {exc}")
+    starts = range(len(rows))  # the line each row starts on, counted from lineno
+    if reader.line_num > len(rows):  # a row spans lines: split the same lines again, one row at a time
+        again, starts = csv.reader(lines + more), []
+        for _ in rows:
+            starts.append(again.line_num)
+            next(again)
+    stamps = _column(rows, ts_idx)
+    length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+    # longer stamps are cut to 19 characters here and fail the length rule
+    code = np.array(stamps, dtype="<U19").view(np.uint32).reshape(len(stamps), 19)
+    minutes, ok = _canonical_minutes(code, length)
+    counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
+    chunk = _accepted(minutes, ok, counts, lineno + np.array(starts), rows.__getitem__, ts_idx, act_idx)
+    return chunk, reader.line_num
 
 
 def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +335,19 @@ def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
     clock; ``activity`` holds each minute's count. The header must name a
     ``timestamp`` and an ``activity`` column; other columns are ignored.
-    Blank rows are skipped; a malformed row is a DataError naming its line.
-    Rows are read :data:`READ_CHUNK_ROWS` at a time.
+    Blank rows are skipped; a malformed row is a DataError naming the line it
+    starts on. Lines are read :data:`READ_CHUNK_ROWS` at a time.
     """
-    reader = csv.reader(stream)
+    lines_in = iter(stream)
+    reader = csv.reader(lines_in)
     minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     try:
         try:
             header = next(reader)
         except StopIteration:
             raise DataError("empty file: no header row")
+        except csv.Error as exc:
+            raise DataError(f"malformed row at line {reader.line_num}: {exc}")
         header = [h.strip() for h in header]
         try:
             ts_idx = header.index("timestamp")
@@ -272,14 +355,15 @@ def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
         except ValueError as exc:
             raise ConfigError(f"column missing from header {header}: {exc}")
 
-        lineno = 2
-        while rows := list(islice(reader, READ_CHUNK_ROWS)):
-            chunk_minutes, chunk_activity = _parse_rows(rows, lineno, ts_idx, act_idx)
-            minutes.append(chunk_minutes)
-            activity.append(chunk_activity)
-            lineno += len(rows)
-    except csv.Error as exc:
-        raise DataError(f"malformed row at line {reader.line_num}: {exc}")
+        lineno = reader.line_num + 1
+        while lines := list(islice(lines_in, READ_CHUNK_ROWS)):
+            n_lines = len(lines)
+            chunk = _loadtxt_chunk(lines, lineno, ts_idx, act_idx)
+            if chunk is None:
+                chunk, n_lines = _csv_chunk(lines, lines_in, lineno, ts_idx, act_idx)
+            minutes.append(chunk[0])
+            activity.append(chunk[1])
+            lineno += n_lines
     except UnicodeDecodeError as exc:
         raise DataError(f"recording is not UTF-8 text: {exc}")
     return np.concatenate(minutes), np.concatenate(activity)

@@ -32,7 +32,10 @@ kept as it was, so that the one group dealer can be required to give the very
 same row plans and the same class-0 subject plans. The earlier k-NN distance,
 which broadcast every (test row, training row) pair into one
 (n_test, n_train, p) temporary, is kept so that the row-at-a-time distances
-can be required to give the very same bits.
+can be required to give the very same bits. The row-chunked csv parser of
+recordings is kept as it was but for its line numbers, which count physical
+lines (it counted csv rows), so that the np.loadtxt parser can be required to
+return the very same arrays or raise the very same error.
 """
 
 import csv
@@ -40,14 +43,15 @@ import heapq
 import io
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
+from typing import Callable, TextIO
 from math import ceil, sqrt
 
 import numpy as np
 
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.evaluation import CV_MODES, FoldPlan
-from chronoseg.ingest import MINUTES_PER_DAY
+from chronoseg.ingest import MINUTES_PER_DAY, READ_CHUNK_ROWS
 from chronoseg.models.gbdt import Binner
 from chronoseg.models.gbdt import sigmoid
 from chronoseg.models.linear import LogisticModel
@@ -1004,3 +1008,159 @@ def reference_stratified_kfold(
                 assignments[mask] = fold
                 fold_rows[fold] += int(mask.sum())
     return FoldPlan(k=k, assignments=assignments, mode=mode, seed=seed)
+
+# -- the row-chunked csv parser of recordings, as it was ----------------------
+
+EPOCH = datetime(1970, 1, 1)
+MINUTE = timedelta(minutes=1)
+MAX_COUNT = 2.0**63
+
+# the zero-padded stamp: digits where the template has 0, the separators elsewhere
+_STAMP_TEMPLATE = np.array([ord(c) for c in "0000-00-00 00:00:00"])
+_STAMP_DIGITS = np.flatnonzero(_STAMP_TEMPLATE[:16] == ord("0"))
+_STAMP_SEPARATORS = np.flatnonzero(_STAMP_TEMPLATE[:16] != ord("0"))
+
+
+def _canonical_minutes(stamps: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Minutes since the epoch of each zero-padded ``YYYY-MM-DD HH:MM[:SS]``
+    stamp, and a mask of the stamps that have that form and a valid date and
+    time. Values where the mask is False are meaningless."""
+    length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
+    # longer stamps are cut to 19 characters here and rejected by their length
+    code = np.array(stamps, dtype="<U19").view(np.uint32).reshape(len(stamps), 19)
+    is_digit = (code >= ord("0")) & (code <= ord("9"))
+    with_seconds = (length == 19) & (code[:, 16] == ord(":")) & is_digit[:, 17] & is_digit[:, 18]
+    ok = (
+        ((length == 16) | with_seconds)
+        & is_digit[:, _STAMP_DIGITS].all(axis=1)
+        & (code[:, _STAMP_SEPARATORS] == _STAMP_TEMPLATE[_STAMP_SEPARATORS]).all(axis=1)
+    )
+
+    def two(i):  # the two-digit number at position i; garbage where ok is False
+        return (code[:, i].astype(np.int64) - ord("0")) * 10 + code[:, i + 1].astype(np.int64) - ord("0")
+
+    year = two(0) * 100 + two(2)
+    month, day, hour, minute, second = two(5), two(8), two(11), two(14), two(17)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour <= 23) & (minute <= 59)
+    ok &= (length == 16) | (second <= 59)
+    month_start = np.where(ok, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    first_day = month_start.astype("datetime64[D]").astype(np.int64)
+    ok &= day <= (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    return (first_day + day - 1) * MINUTES_PER_DAY + hour * 60 + minute, ok
+
+
+def _convert(cells: list[str], convert: Callable, failed):
+    """``convert`` applied to every cell, with ``failed`` where it raises ValueError."""
+    try:
+        return list(map(convert, cells))
+    except ValueError:
+        pass
+    out = []
+    for cell in cells:
+        try:
+            out.append(convert(cell))
+        except ValueError:
+            out.append(failed)
+    return out
+
+
+def _column(rows: list[list[str]], index: int) -> list[str]:
+    try:
+        return [row[index] for row in rows]
+    except IndexError:  # short or blank rows; the per-row parse reports them
+        return [row[index] if index < len(row) else "" for row in rows]
+
+
+def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int):
+    """One row the bulk conversion did not accept, parsed on its own.
+
+    Returns None for a blank row, else (minute, activity); raises DataError
+    naming the line for a malformed row.
+    """
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    try:
+        ts = _parse_timestamp(row[ts_idx])
+        raw = row[act_idx].strip()
+        # activity counts occasionally appear as "143.0"; accept integral floats
+        activity = int(float(raw))
+        if float(raw) != activity:
+            raise ValueError(f"non-integer activity {raw!r}")
+    except OverflowError:  # inf, -inf, or a count beyond float range such as 1e400
+        raise DataError(f"malformed row at line {lineno}: non-finite activity {raw!r}")
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed row at line {lineno}: {exc}")
+    if activity < 0:
+        raise DataError(f"malformed row at line {lineno}: negative activity {activity}")
+    if activity >= MAX_COUNT:
+        raise DataError(f"malformed row at line {lineno}: activity {raw!r} out of range")
+    return (ts - EPOCH) // MINUTE, activity
+
+
+def _parse_rows(rows: list[list[str]], linenos: list[int], ts_idx: int, act_idx: int):
+    """(minutes, activity) of the non-blank rows of one chunk, row i starting
+    on line ``linenos[i]``. Columns are converted in bulk; only the rows the
+    bulk conversion rejects are parsed one by one."""
+    minutes, ok = _canonical_minutes(_column(rows, ts_idx))
+    counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
+    ok &= (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))
+    activity = np.where(ok, counts, 0).astype(np.int64)
+
+    for i in np.flatnonzero(~ok).tolist():
+        parsed = _parse_row(rows[i], linenos[i], ts_idx, act_idx)
+        if parsed is not None:
+            minutes[i], activity[i] = parsed
+            ok[i] = True
+    return minutes[ok], activity[ok]
+
+
+def reference_parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
+    """One subject's recording as (minutes, activity), two int64 arrays in
+    file order, split into rows by the ``csv`` module and converted
+    READ_CHUNK_ROWS rows at a time (the package's chunk size, so that when a
+    file holds a csv error after a bad row, both parsers report the same one).
+
+    This is the parser as it was before recordings were read by
+    ``np.loadtxt``, with one change: a row's line number is the physical
+    line it starts on, where it was the count of csv rows before it plus
+    one, so a quoted cell that spans lines made every later message name a
+    line too early.
+
+    ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
+    clock; ``activity`` holds each minute's count. The header must name a
+    ``timestamp`` and an ``activity`` column; other columns are ignored.
+    Blank rows are skipped; a malformed row is a DataError naming its line.
+    """
+    reader = csv.reader(stream)
+    minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty file: no header row")
+        header = [h.strip() for h in header]
+        try:
+            ts_idx = header.index("timestamp")
+            act_idx = header.index("activity")
+        except ValueError as exc:
+            raise ConfigError(f"column missing from header {header}: {exc}")
+
+        while True:
+            rows, linenos = [], []
+            for _ in range(READ_CHUNK_ROWS):
+                lineno = reader.line_num + 1
+                row = next(reader, None)
+                if row is None:
+                    break
+                rows.append(row)
+                linenos.append(lineno)
+            if not rows:
+                break
+            chunk_minutes, chunk_activity = _parse_rows(rows, linenos, ts_idx, act_idx)
+            minutes.append(chunk_minutes)
+            activity.append(chunk_activity)
+    except csv.Error as exc:
+        raise DataError(f"malformed row at line {reader.line_num}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"recording is not UTF-8 text: {exc}")
+    return np.concatenate(minutes), np.concatenate(activity)

@@ -1,4 +1,6 @@
 import codecs
+import csv
+import io
 import math
 from datetime import date, timedelta
 
@@ -11,6 +13,7 @@ from chronoseg.errors import DataError
 from chronoseg.features import (
     FEATURE_CHUNK_ROWS,
     FEATURE_NAMES,
+    FeatureTable,
     block_features,
     extract_features,
     featurize_corpus,
@@ -232,6 +235,25 @@ class TestFeaturizeCorpus:
         assert back.subject_ids == table.subject_ids
         np.testing.assert_array_equal(back.X, table.X)
         np.testing.assert_array_equal(back.labels, table.labels)
+
+    def test_ids_that_need_quoting_keep_csv_bytes(self, tmp_path):
+        # subject ids are file stems, which may hold a comma, a quote or a line break
+        ids = ("a,b", 'q"x', "line\nbreak", "plain")
+        X = np.array([[0.1, -0.0, 1e300, 28.03593730164812], [1.0, 2.5, 5e-324, -7.0]] * 2)
+        table = FeatureTable(scheme="t", columns=("c,1", "c2", "c3", "c4"), subject_ids=ids,
+                             dates=("2020-01-01", "all", "2020-01-02", "2020-01-03"),
+                             labels=np.array([1, 0, 1, 0]), X=X)
+        path = tmp_path / "table.csv"
+        write_feature_table(table, path)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["subject_id", "date", "label", *table.columns])
+        for subject_id, day, label, row in zip(ids, table.dates, table.labels.tolist(), X.tolist()):
+            writer.writerow([subject_id, day, label, *[format(v, ".17g") for v in row]])
+        assert path.read_bytes() == want.getvalue().encode()
+        back = read_feature_table(path, scheme="t")
+        assert (back.subject_ids, back.dates, back.columns) == (ids, table.dates, table.columns)
+        assert back.X.tobytes() == X.tobytes()
 
     def test_byte_order_mark_skipped(self, tiny_corpus, tmp_path):
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronoseg import ingest
 from chronoseg.errors import ConfigError, DataError
 from chronoseg.ingest import (
     MINUTES_PER_DAY,
@@ -19,7 +20,8 @@ from chronoseg.ingest import (
 )
 from chronoseg.synth import gen_corpus
 
-from oracles import per_minute_save_corpus, per_row_days
+from oracles import per_minute_save_corpus, per_row_days, reference_parse_subject_file
+from test_fuzz import MUTATIONS as FUZZ_MUTATIONS
 
 
 def make_series(minutes, start="2004-05-07"):
@@ -70,6 +72,16 @@ class TestParseSubjectFile:
         body = "timestamp,date,activity\n2004-05-07 12:00:30,2004-05-07,4\n"
         minutes, _ = parse_subject_file(io.StringIO(body))
         assert minutes[0] == minute_of(datetime(2004, 5, 7, 12, 0))
+
+    @pytest.mark.parametrize("body", [
+        # a quoted cell that spans two lines: the row after it starts on line 4
+        'timestamp,note,activity\n2021-01-04 00:00,"a\nb",1\n2021-01-04 00:01,x,1\n2021-01-04 00:02,x,-5\n',
+        # blank lines count too
+        "timestamp,note,activity\n\n2021-01-04 00:00,a,1\r\n\r\n2021-01-04 00:02,x,-5\n",
+    ], ids=["quoted-line-break", "blank-lines"])
+    def test_errors_name_physical_lines(self, body):
+        with pytest.raises(DataError, match="^malformed row at line 5: negative activity -5$"):
+            parse_subject_file(io.StringIO(body, newline=""))
 
 
 class TestFilterCompleteDays:
@@ -542,3 +554,104 @@ class TestAgainstPerRowParser:
         dates, values, discarded = filter_complete_days(*parse_subject_file(io.StringIO(text)))
         assert (list(zip(dates, values.tolist())), discarded) == per_row_days(text)
         assert len(dates) == 1 and discarded == 1
+
+
+# -- the np.loadtxt parser against the row-chunked csv parser -----------------
+
+LAYOUTS = {  # header, then where the timestamp, activity and an ignored cell go
+    "timestamp,activity": (0, 1, None),
+    "timestamp,date,activity": (0, 2, 1),
+    "activity,note,timestamp": (2, 0, 1),
+}
+
+# what an edit does to one row's stamp, count or ignored cell
+CELL_EDITS = {
+    "stamp": {
+        "quoted": lambda cell: f'"{cell}"',
+        "spaced": lambda cell: f" {cell} ",
+        "minutes": lambda cell: cell[:16],
+        "long": lambda cell: cell[:16] + ":00.5",
+        "unpadded": lambda cell: cell.replace("-0", "-").replace(" 0", " "),
+        "t_separator": lambda cell: cell.replace(" ", "T"),
+        "non_ascii_digit": lambda cell: cell.replace("0", "\u0660", 1),
+        "byte_order_mark": lambda cell: "\ufeff" + cell,
+        "latin1": lambda cell: cell[:15] + "\xe9",
+    },
+    "count": {
+        "quoted": lambda cell: f'"{cell}"',
+        "spaced": lambda cell: f" {cell}\t",
+        "underscore": lambda cell: "1_000",
+        "float": lambda cell: f"{cell}.0",
+        "exponent": lambda cell: "1e400",
+        "non_ascii_digit": lambda cell: "\u0663",
+        "fraction": lambda cell: f"{cell}.5",
+        "negative": lambda cell: f"-{cell}",
+        "empty": lambda cell: "",
+        "oversized": lambda cell: "1" * 140_000,
+    },
+    "other": {
+        "quoted_comma": lambda cell: '"a,b"',
+        "quoted_line_break": lambda cell: '"a\nb"',
+        "quoted_crlf": lambda cell: '"a\r\nb"',
+    },
+}
+
+CELL_EDIT_NAMES = [(cell, edit) for cell in sorted(CELL_EDITS) for edit in sorted(CELL_EDITS[cell])]
+
+# what an edit does to a whole line
+LINE_EDITS = {
+    **{f"fuzz_{kind}": mutate for kind, mutate in FUZZ_MUTATIONS.items()},
+    "whitespace_only": lambda line, k: " \t"[: k % 2 + 1],
+    "crlf": lambda line, k: line + "\r",
+    "bare_cr": lambda line, k: line + "\r" + line,
+}
+
+
+@st.composite
+def edited_recordings(draw):
+    """Raw recording text of one or three days in either zero-padded stamp
+    form, with a few cells or lines edited, some of them at the first chunk's
+    edge, and maybe CRLF line ends, a byte-order mark or trailing blank lines."""
+    header = draw(st.sampled_from(sorted(LAYOUTS)))
+    ts_idx, act_idx, other_idx = LAYOUTS[header]
+    start = draw(st.dates(date(1960, 1, 1), date(2040, 12, 31)))
+    seconds = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for d in range(draw(st.sampled_from([1, 3]))):
+        day = (start + timedelta(days=d)).isoformat()
+        for m, count in enumerate(rng.poisson(40, MINUTES_PER_DAY).tolist()):
+            row = [day, str(count), day]
+            row[ts_idx] = f"{day} {m // 60:02d}:{m % 60:02d}" + (":00" if seconds else "")
+            row[act_idx] = str(count)
+            rows.append(row)
+    # any row, or the rows on lines READ_CHUNK_ROWS + 1 and + 2, the last of
+    # the first chunk and the first of the second
+    edge = [i for i in (ingest.READ_CHUNK_ROWS - 1, ingest.READ_CHUNK_ROWS) if i < len(rows)]
+    at = st.one_of(st.integers(0, len(rows) - 1), st.sampled_from(edge or [0]))
+    for (cell, edit), i in draw(st.lists(st.tuples(st.sampled_from(CELL_EDIT_NAMES), at), max_size=3)):
+        idx = {"stamp": ts_idx, "count": act_idx, "other": other_idx}[cell]
+        if idx is not None:
+            rows[i][idx] = CELL_EDITS[cell][edit](rows[i][idx])
+    lines = [",".join(row) for row in rows]
+    for kind, i, k in draw(st.lists(st.tuples(st.sampled_from(sorted(LINE_EDITS)), at, st.integers(0, 1000)),
+                                    max_size=3)):
+        lines[i] = LINE_EDITS[kind](lines[i], k)
+    end = "\r\n" if draw(st.booleans()) else "\n"
+    text = end.join([header, *lines]) + end + end * draw(st.integers(0, 2))
+    return draw(st.sampled_from([""] * 7 + ["\ufeff"])) + text
+
+
+def _parsed(parse, text, newline):
+    try:
+        minutes, activity = parse(io.StringIO(text, newline=newline))
+    except (DataError, ConfigError) as exc:
+        return type(exc).__name__, str(exc)
+    return minutes.dtype.str, minutes.tobytes(), activity.dtype.str, activity.tobytes()
+
+
+class TestAgainstCsvParser:
+    @given(edited_recordings(), st.sampled_from(["", "\n"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_arrays_or_same_error(self, text, newline):
+        assert _parsed(parse_subject_file, text, newline) == _parsed(reference_parse_subject_file, text, newline)

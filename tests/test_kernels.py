@@ -107,6 +107,23 @@ class TestFeatureBlock:
                 assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9), (name, value, want)
 
 
+class TestSortedMedian:
+    @given(st.integers(1, 40), st.integers(1, 3000), st.sampled_from(["counts", "normal", "ties"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_median_and_mad_match_np_median(self, r, n, kind, seed):
+        # the kernel takes both from sorted rows; np.median partitions
+        rng = np.random.default_rng(seed)
+        x = {"counts": lambda: rng.poisson(rng.uniform(0, 400), (r, n)).astype(np.float64),
+             "normal": lambda: rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(1e-3, 1e3), (r, n)),
+             "ties": lambda: rng.integers(0, 3, (r, n)) * rng.uniform(0, 10)}[kind]()
+        got = block_features(x)
+        median = np.median(x, axis=1)
+        mad = np.median(np.abs(x - median[:, None]), axis=1)
+        assert got[:, FEATURE_NAMES.index("median")].tobytes() == median.tobytes()
+        assert got[:, FEATURE_NAMES.index("mad")].tobytes() == mad.tobytes()
+
+
 class TestCartSplit:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
