@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus
+from .ingest import Corpus, _numbered_rows
 from .segmentation import SegmentationScheme, segment_day  # noqa: F401 (bench/trace.py wraps it here)
 
 FEATURE_NAMES = (
@@ -251,8 +251,9 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
 
 
 def read_feature_table(path: str | Path, scheme: str) -> FeatureTable:
-    """Read a table written by write_feature_table as the table of scheme; a
-    malformed row is a DataError naming its line.
+    """Read a table written by write_feature_table as the table of scheme.
+    Blank rows are skipped; a malformed row is a DataError naming the line it
+    starts on.
 
     As in a Corpus, each (subject_id, date) appears once and each subject has
     one label; the header names at least one feature column.
@@ -269,7 +270,7 @@ def read_feature_table(path: str | Path, scheme: str) -> FeatureTable:
             columns = tuple(header[3:])
             if not columns:
                 raise DataError(f"feature table {path} has no feature columns")
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in _numbered_rows(reader):
                 if len(row) != len(header):
                     raise DataError(
                         f"feature table {path}: malformed row at line {lineno}: "

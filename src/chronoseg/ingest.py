@@ -15,22 +15,25 @@ order is discarded and counted, and the rest of the recording is kept. Each
 CSV reader (recordings, metadata, interchange files, feature tables) reads
 UTF-8 and skips a leading byte-order mark, as Excel's "CSV UTF-8" writes.
 
-Parsing is columnar. The header is read by the ``csv`` module; the lines
-after it are read :data:`READ_CHUNK_ROWS` at a time, and each chunk takes
-one of two paths:
+Parsing follows one rule. The lines after the header are read
+:data:`READ_CHUNK_ROWS` at a time, and a chunk is read in bulk or row by row:
 
-- ``np.loadtxt`` splits the chunk on commas in C, reading each row's stamp
-  as bytes and its count as float64, when the chunk is plain text that a
-  split on commas reads as the ``csv`` module would: no quote, NUL, carriage
-  return other than in a CRLF line end, whitespace-only line or line longer
-  than the csv field limit, every row holding both cells, and every count in
-  a form NumPy reads (not ``1_000``, nor non-ASCII digits). That is how
-  recordings usually look, CRLF files included.
+- ``np.loadtxt`` splits a chunk on commas in C, each row's stamp as bytes and
+  its count as float64, and takes it when a split on commas reads it as the
+  ``csv`` module would (no quote, NUL, carriage return other than in a CRLF
+  line end, whitespace-only line or line longer than the csv field limit;
+  every row holds both cells and every count is in a form NumPy reads, not
+  ``1_000`` nor non-ASCII digits) and every stamp and count passes the bulk
+  checks below. That is how recordings usually look, CRLF files included.
 - Any other chunk is split into rows by the ``csv`` module, which reads
-  quoted cells, also those that span lines, and the stamp and count cells
-  are collected in Python.
+  quoted cells, also those that span lines. Each row's stamp and count are
+  re-joined as a plain line and offered to ``np.loadtxt`` again, so a file
+  with every cell quoted is still read in bulk. Failing that, every row of
+  the chunk goes to :func:`_parse_row`, at about 13 us a row against 0.5 us
+  in bulk (2-vCPU host): one such row per chunk makes a recording parse
+  about ten times slower.
 
-Both paths then check the two columns in bulk, with the same rules:
+The bulk checks:
 
 - Timestamps of the two zero-padded forms ``YYYY-MM-DD HH:MM`` and
   ``YYYY-MM-DD HH:MM:SS`` are checked at fixed positions: digits and
@@ -39,15 +42,14 @@ Both paths then check the two columns in bulk, with the same rules:
   becomes minutes since 1970-01-01 on the file's naive clock. Seconds are
   truncated.
 - A count must be a finite, non-negative whole number below 2**63:
-  ``143.0`` and ``1e3`` are read as 143 and 1000, while ``1.5``, ``nan``,
-  ``inf``, ``-3`` and ``1e300`` are DataErrors naming their line.
+  ``143.0`` and ``1e3`` are read as 143 and 1000.
 
-A row that fails either check goes to :func:`_parse_row` on its own, which
-accepts every other stamp that ``datetime.strptime`` reads with those two
-formats (no zero padding, surrounding spaces) and counts as Python's
-``float`` reads them, and raises the DataError for a row it cannot read. Blank
-rows are skipped. Messages name the physical line a row starts on, blank
-lines and the lines of a quoted line break included.
+:func:`_parse_row` also accepts every other stamp that ``datetime.strptime``
+reads with those two formats (no zero padding, surrounding spaces) and counts
+as Python's ``float`` reads them; ``1.5``, ``nan``, ``inf``, ``-3`` and
+``1e300`` are DataErrors naming their line. Blank rows are skipped. Messages
+name the physical line a row starts on, blank lines and the lines of a quoted
+line break included, and report the first malformed row in file order.
 
 Days are cut from the minute and count arrays with ``minutes // 1440``.
 Chunking bounds the Python strings alive at once, so peak memory stays near
@@ -79,7 +81,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -176,13 +178,15 @@ def _parse_timestamp(text: str) -> datetime:
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
-def _canonical_minutes(code: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_minutes(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minutes since the epoch of each zero-padded ``YYYY-MM-DD HH:MM[:SS]``
     stamp, and a mask of the stamps that have that form and a valid date and
-    time. Row i of ``code`` holds stamp i's first 19 or more character codes,
-    zero-padded, and ``length[i]`` its length, or any other value where that
-    is neither 16 nor 19. Values where the mask is False are meaningless."""
-    digit = code[:, _STAMP_DIGITS] - code.dtype.type(ord("0"))  # unsigned, so any other code wraps past 9
+    time. Row i of ``code`` holds stamp i's bytes, zero-padded to
+    :data:`_LOADTXT_STAMP_BYTES` and cut there; a stamp ends at its first zero
+    byte. Values where the mask is False are meaningless."""
+    length = np.where((code[:, 15] != 0) & (code[:, 16] == 0), 16,
+                      np.where((code[:, 18] != 0) & (code[:, 19] == 0), 19, 0))
+    digit = code[:, _STAMP_DIGITS] - np.uint8(ord("0"))  # unsigned, so any other byte wraps past 9
     is_digit = digit < 10  # the last two are the seconds
     ok = (
         ((length == 16) | (length == 19) & (code[:, 16] == ord(":")) & is_digit[:, 12:].all(axis=1))
@@ -206,30 +210,8 @@ def _canonical_minutes(code: np.ndarray, length: np.ndarray) -> tuple[np.ndarray
     return (first_day + day - 1) * MINUTES_PER_DAY + hour * 60 + minute, ok
 
 
-def _convert(cells: list[str], convert: Callable, failed):
-    """``convert`` applied to every cell, with ``failed`` where it raises ValueError."""
-    try:
-        return list(map(convert, cells))
-    except ValueError:
-        pass
-    out = []
-    for cell in cells:
-        try:
-            out.append(convert(cell))
-        except ValueError:
-            out.append(failed)
-    return out
-
-
-def _column(rows: list[list[str]], index: int) -> list[str]:
-    try:
-        return [row[index] for row in rows]
-    except IndexError:  # short or blank rows; the per-row parse reports them
-        return [row[index] if index < len(row) else "" for row in rows]
-
-
 def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int):
-    """One row the bulk conversion did not accept, parsed on its own.
+    """One row of a chunk the bulk reader did not take, parsed on its own.
 
     Returns None for a blank row, else (minute, activity); raises DataError
     naming the line for a malformed row.
@@ -254,29 +236,28 @@ def _parse_row(row: list[str], lineno: int, ts_idx: int, act_idx: int):
     return (ts - EPOCH) // MINUTE, activity
 
 
-def _accepted(minutes: np.ndarray, ok: np.ndarray, counts: np.ndarray, linenos: np.ndarray,
-              row: Callable[[int], list[str]], ts_idx: int, act_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(minutes, activity) of the non-blank rows of a chunk, given the stamp
-    check of :func:`_canonical_minutes` and the counts as float64. A row whose
-    stamp or count the bulk checks reject is parsed by :func:`_parse_row`:
-    ``row(i)`` gives its cells, and it starts on line ``linenos[i]``."""
-    ok &= (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))
-    activity = np.where(ok, counts, 0).astype(np.int64)
-    for i in np.flatnonzero(~ok).tolist():
-        parsed = _parse_row(row(i), int(linenos[i]), ts_idx, act_idx)
-        if parsed is not None:
-            minutes[i], activity[i] = parsed
-            ok[i] = True
-    return minutes[ok], activity[ok]
+def _parse_rows(rows: list[list[str]], starts: list[int], ts_idx: int, act_idx: int):
+    """(minutes, activity) of rows parsed one by one, row i starting on line
+    ``starts[i]``; the first malformed row raises its DataError."""
+    parsed = [row for row in map(_parse_row, rows, starts, repeat(ts_idx), repeat(act_idx)) if row is not None]
+    return tuple(np.array(parsed, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _loadtxt_chunk(lines: list[str], lineno: int, ts_idx: int, act_idx: int):
-    """(minutes, activity) of a chunk of lines whose first is line ``lineno``,
-    read by ``np.loadtxt``; or None when a split on commas might not read the
-    chunk as the ``csv`` module does (a quote, a NUL, a carriage return that
-    ends no line, a line beyond the csv field limit) or ``np.loadtxt`` cannot
-    read it (a row short of a cell, a whitespace-only line, a count such as
-    ``1_000`` or one in non-ASCII digits)."""
+def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each non-blank row of a ``csv`` reader, numbered by the
+    physical line the row starts on, as the reader counts lines."""
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
+def _loadtxt_chunk(lines: list[str], ts_idx: int, act_idx: int):
+    """(minutes, activity) of a chunk of lines read by ``np.loadtxt``, empty
+    lines skipped; or None unless the module docstring's bulk rule takes the
+    chunk (a split on commas reads it as the ``csv`` module does, ``np.loadtxt``
+    reads it, and every stamp and count passes the bulk checks)."""
     text = "".join(lines)
     limit = csv.field_size_limit()
     if ('"' in text or "\0" in text or text.isspace()
@@ -288,43 +269,42 @@ def _loadtxt_chunk(lines: list[str], lineno: int, ts_idx: int, act_idx: int):
                            comments=None, ndmin=1)
     except ValueError:
         return None
-    at = np.arange(len(lines))
-    if len(table) < len(lines):  # np.loadtxt skips empty lines; number the others
-        at = np.flatnonzero([line not in ("\n", "\r\n") for line in lines])
     # each stamp's bytes, zero-padded; a longer stamp is cut and fails the length rule
-    code = table.view(np.uint8).reshape(len(table), table.itemsize)[:, :_LOADTXT_STAMP_BYTES]
-    # a stamp ends at its first zero byte, as the chunk holds no NUL
-    length = np.where((code[:, 15] != 0) & (code[:, 16] == 0), 16,
-                      np.where((code[:, 18] != 0) & (code[:, 19] == 0), 19, 0))
-    minutes, ok = _canonical_minutes(code, length)
-    return _accepted(minutes, ok, table["a"], lineno + at,
-                     lambda i: lines[at[i]].rstrip("\r\n").split(","), ts_idx, act_idx)
+    minutes, ok = _canonical_minutes(table.view(np.uint8).reshape(len(table), -1)[:, :_LOADTXT_STAMP_BYTES])
+    counts = table["a"]
+    if not (ok & (counts >= 0) & (counts < MAX_COUNT) & (counts == np.floor(counts))).all():
+        return None
+    return minutes, counts.astype(np.int64)
 
 
 def _csv_chunk(lines: list[str], rest: Iterator[str], lineno: int, ts_idx: int, act_idx: int):
-    """(minutes, activity) of as many rows as a chunk has lines, split by the
-    ``csv`` module, and the number of lines they take. The chunk's first
+    """(minutes, activity) of the rows that start on a chunk's lines, split by
+    the ``csv`` module, and the number of lines they take. The chunk's first
     line is line ``lineno``; a quoted cell that spans lines reads on into
-    ``rest``."""
-    more: list[str] = []  # the lines read from rest
-    reader = csv.reader(chain(lines, map(lambda line: more.append(line) or line, rest)))
+    ``rest``. The stamp and count cells are re-joined as plain lines for
+    :func:`_loadtxt_chunk`; if it does not take them, every row is parsed by
+    :func:`_parse_row`."""
+    reader = csv.reader(chain(lines, rest))
+    rows, starts = [], []
     try:
-        rows = list(islice(reader, len(lines)))
+        for start, row in _numbered_rows(reader):
+            rows.append(row)
+            starts.append(lineno - 1 + start)
+            if reader.line_num >= len(lines):
+                break
     except csv.Error as exc:
+        _parse_rows(rows, starts, ts_idx, act_idx)  # a bad row before the csv error is reported first
         raise DataError(f"malformed row at line {lineno - 1 + reader.line_num}: {exc}")
-    starts = range(len(rows))  # the line each row starts on, counted from lineno
-    if reader.line_num > len(rows):  # a row spans lines: split the same lines again, one row at a time
-        again, starts = csv.reader(lines + more), []
-        for _ in rows:
-            starts.append(again.line_num)
-            next(again)
-    stamps = _column(rows, ts_idx)
-    length = np.fromiter(map(len, stamps), dtype=np.int64, count=len(stamps))
-    # longer stamps are cut to 19 characters here and fail the length rule
-    code = np.array(stamps, dtype="<U19").view(np.uint32).reshape(len(stamps), 19)
-    minutes, ok = _canonical_minutes(code, length)
-    counts = np.array(_convert(_column(rows, act_idx), float, np.nan), dtype=np.float64)
-    chunk = _accepted(minutes, ok, counts, lineno + np.array(starts), rows.__getitem__, ts_idx, act_idx)
+    try:
+        plain = [f"{row[ts_idx]},{row[act_idx]}\n" for row in rows]
+    except IndexError:  # a short or whitespace-only row
+        plain = []
+    text = "".join(plain)
+    chunk = None
+    if plain and text.count(",") == text.count("\n") == len(plain):  # no cell holds a comma or line break
+        chunk = _loadtxt_chunk(plain, 0, 1)
+    if chunk is None:
+        chunk = _parse_rows(rows, starts, ts_idx, act_idx)
     return chunk, reader.line_num
 
 
@@ -358,7 +338,7 @@ def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
         lineno = reader.line_num + 1
         while lines := list(islice(lines_in, READ_CHUNK_ROWS)):
             n_lines = len(lines)
-            chunk = _loadtxt_chunk(lines, lineno, ts_idx, act_idx)
+            chunk = _loadtxt_chunk(lines, ts_idx, act_idx)
             if chunk is None:
                 chunk, n_lines = _csv_chunk(lines, lines_in, lineno, ts_idx, act_idx)
             minutes.append(chunk[0])
@@ -553,7 +533,7 @@ def load_interchange(path: str | Path) -> Corpus:
             if header != INTERCHANGE_COLUMNS:
                 found = "no header row" if header is None else f"columns {header}"
                 raise DataError(f"interchange file {path} has {found}, expected {INTERCHANGE_COLUMNS}")
-            rows = ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+            rows = _numbered_rows(reader)
             for lineno, first in rows:
                 key, counts = _read_day(path, lineno, first, rows)
                 keys.append(key)

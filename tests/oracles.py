@@ -1117,14 +1117,14 @@ def _parse_rows(rows: list[list[str]], linenos: list[int], ts_idx: int, act_idx:
 def reference_parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:
     """One subject's recording as (minutes, activity), two int64 arrays in
     file order, split into rows by the ``csv`` module and converted
-    READ_CHUNK_ROWS rows at a time (the package's chunk size, so that when a
-    file holds a csv error after a bad row, both parsers report the same one).
+    READ_CHUNK_ROWS rows at a time.
 
     This is the parser as it was before recordings were read by
-    ``np.loadtxt``, with one change: a row's line number is the physical
+    ``np.loadtxt``, with two changes. A row's line number is the physical
     line it starts on, where it was the count of csv rows before it plus
     one, so a quoted cell that spans lines made every later message name a
-    line too early.
+    line too early. And on a csv error, the rows read before it are parsed
+    first, so the first error in file order is the one reported.
 
     ``minutes`` holds minutes since 1970-01-01 00:00 on the file's naive
     clock; ``activity`` holds each minute's count. The header must name a
@@ -1133,6 +1133,7 @@ def reference_parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray
     """
     reader = csv.reader(stream)
     minutes, activity = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    rows, linenos = [], []
     try:
         try:
             header = next(reader)
@@ -1160,6 +1161,8 @@ def reference_parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray
             minutes.append(chunk_minutes)
             activity.append(chunk_activity)
     except csv.Error as exc:
+        if rows:  # a bad row before the csv error is reported first
+            _parse_rows(rows, linenos, ts_idx, act_idx)
         raise DataError(f"malformed row at line {reader.line_num}: {exc}")
     except UnicodeDecodeError as exc:
         raise DataError(f"recording is not UTF-8 text: {exc}")

@@ -255,6 +255,20 @@ class TestFeaturizeCorpus:
         assert (back.subject_ids, back.dates, back.columns) == (ids, table.dates, table.columns)
         assert back.X.tobytes() == X.tobytes()
 
+    def test_errors_name_physical_lines(self, tmp_path):
+        # a subject id holding a line break, which write_feature_table quotes
+        path = tmp_path / "table.csv"
+        path.write_text('subject_id,date,label,c1\n"a\nb",2020-01-01,1,0.5\nplain,2020-01-01,0,nan\n')
+        with pytest.raises(DataError, match="malformed row at line 4: non-finite value$"):
+            read_feature_table(path, scheme="t")
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("subject_id,date,label,c1\n\na,2020-01-01,1,0.5\n\n\nb,2020-01-01,0,1.5\n\n")
+        back = read_feature_table(path, scheme="t")
+        assert back.subject_ids == ("a", "b")
+        assert back.X.tolist() == [[0.5], [1.5]]
+
     def test_byte_order_mark_skipped(self, tiny_corpus, tmp_path):
         table = featurize_corpus(tiny_corpus, builtin_scheme("parts2"))
         path = tmp_path / "table.csv"

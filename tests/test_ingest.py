@@ -83,6 +83,42 @@ class TestParseSubjectFile:
         with pytest.raises(DataError, match="^malformed row at line 5: negative activity -5$"):
             parse_subject_file(io.StringIO(body, newline=""))
 
+    def test_bad_row_before_a_csv_error_is_reported_first(self):
+        rows = [f"2021-01-04 00:{m:02d},{'-5' if m == 1 else '1' * 140_000 if m == 50 else 7}" for m in range(60)]
+        body = "\n".join(["timestamp,activity", *rows]) + "\n"
+        with pytest.raises(DataError, match="^malformed row at line 3: negative activity -5$"):
+            parse_subject_file(io.StringIO(body))
+
+    @staticmethod
+    def _quirky_recording():
+        """Three days of minutes with the quirks of real recordings: stamps
+        with seconds on some days and without on others, counts such as
+        ``143.0`` and a 30-minute gap; and the (minutes, activity) it holds."""
+        start = minute_of(datetime(2004, 5, 7))
+        minutes = start + np.delete(np.arange(3 * MINUTES_PER_DAY), np.arange(2000, 2030))
+        activity = (minutes * 37) % 301
+        lines = ["timestamp,activity"]
+        for minute, count in zip(minutes.tolist(), activity.tolist()):
+            stamp = datetime(1970, 1, 1) + timedelta(minutes=minute)
+            lines.append(f"{stamp:%Y-%m-%d %H:%M}{':00' if stamp.day % 2 else ''},{count}{'.0' if count % 7 else ''}")
+        return "\n".join(lines) + "\n", minutes, activity
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "every-cell-quoted"])
+    def test_quirky_recording_is_read_in_bulk(self, monkeypatch, quoted):
+        # such recordings are the common case, and reading them row by row is about ten times slower
+        text, minutes, activity = self._quirky_recording()
+        if quoted:
+            text = "".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n" for line in text.splitlines())
+        assert len(text.splitlines()) > ingest.READ_CHUNK_ROWS + 1
+
+        def per_row(*args):
+            raise AssertionError("a row was parsed on its own")
+
+        monkeypatch.setattr(ingest, "_parse_row", per_row)
+        got = parse_subject_file(io.StringIO(text))
+        np.testing.assert_array_equal(got[0], minutes)
+        np.testing.assert_array_equal(got[1], activity)
+
 
 class TestFilterCompleteDays:
     def test_keeps_only_complete(self):
@@ -413,6 +449,14 @@ class TestInterchange:
         back = load_interchange(tmp_path / "bulk.csv")
         assert (back.subject_ids, back.dates, back.subjects) == (corpus.subject_ids, corpus.dates, corpus.subjects)
         np.testing.assert_array_equal(back.values, corpus.values)
+
+    def test_errors_name_physical_lines(self, tmp_path):
+        # a subject id holding a line break, which save_corpus quotes: each row takes two lines
+        rows = [f'"a\nb",1,2004-05-07,{m},{-1 if m == 3 else 5}' for m in range(MINUTES_PER_DAY)]
+        path = tmp_path / "corpus.csv"
+        path.write_text("\n".join(["subject_id,label,date,minute,activity", *rows]) + "\n")
+        with pytest.raises(DataError, match="malformed row at line 8: negative activity -1$"):
+            load_interchange(path)
 
     def test_blank_lines_and_unsorted_days_load(self, tmp_path):
         path = self._two_days(tmp_path)
