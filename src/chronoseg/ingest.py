@@ -18,20 +18,17 @@ UTF-8 and skips a leading byte-order mark, as Excel's "CSV UTF-8" writes.
 Parsing follows one rule. The lines after the header are read
 :data:`READ_CHUNK_ROWS` at a time, and a chunk is read in bulk or row by row:
 
-- ``np.loadtxt`` splits a chunk on commas in C, each row's stamp as bytes and
-  its count as float64, and takes it when a split on commas reads it as the
-  ``csv`` module would (no quote, NUL, carriage return other than in a CRLF
-  line end, whitespace-only line or line longer than the csv field limit;
-  every row holds both cells and every count is in a form NumPy reads, not
-  ``1_000`` nor non-ASCII digits) and every stamp and count passes the bulk
-  checks below. That is how recordings usually look, CRLF files included.
-- Any other chunk is split into rows by the ``csv`` module, which reads
-  quoted cells, also those that span lines. Each row's stamp and count are
-  re-joined as a plain line and offered to ``np.loadtxt`` again, so a file
-  with every cell quoted is still read in bulk. Failing that, every row of
-  the chunk goes to :func:`_parse_row`, at about 13 us a row against 0.5 us
-  in bulk (2-vCPU host): one such row per chunk makes a recording parse
-  about ten times slower.
+- ``np.loadtxt`` splits a chunk in C, quoted cells as the ``csv`` module
+  splits them, each row's stamp as bytes and its count as float64. It takes
+  the chunk when the two splits agree (no quoted cell spanning lines, NUL,
+  carriage return other than in a CRLF line end, whitespace-only line or
+  line longer than the csv field limit; every row holds both cells and every
+  count is in a form NumPy reads, not ``1_000`` nor non-ASCII digits) and
+  every stamp and count passes the bulk checks below. That is how recordings
+  usually look, CRLF files and files with every cell quoted included.
+- Any other chunk is split into rows by the ``csv`` module and every row goes
+  to :func:`_parse_row`, at about 13 us a row against 0.5 us in bulk (2-vCPU
+  host): one such row per chunk makes parsing about ten times slower.
 
 The bulk checks:
 
@@ -178,6 +175,7 @@ def _parse_timestamp(text: str) -> datetime:
     raise ValueError(f"unparseable timestamp {text!r}")
 
 
+# checks the calendar itself: NumPy 2.4.6 can segfault casting bytes stamps with one bad entry to datetime64
 def _canonical_minutes(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minutes since the epoch of each zero-padded ``YYYY-MM-DD HH:MM[:SS]``
     stamp, and a mask of the stamps that have that form and a valid date and
@@ -254,21 +252,26 @@ def _numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
 
 
 def _loadtxt_chunk(lines: list[str], ts_idx: int, act_idx: int):
-    """(minutes, activity) of a chunk of lines read by ``np.loadtxt``, empty
-    lines skipped; or None unless the module docstring's bulk rule takes the
-    chunk (a split on commas reads it as the ``csv`` module does, ``np.loadtxt``
-    reads it, and every stamp and count passes the bulk checks)."""
+    """(minutes, activity) of a chunk of lines read by ``np.loadtxt``, which
+    splits quoted cells as the ``csv`` module does, empty lines skipped; or
+    None unless the module docstring's bulk rule takes the chunk. A quoted
+    cell that spans lines is refused: cut at the chunk's end it would be read
+    short, and the field-limit check measures single lines."""
     text = "".join(lines)
     limit = csv.field_size_limit()
-    if ('"' in text or "\0" in text or text.isspace()
+    if ("\0" in text or text.isspace()
             or "\r" in text and text.count("\r") != text.count("\r\n")
-            or len(text) > limit and max(map(len, lines)) > limit):
+            or len(text) > limit and max(map(len, lines)) > limit
+            # read alone, the last line ends in a cell that holds its line end: a quoted cell is still open
+            or '"' in lines[-1] and "\n" in "".join(next(csv.reader(lines[-1:]), []))):
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", usecols=(ts_idx, act_idx), dtype=_LOADTXT_DTYPE,
-                           comments=None, ndmin=1)
+                           comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
+    if '"' in text and len(table) != len(lines) - lines.count("\n") - lines.count("\r\n"):
+        return None  # fewer rows than non-empty lines: a quoted cell spans lines
     # each stamp's bytes, zero-padded; a longer stamp is cut and fails the length rule
     minutes, ok = _canonical_minutes(table.view(np.uint8).reshape(len(table), -1)[:, :_LOADTXT_STAMP_BYTES])
     counts = table["a"]
@@ -279,11 +282,9 @@ def _loadtxt_chunk(lines: list[str], ts_idx: int, act_idx: int):
 
 def _csv_chunk(lines: list[str], rest: Iterator[str], lineno: int, ts_idx: int, act_idx: int):
     """(minutes, activity) of the rows that start on a chunk's lines, split by
-    the ``csv`` module, and the number of lines they take. The chunk's first
-    line is line ``lineno``; a quoted cell that spans lines reads on into
-    ``rest``. The stamp and count cells are re-joined as plain lines for
-    :func:`_loadtxt_chunk`; if it does not take them, every row is parsed by
-    :func:`_parse_row`."""
+    the ``csv`` module and parsed one by one by :func:`_parse_row`, and the
+    number of lines they take. The chunk's first line is line ``lineno``; a
+    quoted cell that spans lines reads on into ``rest``."""
     reader = csv.reader(chain(lines, rest))
     rows, starts = [], []
     try:
@@ -295,17 +296,7 @@ def _csv_chunk(lines: list[str], rest: Iterator[str], lineno: int, ts_idx: int, 
     except csv.Error as exc:
         _parse_rows(rows, starts, ts_idx, act_idx)  # a bad row before the csv error is reported first
         raise DataError(f"malformed row at line {lineno - 1 + reader.line_num}: {exc}")
-    try:
-        plain = [f"{row[ts_idx]},{row[act_idx]}\n" for row in rows]
-    except IndexError:  # a short or whitespace-only row
-        plain = []
-    text = "".join(plain)
-    chunk = None
-    if plain and text.count(",") == text.count("\n") == len(plain):  # no cell holds a comma or line break
-        chunk = _loadtxt_chunk(plain, 0, 1)
-    if chunk is None:
-        chunk = _parse_rows(rows, starts, ts_idx, act_idx)
-    return chunk, reader.line_num
+    return _parse_rows(rows, starts, ts_idx, act_idx), reader.line_num
 
 
 def parse_subject_file(stream: TextIO) -> tuple[np.ndarray, np.ndarray]:

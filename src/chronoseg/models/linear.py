@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
 from .gbdt import sigmoid
 
 # a step halved this often is below the rounding of the weights
@@ -142,8 +141,6 @@ def train_linear_svm(
                 w_avg += w
                 b_avg += b
                 n_avg += 1
-    if n_avg == 0:
-        raise DataError("svm training ran zero averaging steps")
     return LinearModel(weights=w_avg / n_avg, intercept=b_avg / n_avg)
 
 

@@ -369,6 +369,7 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
         "empty_rec": b"",
         "latin_rec": header + b"2004-05-07 12:00:00,3\xff\n",
         "huge_rec": header + b"2004-05-07 12:00:00," + b"1" * 200_000 + b"\n",
+        "huge_header_rec": b"timestamp,activity," + b"x" * 140_000 + b"\n",
     }
     for corpus, content in recordings.items():
         (root / corpus / "patient").mkdir(parents=True)
@@ -377,10 +378,14 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
     rows = corpus_file.read_bytes().splitlines(keepends=True)[:1000]
     (root / "latin_days.csv").write_bytes(b"".join(rows) + b"s\xff,1,2004-05-07,999,3\n")
     (root / "header_only.csv").write_bytes(rows[0])
+    (root / "huge_days.csv").write_bytes(rows[0] + b"s1,1,2004-05-07,0," + b"1" * 140_000 + b"\n")
+    (root / "six_subjects.csv").symlink_to(corpus_file)
     (root / "no_header.csv").write_bytes(b"")
     for table, content in (("fd_empty", b"subject_id,date,label,day_mean\n"),
                            ("fd_latin", b"subject_id,date,label,day_mean\ns\xff,2004-05-07,1,3\n"),
-                           ("fd_nan", b"subject_id,date,label,day_mean\ns1,2004-05-07,1,3\ns1,2004-05-08,1,nan\n")):
+                           ("fd_nan", b"subject_id,date,label,day_mean\ns1,2004-05-07,1,3\ns1,2004-05-08,1,nan\n"),
+                           ("fd_label", b"subject_id,date,label,day_mean\ns1,2004-05-07,2,3\n"),
+                           ("fd_huge", b"subject_id,date,label,day_mean\ns1,2004-05-07,1," + b"1" * 140_000 + b"\n")):
         (root / table).mkdir()
         (root / table / "features_parts2.csv").write_bytes(content)
     (root / "fd_missing").mkdir()
@@ -396,8 +401,12 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
                      id="non-utf8-recording"),
         pytest.param(["featurize", "--corpus", "huge_rec"], 3, "p1.csv: malformed row at line 2: field larger",
                      id="oversized-recording-field"),
+        pytest.param(["featurize", "--corpus", "huge_header_rec"], 3, "p1.csv: malformed row at line 1: field larger",
+                     id="oversized-recording-header-field"),
         pytest.param(["featurize", "--corpus", "latin_days.csv"], 3, "latin_days.csv is not UTF-8 text",
                      id="non-utf8-interchange-after-header"),
+        pytest.param(["featurize", "--corpus", "huge_days.csv"], 3, "huge_days.csv: malformed line 2: field larger",
+                     id="oversized-interchange-field"),
         pytest.param(["featurize", "--corpus", "header_only.csv"], 3, "empty corpus in header_only.csv",
                      id="interchange-header-only"),
         pytest.param(["featurize", "--corpus", "no_header.csv"], 3, "no_header.csv has no header row",
@@ -408,6 +417,13 @@ def _write_bad_inputs(root: Path, corpus_file: Path) -> None:
                      "features_parts2.csv is not UTF-8 text", id="non-utf8-feature-table"),
         pytest.param(["evaluate", "--features-dir", "fd_nan", "--schemes", "parts2"], 3,
                      "features_parts2.csv: malformed row at line 3: non-finite value", id="non-finite-feature-cell"),
+        pytest.param(["evaluate", "--features-dir", "fd_label", "--schemes", "parts2"], 3,
+                     "features_parts2.csv: malformed row at line 2: label 2", id="feature-label-out-of-range"),
+        pytest.param(["evaluate", "--features-dir", "fd_huge", "--schemes", "parts2"], 3,
+                     "features_parts2.csv: malformed row at line 2: field larger", id="oversized-feature-cell"),
+        pytest.param(["evaluate", "--corpus", "six_subjects.csv", "--schemes", "parts2", "--models", "knn",
+                      "--cv-mode", "subject_grouped", "--k", "10"], 3,
+                     "only 6 subjects, cannot make 10 grouped folds", id="fewer-subjects-than-grouped-folds"),
         pytest.param(["--config", "nope.yaml", "featurize", "--corpus", "header_only.csv"], 2,
                      "config file nope.yaml does not exist", id="missing-config"),
         pytest.param(["--config", "list.yaml", "featurize", "--corpus", "header_only.csv"], 2,

@@ -89,6 +89,20 @@ class TestParseSubjectFile:
         with pytest.raises(DataError, match="^malformed row at line 3: negative activity -5$"):
             parse_subject_file(io.StringIO(body))
 
+    @pytest.mark.parametrize("i, cells", [
+        # the first chunk's last line: a literal quote in one ignored cell, a quoted cell opened in the next;
+        # the line after closes it, and each line holds two quotes
+        (ingest.READ_CHUNK_ROWS - 1, ',a"b,"c\ny"q",z'),
+        # an ignored cell of 140,000 characters, quoted over lines that are each below the field limit
+        (10, ',"' + "\n".join(["a" * 999] * 140) + '",y'),
+    ], ids=["open-at-chunk-end", "long-cell-over-lines"])
+    def test_quoted_cell_over_lines_reads_as_csv(self, i, cells):
+        rows = [f"{datetime(2004, 5, 7) + timedelta(minutes=m):%Y-%m-%d %H:%M},{m % 7},x,y"
+                for m in range(ingest.READ_CHUNK_ROWS + 10)]
+        rows[i] = rows[i].replace(",x,y", cells)
+        text = "\n".join(["timestamp,activity,note,extra", *rows]) + "\n"
+        assert _parsed(parse_subject_file, text, "") == _parsed(reference_parse_subject_file, text, "")
+
     @staticmethod
     def _quirky_recording():
         """Three days of minutes with the quirks of real recordings: stamps
@@ -114,7 +128,11 @@ class TestParseSubjectFile:
         def per_row(*args):
             raise AssertionError("a row was parsed on its own")
 
+        def csv_split(*args):
+            raise AssertionError("a chunk was split by the csv module")
+
         monkeypatch.setattr(ingest, "_parse_row", per_row)
+        monkeypatch.setattr(ingest, "_csv_chunk", csv_split)
         got = parse_subject_file(io.StringIO(text))
         np.testing.assert_array_equal(got[0], minutes)
         np.testing.assert_array_equal(got[1], activity)
@@ -615,6 +633,8 @@ CELL_EDITS = {
         "spaced": lambda cell: f" {cell} ",
         "minutes": lambda cell: cell[:16],
         "long": lambda cell: cell[:16] + ":00.5",
+        "seconds": lambda cell: cell[:16] + ":59",
+        "text_after_quote": lambda cell: f'"{cell}"x',
         "unpadded": lambda cell: cell.replace("-0", "-").replace(" 0", " "),
         "t_separator": lambda cell: cell.replace(" ", "T"),
         "non_ascii_digit": lambda cell: cell.replace("0", "\u0660", 1),
@@ -632,11 +652,16 @@ CELL_EDITS = {
         "negative": lambda cell: f"-{cell}",
         "empty": lambda cell: "",
         "oversized": lambda cell: "1" * 140_000,
+        "unclosed_quote": lambda cell: f'"{cell}',
     },
     "other": {
         "quoted_comma": lambda cell: '"a,b"',
         "quoted_line_break": lambda cell: '"a\nb"',
         "quoted_crlf": lambda cell: '"a\r\nb"',
+        "doubled_quote": lambda cell: '"a""b"',
+        "spaced_quote": lambda cell: ' "a"',
+        "inner_quote": lambda cell: 'a"b',
+        "text_after_quote": lambda cell: '"a"b',
     },
 }
 
@@ -655,7 +680,8 @@ LINE_EDITS = {
 def edited_recordings(draw):
     """Raw recording text of one or three days in either zero-padded stamp
     form, with a few cells or lines edited, some of them at the first chunk's
-    edge, and maybe CRLF line ends, a byte-order mark or trailing blank lines."""
+    edge, and maybe every cell quoted, CRLF line ends, a byte-order mark or
+    trailing blank lines."""
     header = draw(st.sampled_from(sorted(LAYOUTS)))
     ts_idx, act_idx, other_idx = LAYOUTS[header]
     start = draw(st.dates(date(1960, 1, 1), date(2040, 12, 31)))
@@ -677,6 +703,9 @@ def edited_recordings(draw):
         idx = {"stamp": ts_idx, "count": act_idx, "other": other_idx}[cell]
         if idx is not None:
             rows[i][idx] = CELL_EDITS[cell][edit](rows[i][idx])
+    if draw(st.booleans()):  # every cell quoted, so whole quoted chunks reach the bulk reader
+        header = ",".join(f'"{cell}"' for cell in header.split(","))
+        rows = [['"' + cell.replace('"', '""') + '"' for cell in row] for row in rows]
     lines = [",".join(row) for row in rows]
     for kind, i, k in draw(st.lists(st.tuples(st.sampled_from(sorted(LINE_EDITS)), at, st.integers(0, 1000)),
                                     max_size=3)):
